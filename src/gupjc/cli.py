@@ -108,7 +108,6 @@ DEFAULTS: dict[str, dict] = {
         PRESETS["fig1"],
         grid_extent=4.0,
         grid_points=201,
-        pad_levels=None,
     ),
     "zeta-maps": dict(
         PRESETS["fig2"],
@@ -138,7 +137,6 @@ def resolve_config(command: str, args) -> dict:
     """defaults <- preset <- config file <- --set overrides."""
     params = dict(DEFAULTS[command])
     seed = 1234
-    threads = 1
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
@@ -159,7 +157,6 @@ def resolve_config(command: str, args) -> dict:
             raise ValueError(f"unknown parameter {key!r} for command {command!r}")
         params[key] = value
     seed = file_cfg.get("seed", seed)
-    threads = file_cfg.get("threads", threads)
     for item in args.set or []:
         key, _, raw = item.partition("=")
         if not _ or key not in params:
@@ -167,9 +164,25 @@ def resolve_config(command: str, args) -> dict:
         params[key] = _parse_set_value(raw)
     if args.seed is not None:
         seed = args.seed
-    if args.threads is not None:
-        threads = args.threads
-    return {"command": command, "params": params, "seed": seed, "threads": threads}
+    _check_grid(params)
+    return {"command": command, "params": params, "seed": seed}
+
+
+def _check_grid(params: dict) -> None:
+    """Reject grid parameters that would yield an empty or degenerate map."""
+    if "grid_points" in params:
+        points = params["grid_points"]
+        if isinstance(points, bool) or not isinstance(points, int) or points < 2:
+            raise ValueError(f"grid_points must be an integer >= 2, got {points!r}")
+    if "grid_extent" in params:
+        extent = params["grid_extent"]
+        if (
+            isinstance(extent, bool)
+            or not isinstance(extent, (int, float))
+            or (isinstance(extent, float) and not math.isfinite(extent))
+            or extent <= 0
+        ):
+            raise ValueError(f"grid_extent must be finite and > 0, got {extent!r}")
 
 
 def _fmt(value) -> str:
@@ -247,7 +260,7 @@ def _dispersive_inputs(params: dict):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_rabi(params: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
+def cmd_rabi(params: dict, out_dir: Path, seed: int) -> list[Path]:
     omega = params["omega"]
     omega0 = params["omega0"] if params["omega0"] is not None else omega
     cfg = InteractionConfig(omega=omega, omega0=omega0, coupling=params["coupling"])
@@ -284,7 +297,7 @@ def cmd_rabi(params: dict, out_dir: Path, seed: int, threads: int) -> list[Path]
     return [table_path, series_path]
 
 
-def cmd_dispersive(params: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
+def cmd_dispersive(params: dict, out_dir: Path, seed: int) -> list[Path]:
     _, c, d = _dispersive_inputs(params)
     atom = params["initial_atom"]
 
@@ -334,7 +347,7 @@ def cmd_dispersive(params: dict, out_dir: Path, seed: int, threads: int) -> list
     return [state_path, dec_path, fid_path]
 
 
-def cmd_wigner_diff(params: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
+def cmd_wigner_diff(params: dict, out_dir: Path, seed: int) -> list[Path]:
     _, c, d = _dispersive_inputs(params)
     atom = params["initial_atom"]
     dec = photon_added_decomposition(d, atom)
@@ -345,10 +358,7 @@ def cmd_wigner_diff(params: dict, out_dir: Path, seed: int, threads: int) -> lis
     extent = params["grid_extent"]
     grid = GridSpec(-extent, extent, -extent, extent, int(params["grid_points"]),
                     int(params["grid_points"]))
-    pad = params["pad_levels"]
-    diff = wigner_difference(field, reference, grid,
-                             pad_levels=int(pad) if pad is not None else None,
-                             threads=threads)
+    diff = wigner_difference(field, reference, grid)
 
     csv_path = out_dir / "delta_w.csv"
     grid_to_csv(diff.grid, csv_path)
@@ -371,7 +381,7 @@ def cmd_wigner_diff(params: dict, out_dir: Path, seed: int, threads: int) -> lis
     return [csv_path, json_path, summary_path]
 
 
-def cmd_zeta_maps(params: dict, out_dir: Path, seed: int, threads: int) -> list[Path]:
+def cmd_zeta_maps(params: dict, out_dir: Path, seed: int) -> list[Path]:
     p = GupParams.from_gamma(params["gamma"], params["delta"], params["epsilon"])
     spec = ZetaMapSpec(
         n=int(params["n"]),
@@ -418,7 +428,7 @@ def _slope(xs: list[float], ys: list[float]) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def run_verify_checks(draws: int, grid_points: int, seed: int, threads: int) -> list[dict]:
+def run_verify_checks(draws: int, grid_points: int, seed: int) -> list[dict]:
     checks = []
 
     def record(name: str, ok: bool, detail: str) -> None:
@@ -505,15 +515,15 @@ def run_verify_checks(draws: int, grid_points: int, seed: int, threads: int) -> 
     # Wigner closed forms and photon-added negativity
     grid = GridSpec(-3.0, 3.0, -3.0, 3.0, grid_points, grid_points)
     coh = coherent_state(1.0, 25)
-    w_coh = wigner_of_state(coh, grid, threads=threads)
+    w_coh = wigner_of_state(coh, grid)
     zz = w_coh.re_axis[None, :] + 1j * w_coh.im_axis[:, None]
     exact = (2.0 / math.pi) * np.exp(-2.0 * np.abs(zz - 1.0) ** 2)
     err_coh = float(np.max(np.abs(w_coh.values - exact)))
-    w_f1 = wigner_of_state(fock_state(1, 10), grid, threads=threads)
+    w_f1 = wigner_of_state(fock_state(1, 10), grid)
     exact_f1 = (2.0 / math.pi) * (-(1.0 - 4.0 * np.abs(zz) ** 2)) * np.exp(-2.0 * np.abs(zz) ** 2)
     err_f1 = float(np.max(np.abs(w_f1.values - exact_f1)))
     pacs = photon_added_coherent_state(1.0, 1, 30)
-    w_pacs = wigner_of_state(pacs, grid, threads=threads)
+    w_pacs = wigner_of_state(pacs, grid)
     record(
         "wigner-closed-forms",
         err_coh < 1e-8 and err_f1 < 1e-8 and float(np.min(w_pacs.values)) < 0.0,
@@ -561,12 +571,11 @@ def run_verify_checks(draws: int, grid_points: int, seed: int, threads: int) -> 
     return checks
 
 
-def cmd_verify(params: dict, out_dir: Path, seed: int, threads: int) -> tuple[list[Path], int]:
+def cmd_verify(params: dict, out_dir: Path, seed: int) -> tuple[list[Path], int]:
     checks = run_verify_checks(
         draws=int(params["draws"]),
         grid_points=int(params["grid_points"]),
         seed=seed,
-        threads=threads,
     )
     width = max(len(c["name"]) for c in checks)
     for c in checks:
@@ -594,7 +603,7 @@ def run_command(command: str, args) -> int:
     start = time.perf_counter()
     config_path = out_dir / "run_config.json"
     write_json(config_path, config)
-    result = COMMANDS[command](config["params"], out_dir, config["seed"], config["threads"])
+    result = COMMANDS[command](config["params"], out_dir, config["seed"])
     outputs, code = result if isinstance(result, tuple) else (result, 0)
     wall = time.perf_counter() - start
     write_manifest(out_dir, config, [config_path, *outputs], wall)
@@ -615,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--preset", help=f"named parameter set: {sorted(PRESETS)}")
         cmd.add_argument("--out", help="output directory (default runs/<command>)")
         cmd.add_argument("--seed", type=int, help="seed for randomized checks")
-        cmd.add_argument("--threads", type=int, help="worker threads for grid sweeps")
         cmd.add_argument(
             "--set",
             action="append",

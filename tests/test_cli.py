@@ -214,3 +214,41 @@ def test_manifest_contents(tmp_path):
     assert "rabi_table.csv" in manifest["outputs"]
     assert manifest["wall_time_s"] > 0
     assert manifest["versions"]["gupjc"]
+
+
+@pytest.mark.parametrize("command, setting, name", [
+    ("wigner-diff", "grid_points=1", "grid_points"),
+    ("wigner-diff", "grid_points=0", "grid_points"),
+    ("wigner-diff", "grid_points=2.5", "grid_points"),
+    ("wigner-diff", "grid_points=true", "grid_points"),
+    ("wigner-diff", "grid_extent=0", "grid_extent"),
+    ("wigner-diff", "grid_extent=-1.5", "grid_extent"),
+    ("wigner-diff", "grid_extent=NaN", "grid_extent"),
+    ("wigner-diff", "grid_extent=Infinity", "grid_extent"),
+    ("verify", "grid_points=1", "grid_points"),
+])
+def test_bad_grid_rejected_before_any_output(tmp_path, capsys, command, setting, name):
+    out = tmp_path / "bad"
+    code = run_cli([command, "--out", str(out), "--set", setting])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert name in captured.err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_wigner_diff_past_underflow_limit_exits_cleanly(tmp_path, capsys):
+    out = tmp_path / "far"
+    code = run_cli(["wigner-diff", "--out", str(out), "--preset", "fig1",
+                    "--set", "grid_extent=20", "--set", "grid_points=3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "|z| = 28.28" in captured.err and "underflows" in captured.err
+    assert not (out / "delta_w.csv").exists()
+
+
+def test_wigner_diff_rejects_retired_pad_levels(tmp_path, capsys):
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({"command": "wigner-diff", "params": {"pad_levels": None}}))
+    code = run_cli(["wigner-diff", "--out", str(tmp_path / "old"), "--config", str(cfg_path)])
+    assert code == 2
+    assert "pad_levels" in capsys.readouterr().err

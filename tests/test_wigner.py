@@ -1,20 +1,29 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from gupjc.dispersive import (
     DispersiveConfig,
     decomposition_field_state,
     photon_added_decomposition,
 )
-from gupjc.errors import TruncationError
-from gupjc.fock import coherent_state, fock_state, laguerre, photon_added_coherent_state
+from gupjc.fock import (
+    FockVector,
+    coherent_state,
+    fock_state,
+    laguerre,
+    photon_added_coherent_state,
+)
 from gupjc.gup import GupParams, derive_coefficients
 from gupjc.wigner import (
     GridSpec,
+    MAX_ABS_Z,
     WignerGrid,
-    displacement_operator,
     wigner_difference,
     wigner_of_state,
     wigner_precision_ratio,
@@ -22,6 +31,12 @@ from gupjc.wigner import (
 )
 
 TWO_OVER_PI = 2.0 / math.pi
+
+
+def displacement_operator(z: complex, dim: int) -> np.ndarray:
+    """D(z) = exp(z a^dag - z* a) by direct matrix exponential."""
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+    return expm(z * a.conj().T - np.conj(z) * a)
 
 
 def coherent_wigner_exact(alpha, zz):
@@ -90,7 +105,8 @@ def test_photon_added_negativity():
 
 
 def test_factored_displacement_matches_expm():
-    # the rotation-factored displacement equals the direct matrix exponential
+    # the Cahill-Glauber sum equals the displaced parity (2/pi) <P> of
+    # D(-z)|psi>, with D(-z) a direct matrix exponential on a padded space
     psi = photon_added_coherent_state(0.7 + 0.2j, 1, 25)
     for z in (0.3 - 1.2j, 2.0 + 2.0j, -3.5 + 0.1j):
         fast = wigner_values_at(psi, np.array([z]))[0]
@@ -103,17 +119,90 @@ def test_factored_displacement_matches_expm():
         assert fast == pytest.approx(direct, abs=1e-12)
 
 
-def test_insufficient_padding_raises():
-    with pytest.raises(TruncationError):
-        wigner_values_at(coherent_state(1.0, 20), np.array([3.0 + 3.0j]), pad_levels=4)
+@pytest.mark.parametrize("n", [50, 200, 400])
+def test_high_fock_state_at_origin(n):
+    w = wigner_values_at(fock_state(n, n), np.array([0.0j]))
+    assert w[0] == pytest.approx(TWO_OVER_PI * (-1.0) ** n, abs=1e-12)
 
 
-def test_threads_do_not_change_values():
-    state = coherent_state(1.0, 25)
-    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 41, 41)
-    w1 = wigner_of_state(state, grid, threads=1)
-    w4 = wigner_of_state(state, grid, threads=4)
-    assert np.array_equal(w1.values, w4.values)
+def test_large_coherent_state_out_to_radius_ten():
+    alpha = 6.0
+    radii = np.linspace(0.0, 10.0, 41)
+    angles = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    zs = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+    w = wigner_values_at(coherent_state(alpha, 150), zs)
+    assert np.max(np.abs(w - coherent_wigner_exact(alpha, zs))) < 1e-13
+
+
+def test_far_point_keeps_its_gaussian_tail():
+    # just inside the underflow limit the vacuum value is tiny but not zero
+    z = 18.5 + 0.0j
+    w = wigner_values_at(fock_state(0, 3), np.array([z]))[0]
+    assert w == pytest.approx(TWO_OVER_PI * math.exp(-2.0 * abs(z) ** 2), rel=1e-12)
+
+
+def test_point_past_underflow_limit_raises():
+    assert 18.0 < MAX_ABS_Z < 19.0
+    with pytest.raises(ValueError, match=r"\|z\| = 28.28.*18.8"):
+        wigner_values_at(coherent_state(1.0, 20), np.array([0.0j, 20.0 + 20.0j]))
+
+
+def cahill_glauber_mpmath(states, z, dps=50):
+    """(2/pi) sum_{m,n} c_m c*_n W_mn(z) for each amplitude vector in
+    ``states``, with each L^k_m from its finite power series."""
+    ncut = len(states[0]) - 1
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(complex(z))
+        x = 4 * abs(z) ** 2
+        gauss = mpmath.exp(-x / 2)
+        fact = [mpmath.factorial(j) for j in range(2 * ncut + 1)]
+        series = [x**j / fact[j] for j in range(ncut + 1)]
+        totals = [mpmath.mpf(0)] * len(states)
+        coeffs = [[mpmath.mpc(complex(a)) for a in amps] for amps in states]
+        for m in range(ncut + 1):
+            for k in range(ncut + 1 - m):
+                lag = mpmath.fsum(
+                    (-1) ** j * math.comb(m + k, m - j) * series[j] for j in range(m + 1)
+                )
+                w = gauss * (2 * z) ** k * mpmath.sqrt(fact[m] / fact[m + k]) * lag
+                for i, c in enumerate(coeffs):
+                    term = (-1) ** m * c[m] * mpmath.conj(c[m + k]) * w
+                    totals[i] += term.real if k == 0 else 2 * term.real
+        return [float(2 * t / mpmath.pi) for t in totals]
+
+
+def test_benchmark_field_matches_mpmath_oracle():
+    field, reference = _benchmark_state()
+    ref_state = coherent_state(reference, field.ncut)
+    zs = np.array([-0.92 + 1.0j, 0.5 - 0.5j, 2.5 + 1.5j])
+    w_field = wigner_values_at(field, zs)
+    w_ref = wigner_values_at(ref_state, zs)
+    for z, wf, wr in zip(zs, w_field, w_ref):
+        oracle_field, oracle_ref = cahill_glauber_mpmath([field.amps, ref_state.amps], z)
+        assert wf == pytest.approx(oracle_field, abs=1e-14)
+        assert wf - wr == pytest.approx(oracle_field - oracle_ref, abs=1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    amps=st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=21,
+    ),
+    zs=st.lists(
+        st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_wigner_bounded_by_two_over_pi(amps, zs):
+    amps = np.array(amps, dtype=complex)
+    norm = np.linalg.norm(amps)
+    assume(norm > 1e-3)
+    psi = FockVector(amps.size - 1, amps / norm)
+    w = wigner_values_at(psi, np.array(zs, dtype=complex))
+    assert np.all(np.abs(w) <= TWO_OVER_PI * (1.0 + 1e-12))
 
 
 def test_difference_of_state_with_itself_vanishes():
@@ -171,7 +260,6 @@ def test_grid_spec_and_wigner_grid_helpers():
     spec = GridSpec(-2.0, 2.0, -1.0, 1.0, 5, 3)
     re_axis, im_axis = spec.axes()
     assert re_axis.shape == (5,) and im_axis.shape == (3,)
-    assert spec.max_abs_sq == pytest.approx(5.0)
     refined = spec.refined()
     assert refined.n_re == 9 and refined.n_im == 5
     values = np.zeros((3, 5))
