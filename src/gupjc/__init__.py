@@ -18,7 +18,6 @@ from .errors import (
     DegenerateModelError,
     DispersiveRegimeError,
     GupJcError,
-    IntegrationError,
     LinearityError,
     NonHermitianError,
     SingularDenominatorError,
@@ -32,8 +31,6 @@ from .fock import (
     build_creation,
     build_number,
     coherent_state,
-    evolve_atom_field,
-    evolve_fock,
     evolve_on_grid,
     fock_state,
     laguerre,
@@ -49,6 +46,7 @@ from .gup import (
     build_rwa_hamiltonian,
     derive_coefficients,
     length_scale_bounds,
+    rwa_block,
 )
 from .dynamics import (
     RabiSolution,

@@ -41,14 +41,10 @@ from .dispersive import (
     decomposition_field_state,
     dyson_consistency_check,
     evolve_dispersive_exact,
+    interaction_picture_propagate,
     photon_added_decomposition,
 )
-from .dynamics import (
-    rabi_shift,
-    resonant_frame_hamiltonian,
-    amplitude_angular_frequency,
-    validate_against_numeric,
-)
+from .dynamics import amplitude_angular_frequency, rabi_shift, validate_against_numeric
 from .errors import GupJcError
 from .fock import (
     build_annihilation,
@@ -56,9 +52,17 @@ from .fock import (
     evolve_on_grid,
     fock_state,
     laguerre,
+    matrix_exponential_apply,
     photon_added_coherent_state,
 )
-from .gup import GupCoefficients, GupParams, InteractionConfig, derive_coefficients
+from .gup import (
+    GupCoefficients,
+    GupParams,
+    InteractionConfig,
+    build_rwa_hamiltonian,
+    derive_coefficients,
+    rwa_block,
+)
 from .rwa_validity import ZetaMapSpec, perturbation_cross_check, zeta_lq, zeta_map, zeta_rq
 from .wigner import (
     GridSpec,
@@ -101,7 +105,6 @@ DEFAULTS: dict[str, dict] = {
         "n_table_max": 10,
         "periods": 10.0,
         "points": 600,
-        "ncut": None,
     },
     "dispersive": dict(PRESETS["fig1"], fidelity_points=20),
     "wigner-diff": dict(
@@ -119,6 +122,18 @@ DEFAULTS: dict[str, dict] = {
         n_delta=17,
     ),
     "verify": {"draws": 10000, "grid_points": 61},
+}
+
+# Integer parameters and their smallest valid values, whichever command has them.
+INT_MINIMUMS: dict[str, int] = {
+    "grid_points": 2,
+    "n_omega": 1,
+    "n_delta": 1,
+    "points": 1,
+    "fidelity_points": 1,
+    "draws": 1,
+    "n": 0,
+    "n_table_max": 0,
 }
 
 
@@ -164,16 +179,18 @@ def resolve_config(command: str, args) -> dict:
         params[key] = _parse_set_value(raw)
     if args.seed is not None:
         seed = args.seed
-    _check_grid(params)
+    _check_params(params)
     return {"command": command, "params": params, "seed": seed}
 
 
-def _check_grid(params: dict) -> None:
-    """Reject grid parameters that would yield an empty or degenerate map."""
-    if "grid_points" in params:
-        points = params["grid_points"]
-        if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-            raise ValueError(f"grid_points must be an integer >= 2, got {points!r}")
+def _check_params(params: dict) -> None:
+    """Reject counts and extents that would crash a command or yield an empty artifact."""
+    for key, minimum in INT_MINIMUMS.items():
+        if key not in params:
+            continue
+        value = params[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
     if "grid_extent" in params:
         extent = params["grid_extent"]
         if (
@@ -275,18 +292,11 @@ def cmd_rabi(params: dict, out_dir: Path, seed: int) -> list[Path]:
     write_csv(table_path, ["n", "omega_std", "omega_qg", "delta_omega"], table_rows)
 
     n = int(params["n"])
-    ncut = int(params["ncut"]) if params["ncut"] is not None else n + 2
     w_half = amplitude_angular_frequency(n, cfg, c)
     t_max = params["periods"] * 2.0 * math.pi / (2.0 * w_half)
     t_grid = np.linspace(0.0, t_max, int(params["points"]))
-    entries, _ = resonant_frame_hamiltonian(cfg, c, ncut)
-    dim = ncut + 1
-    psi0 = np.zeros(2 * dim, dtype=complex)
-    psi0[dim + n] = 1.0
-    states = evolve_on_grid(entries, t_grid, psi0)
-    w_numeric = np.sum(np.abs(states[:, dim:]) ** 2, axis=1) - np.sum(
-        np.abs(states[:, :dim]) ** 2, axis=1
-    )
+    states = evolve_on_grid(rwa_block(n, cfg, c), t_grid, np.array([1.0, 0.0]))
+    w_numeric = np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2
     w_analytic = np.cos(2.0 * w_half * t_grid)
     series_path = out_dir / "inversion.csv"
     write_csv(
@@ -465,7 +475,7 @@ def run_verify_checks(draws: int, grid_points: int, seed: int) -> list[dict]:
         c0 = derive_coefficients(p0, cfg.omega)
         period = 2.0 * math.pi / (2.0 * cfg.coupling * math.sqrt(n + 1))
         t_grid = np.linspace(0.0, 10.0 * period, 400)
-        report = validate_against_numeric(n, cfg, c0, t_grid, ncut=n + 2)
+        report = validate_against_numeric(n, cfg, c0, t_grid)
         worst = max(worst, report.max_amp_err)
     record("standard-jcm-oracle", worst < 1e-9, f"max amplitude error {worst:.2e}")
 
@@ -555,18 +565,24 @@ def run_verify_checks(draws: int, grid_points: int, seed: int) -> list[dict]:
     slope = _slope(lams, errs)
     record("perturbation-scaling", abs(slope - 2.0) < 0.1, f"log-log slope {slope:.3f}")
 
-    # effective-Hamiltonian evolution against two independent integrators
+    # effective-Hamiltonian evolution; the block propagator against a dense
+    # lab-frame evolution of the same state
     cfg_d = InteractionConfig(omega=200.0, omega0=280.0, coupling=1.5)
     c_d = GupCoefficients(phi=1e-4, chi=0.0, beta=-5e-5, omega=200.0)
     t_check = 0.05 / cfg_d.mu
-    exact = dyson_consistency_check(cfg_d, c_d, ncut=18, t=t_check, method="exact")
-    stepped = dyson_consistency_check(cfg_d, c_d, ncut=18, t=t_check, method="rk4")
-    agree = abs(exact.fidelity - stepped.fidelity)
-    ok = agree < 1e-8 and exact.fidelity > 1.0 - 10.0 * exact.dropped_term_mag**2
+    dyson = dyson_consistency_check(cfg_d, c_d, ncut=18, t=t_check)
+    psi0 = np.concatenate([coherent_state(1.0, 18).amps, np.zeros(19, dtype=complex)])
+    h_dense = build_rwa_hamiltonian(cfg_d, c_d, 18).entries
+    dense = np.exp(1j * t_check * np.diag(h_dense)) * matrix_exponential_apply(
+        h_dense, t_check, psi0
+    )
+    blocks = interaction_picture_propagate(cfg_d, c_d, 18, t_check, psi0)
+    gap = float(np.max(np.abs(blocks - dense)))
+    ok = gap < 1e-8 and dyson.fidelity > 1.0 - 10.0 * dyson.dropped_term_mag**2
     record(
         "dyson-consistency",
         ok,
-        f"fidelity {exact.fidelity:.10f}, integrator gap {agree:.2e}",
+        f"fidelity {dyson.fidelity:.10f}, dense-evolution gap {gap:.2e}",
     )
     return checks
 

@@ -11,6 +11,10 @@ those phases to first order in phi turns the evolved state into a
 superposition of the rotated coherent state with its one- and two-photon-
 added companions, which is the experimentally interesting signature: photon
 addition makes the field state non-classical.
+
+The Dyson consistency check compares that effective evolution with the exact
+rotating-wave evolution, which is propagated block by block on the pairs
+{|e,n>, |g,n+1>} of ``gup.rwa_block``.
 """
 
 from __future__ import annotations
@@ -20,25 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DispersiveRegimeError, IntegrationError, LinearityError
+from .errors import DispersiveRegimeError, LinearityError
 from .fock import (
     AtomFieldState,
     FockVector,
     OperatorMatrix,
-    SIGMA_PLUS,
-    build_annihilation,
     coherent_state,
     laguerre,
     matrix_exponential_apply,
     photon_added_coherent_state,
-    tensor_with_atom,
 )
-from .gup import (
-    GupCoefficients,
-    InteractionConfig,
-    _modified_field_diagonal,
-    _rwa_coupling_block,
-)
+from .gup import GupCoefficients, InteractionConfig, lowering_operator_dressed, rwa_block
 
 # required ratio |detuning| / (coupling * sqrt(ncut))
 DISPERSIVE_RATIO_MIN = 10.0
@@ -133,13 +129,6 @@ def build_effective_hamiltonian(
     _require_dispersive(cfg, ncut)
     g, e = _effective_diagonals(cfg.mu, c.phi, ncut)
     return OperatorMatrix(ncut, np.diag(np.concatenate([g, e])).astype(complex), hermitian=True)
-
-
-def lowering_operator_dressed(c: GupCoefficients, ncut: int) -> np.ndarray:
-    """The combined lowering operator sigma+ a (1 - N phi) on atom+field."""
-    a = build_annihilation(ncut).entries
-    damp = np.diag(1.0 - np.arange(ncut + 1, dtype=float) * c.phi).astype(complex)
-    return tensor_with_atom(SIGMA_PLUS, a @ damp)
 
 
 def commutator_check(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> float:
@@ -255,79 +244,18 @@ def interaction_picture_propagate(
     """Exact interaction-picture state exp(i H0 t) exp(-i (H0+HI) t) psi0.
 
     H0 is the atomic term plus the GUP-corrected field diagonal and HI the
-    rotating-wave coupling; both are time independent in the lab frame, so
-    the interaction-picture propagator factors exactly and no time stepping
-    is needed.
+    rotating-wave coupling.  Both preserve each pair {|e,n>, |g,n+1>}, so the
+    propagator acts on the amplitudes at [ncut+1+n, n+1] as exp(-i B t) for
+    B = ``rwa_block(n)``, followed by the free phases e^{+-i d t} of its
+    diagonal.  |g,0> and the top level |e,ncut> are uncoupled and unchanged.
     """
-    field_diag = _modified_field_diagonal(c, cfg.omega, ncut, include_zero_point=False)
-    h0_diag = np.concatenate([-0.5 * cfg.omega0 + field_diag, 0.5 * cfg.omega0 + field_diag])
-    raising = cfg.coupling * tensor_with_atom(SIGMA_PLUS, _rwa_coupling_block(c, ncut))
-    h_total = np.diag(h0_diag).astype(complex) + raising + raising.conj().T
-    psi_lab = matrix_exponential_apply(h_total, t, psi0)
-    return np.exp(1j * h0_diag * t) * psi_lab
-
-
-def interaction_picture_rk4(
-    cfg: InteractionConfig,
-    c: GupCoefficients,
-    ncut: int,
-    t: float,
-    psi0: np.ndarray,
-    step_factor: float = 0.01,
-    local_error_tol: float = 1e-10,
-) -> np.ndarray:
-    """Fixed-step fourth-order integration of the interaction-picture equation.
-
-    Kept as an independent cross-check of ``interaction_picture_propagate``:
-    it never builds the lab-frame propagator, instead stepping
-    i dpsi/dt = H_IP(t) psi with H_IP(t) = coupling*(A e^{i t (Delta +
-    8 chi omega (N+1))} + h.c.), the phases taken blockwise exact.  Richardson
-    comparison against a half-step run bounds the local error.
-    """
-    field_diag = _modified_field_diagonal(c, cfg.omega, ncut, include_zero_point=False)
-    h0_diag = np.concatenate([-0.5 * cfg.omega0 + field_diag, 0.5 * cfg.omega0 + field_diag])
-    raising = cfg.coupling * tensor_with_atom(SIGMA_PLUS, _rwa_coupling_block(c, ncut))
-    h_coupling = raising + raising.conj().T
-    bohr = h0_diag[:, None] - h0_diag[None, :]
-
-    delta_eff = abs(cfg.detuning) + 8.0 * abs(c.chi) * cfg.omega * (ncut + 1)
-    scales = [s for s in (delta_eff, cfg.coupling) if s > 0]
-    if not scales:
-        return psi0.astype(complex).copy()
-    h_step = step_factor / max(scales)
-    n_steps = max(int(math.ceil(t / h_step)), 1)
-
-    def run(steps: int) -> np.ndarray:
-        h = t / steps
-        psi = psi0.astype(complex).copy()
-        # advance the oscillating phases by elementwise recurrence, re-anchored
-        # periodically so roundoff cannot accumulate over long runs
-        half_mult = np.exp(1j * bohr * (0.5 * h))
-        phases = np.ones_like(half_mult)
-        for step in range(steps):
-            if step % 1024 == 0:
-                phases = np.exp(1j * bohr * (step * h))
-            h_now = h_coupling * phases
-            phases = phases * half_mult
-            h_mid = h_coupling * phases
-            phases = phases * half_mult
-            h_end = h_coupling * phases
-            k1 = -1j * (h_now @ psi)
-            k2 = -1j * (h_mid @ (psi + 0.5 * h * k1))
-            k3 = -1j * (h_mid @ (psi + 0.5 * h * k2))
-            k4 = -1j * (h_end @ (psi + h * k3))
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return psi
-
-    psi_coarse = run(n_steps)
-    psi_fine = run(2 * n_steps)
-    local_err = float(np.linalg.norm(psi_coarse - psi_fine)) / (15.0 * n_steps)
-    if local_err > local_error_tol:
-        raise IntegrationError(
-            f"estimated local error {local_err:.3e} exceeds {local_error_tol:.1e}; "
-            "reduce the step factor"
-        )
-    return psi_fine
+    dim = ncut + 1
+    psi = np.array(psi0, dtype=complex)
+    for n in range(ncut):
+        block = rwa_block(n, cfg, c)
+        idx = [dim + n, n + 1]
+        psi[idx] = np.exp(1j * t * np.diag(block)) * matrix_exponential_apply(block, t, psi[idx])
+    return psi
 
 
 def dyson_consistency_check(
@@ -337,7 +265,6 @@ def dyson_consistency_check(
     t: float,
     alpha: complex = 1.0,
     initial_atom: str = "g",
-    method: str = "exact",
 ) -> DysonCheck:
     """Fidelity between exact interaction-picture evolution and the effective
     Hamiltonian, plus the magnitude of the dropped first-order term.
@@ -356,13 +283,7 @@ def dyson_consistency_check(
     else:
         raise ValueError("initial_atom must be 'g' or 'e'")
 
-    if method == "exact":
-        psi_ip = interaction_picture_propagate(cfg, c, ncut, t, psi0)
-    elif method == "rk4":
-        psi_ip = interaction_picture_rk4(cfg, c, ncut, t, psi0)
-    else:
-        raise ValueError("method must be 'exact' or 'rk4'")
-
+    psi_ip = interaction_picture_propagate(cfg, c, ncut, t, psi0)
     g, e = _effective_diagonals(cfg.mu, c.phi, ncut)
     psi_eff = np.exp(-1j * np.concatenate([g, e]) * t) * psi0
     fidelity = abs(np.vdot(psi_ip, psi_eff)) ** 2

@@ -18,7 +18,9 @@ Note that the first-order amplitudes are not exactly normalized: their norm
 defect is linear in phi and in chi*omega/coupling.  Exact evolution therefore
 deviates from them at first order in those parameters even though the
 oscillation frequency itself is accurate to second order; the numeric
-validator reports both views.
+validator reports both views.  That exact evolution runs on the 2x2 block
+``gup.rwa_block`` alone, so it costs the same at any n and never forms an
+optical-scale energy.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .errors import TruncationError
-from .fock import SIGMA_PLUS, evolve_on_grid, tensor_with_atom
-from .gup import GupCoefficients, InteractionConfig, _rwa_coupling_block
+from .fock import evolve_on_grid
+from .gup import GupCoefficients, InteractionConfig, rwa_block
 
 # "around resonance" for the numeric validator
 RESONANCE_TOL_FRACTION = 1e-3
@@ -60,6 +61,8 @@ class NumericValidation:
     to unit norm, which isolates the frequency/shape content from the norm
     defect.  ``fitted_half_frequency`` is the least-squares frequency of the
     numeric inversion, directly comparable to the analytic half frequency.
+    ``max_numeric_norm_defect`` is max | |C_e|^2 + |C_g|^2 - 1 | of the evolved
+    pair, the unitarity of the exact evolution itself.
     """
 
     max_amp_err: float
@@ -67,6 +70,7 @@ class NumericValidation:
     max_amp_err_normalized: float
     fitted_half_frequency: float
     max_norm_defect: float
+    max_numeric_norm_defect: float
 
 
 def amplitude_angular_frequency(n: int, cfg: InteractionConfig, c: GupCoefficients) -> float:
@@ -127,43 +131,19 @@ def rabi_shift(n: int, cfg: InteractionConfig, c: GupCoefficients) -> RabiSoluti
     )
 
 
-def resonant_frame_hamiltonian(
-    cfg: InteractionConfig, c: GupCoefficients, ncut: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotating-wave Hamiltonian in the co-rotating frame, plus its diagonal.
-
-    The excitation number N + |e><e| commutes with the rotating-wave
-    coupling, so subtracting omega*(N + |e><e|) - omega0/2 changes the
-    evolution only by known diagonal phases while removing the optical-scale
-    energies.  Diagonal entries (rad/s):
-
-        |g,n>:  -omega*(4*(n^2+n)*chi + beta)
-        |e,n>:  detuning - omega*(4*(n^2+n)*chi + beta)
-
-    Working in this frame keeps eigenvalues at the coupling scale, which is
-    what makes double-precision evolution possible at optical frequencies.
-    """
-    n = np.arange(ncut + 1, dtype=float)
-    gup_diag = -cfg.omega * (4.0 * (n**2 + n) * c.chi + c.beta)
-    diag = np.concatenate([gup_diag, cfg.detuning + gup_diag])
-    raising = cfg.coupling * tensor_with_atom(SIGMA_PLUS, _rwa_coupling_block(c, ncut))
-    entries = np.diag(diag).astype(complex) + raising + raising.conj().T
-    return entries, diag
-
-
 def validate_against_numeric(
     n: int,
     cfg: InteractionConfig,
     c: GupCoefficients,
     t_grid: np.ndarray,
-    ncut: int,
 ) -> NumericValidation:
     """Exact evolution of |e,n> under the rotating-wave Hamiltonian vs the
     first-order amplitudes, over a time grid.
 
-    Amplitudes are compared in the interaction picture (free diagonal phases
-    removed).  Requires near-resonance, |detuning| <= 1e-3 * coupling, and
-    ncut >= n + 2 so the populated pair sits below the truncation guard.
+    The evolution runs on the block {|e,n>, |g,n+1>} of ``rwa_block``, and the
+    amplitudes are compared in the interaction picture, where the block's own
+    diagonal phases e^{+-i d t} are removed.  Requires near-resonance,
+    |detuning| <= 1e-3 * coupling.
 
     What to expect: the raw amplitude error is dominated by the norm defect
     of the first-order pair, hence linear in phi; in the chi channel it also
@@ -172,8 +152,6 @@ def validate_against_numeric(
     comparison removes the norm defect (exact in the pure-phi channel), and
     the fitted frequency is accurate to second order in both channels.
     """
-    if ncut < n + 2:
-        raise TruncationError(f"ncut = {ncut} too small; need at least n + 2 = {n + 2}")
     if cfg.coupling <= 0:
         raise ValueError("validation requires a positive coupling")
     if abs(cfg.detuning) > RESONANCE_TOL_FRACTION * cfg.coupling:
@@ -182,19 +160,10 @@ def validate_against_numeric(
             f"{RESONANCE_TOL_FRACTION:g} * coupling"
         )
 
-    entries, diag = resonant_frame_hamiltonian(cfg, c, ncut)
-    dim = ncut + 1
-    idx_e = dim + n       # |e,n>
-    idx_g = n + 1         # |g,n+1>
-    psi0 = np.zeros(2 * dim, dtype=complex)
-    psi0[idx_e] = 1.0
-
+    block = rwa_block(n, cfg, c)
     t = np.asarray(t_grid, dtype=float)
-    states = evolve_on_grid(entries, t, psi0)
-
-    # interaction picture: strip each basis state's own diagonal phase
-    c_e_num = np.exp(1j * diag[idx_e] * t) * states[:, idx_e]
-    c_g_num = np.exp(1j * diag[idx_g] * t) * states[:, idx_g]
+    states = evolve_on_grid(block, t, np.array([1.0, 0.0]))
+    c_e_num, c_g_num = (np.exp(1j * np.outer(t, np.diag(block))) * states).T
 
     pairs = np.array([analytic_amplitudes(n, cfg, c, ti) for ti in t])
     c_e_an, c_g_an = pairs[:, 0], pairs[:, 1]
@@ -225,4 +194,7 @@ def validate_against_numeric(
         max_amp_err_normalized=max_amp_err_normalized,
         fitted_half_frequency=float(popt[2]),
         max_norm_defect=max_norm_defect,
+        max_numeric_norm_defect=float(
+            np.max(np.abs(np.abs(c_e_num) ** 2 + np.abs(c_g_num) ** 2 - 1.0))
+        ),
     )

@@ -28,6 +28,3 @@ class SingularDenominatorError(GupJcError):
 class DegenerateModelError(GupJcError):
     """The GUP model parameters make the quadratic channel vanish (3*delta^2 = 2*epsilon)."""
 
-
-class IntegrationError(GupJcError):
-    """A time stepper exceeded its local error budget."""

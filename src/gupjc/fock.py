@@ -24,10 +24,6 @@ from .errors import NonHermitianError, TruncationError
 # produce bitwise-Hermitian matrices, so any violation signals a real bug.
 HERMITICITY_ATOL = 1e-12
 
-# Evolution refuses input states carrying more probability than this in the
-# top two Fock levels (guards against reflection off the truncation edge).
-TOP_LEVEL_PROB_LIMIT = 1e-6
-
 # Two-level atom operators in the (ground, excited) basis.
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |e><g|
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
@@ -114,9 +110,6 @@ class FockVector:
         n = np.arange(self.ncut + 1)
         return float(np.real(np.sum(n * np.abs(self.amps) ** 2)))
 
-    def top_level_weight(self, levels: int = 2) -> float:
-        return float(np.sum(np.abs(self.amps[-levels:]) ** 2))
-
 
 @dataclass(frozen=True)
 class AtomFieldState:
@@ -153,12 +146,6 @@ class AtomFieldState:
     def inversion(self) -> float:
         """Excited-state population minus ground-state population."""
         return float(np.sum(np.abs(self.amps_e) ** 2) - np.sum(np.abs(self.amps_g) ** 2))
-
-    def top_level_weight(self, levels: int = 2) -> float:
-        return float(
-            np.sum(np.abs(self.amps_g[-levels:]) ** 2)
-            + np.sum(np.abs(self.amps_e[-levels:]) ** 2)
-        )
 
 
 def hermiticity_residual(matrix: np.ndarray) -> float:
@@ -280,7 +267,7 @@ def matrix_exponential_apply(
     ``h_over_hbar`` is the Hamiltonian divided by hbar (rad/s), as a dense
     matrix or OperatorMatrix; it must be Hermitian.  Phase accuracy degrades
     as eps * ||H/hbar|| * t, so callers working at optical frequencies should
-    first transform to a co-rotating frame.
+    first remove the optical-scale energies, as ``gup.rwa_block`` does.
     """
     h = _as_matrix(h_over_hbar)
     residual = hermiticity_residual(h)
@@ -308,26 +295,3 @@ def evolve_on_grid(h_over_hbar, t_grid: np.ndarray, state: np.ndarray,
     phases = np.exp(-1j * np.outer(t, vals))
     return (phases * coeffs) @ vecs.T
 
-
-def _check_top_levels(weight: float, limit: float) -> None:
-    if weight > limit:
-        raise TruncationError(
-            f"top-2 Fock levels carry probability {weight:.3e} > {limit:.1e}; "
-            "the truncated evolution would reflect off the cutoff"
-        )
-
-
-def evolve_fock(h_over_hbar, t: float, state: FockVector,
-                top_prob_limit: float = TOP_LEVEL_PROB_LIMIT) -> FockVector:
-    """Unitary evolution of a field-only state, with a truncation guard."""
-    _check_top_levels(state.top_level_weight(), top_prob_limit)
-    amps = matrix_exponential_apply(h_over_hbar, t, state.amps)
-    return FockVector(state.ncut, amps, state.tail_weight)
-
-
-def evolve_atom_field(h_over_hbar, t: float, state: AtomFieldState,
-                      top_prob_limit: float = TOP_LEVEL_PROB_LIMIT) -> AtomFieldState:
-    """Unitary evolution of an atom+field state, with a truncation guard."""
-    _check_top_levels(state.top_level_weight(), top_prob_limit)
-    vec = matrix_exponential_apply(h_over_hbar, t, state.to_vector())
-    return AtomFieldState.from_vector(vec, state.ncut)

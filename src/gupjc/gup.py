@@ -174,11 +174,33 @@ def build_modified_free_field(c: GupCoefficients, omega: float, ncut: int) -> Op
     return OperatorMatrix(ncut, np.diag(diag).astype(complex), hermitian=True)
 
 
-def _rwa_coupling_block(c: GupCoefficients, ncut: int) -> np.ndarray:
-    """Field part of the co-rotating coupling: a*(1 - N*phi)."""
-    a = build_annihilation(ncut).entries
-    n_diag = np.arange(ncut + 1, dtype=float)
-    return a @ np.diag(1.0 - n_diag * c.phi).astype(complex)
+def _rwa_coupling_element(n, c: GupCoefficients):
+    """Coupling between |e,n> and |g,n+1> per unit dipole rate: sqrt(n+1)*(1 - (n+1)*phi).
+
+    ``n`` may be an integer or an integer array.
+    """
+    m = n + 1.0
+    return np.sqrt(m) * (1.0 - m * c.phi)
+
+
+def lowering_operator_dressed(c: GupCoefficients, ncut: int) -> np.ndarray:
+    """The dressed coupling operator sigma+ a (1 - N phi) on atom+field."""
+    field = np.diag(_rwa_coupling_element(np.arange(ncut), c), k=1).astype(complex)
+    return tensor_with_atom(SIGMA_PLUS, field)
+
+
+def rwa_block(n: int, cfg: InteractionConfig, c: GupCoefficients) -> np.ndarray:
+    """Rotating-wave Hamiltonian on {|e,n>, |g,n+1>} minus its mean energy (rad/s).
+
+    Returns [[d, g], [g, -d]] with g = coupling*sqrt(n+1)*(1 - (n+1)*phi) and
+    d = (detuning + 8*(n+1)*chi*omega)/2.  The rotating-wave model is a direct
+    sum of these blocks plus the uncoupled |g,0>; the dropped mean is constant
+    on each block, so it only adds a global phase there and no optical-scale
+    energy is ever formed.
+    """
+    g = cfg.coupling * _rwa_coupling_element(n, c)
+    d = 0.5 * (cfg.detuning + 8.0 * (n + 1) * c.chi * cfg.omega)
+    return np.array([[d, g], [g, -d]])
 
 
 def build_rwa_hamiltonian(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> OperatorMatrix:
@@ -188,14 +210,15 @@ def build_rwa_hamiltonian(cfg: InteractionConfig, c: GupCoefficients, ncut: int)
              + coupling * (sigma+ a(1 - N phi) + h.c.)
 
     The field part is diagonal; the coupling connects |e,n> and |g,n+1> with
-    matrix element coupling*sqrt(n+1)*(1 - (n+1)*phi).
+    matrix element coupling*sqrt(n+1)*(1 - (n+1)*phi).  ``rwa_block`` gives the
+    same Hamiltonian block by block; this dense form is its oracle.
     """
     if ncut < 2:
         raise ValueError("ncut must be at least 2")
     field_diag = _modified_field_diagonal(c, cfg.omega, ncut, include_zero_point=False)
     diag_part = tensor_with_atom(0.5 * cfg.omega0 * SIGMA_3, field_identity(ncut))
     diag_part += tensor_with_atom(np.eye(2), np.diag(field_diag))
-    raising = cfg.coupling * tensor_with_atom(SIGMA_PLUS, _rwa_coupling_block(c, ncut))
+    raising = cfg.coupling * lowering_operator_dressed(c, ncut)
     entries = diag_part + raising + raising.conj().T
     return OperatorMatrix(ncut, entries, hermitian=True)
 

@@ -56,7 +56,7 @@ def test_criterion_01_standard_jcm_oracle():
         c = derive_coefficients(GupParams(0.0, 1.0, 1.0), cfg.omega)
         period = 2.0 * math.pi / (2.0 * cfg.coupling * math.sqrt(n + 1))
         grid = np.linspace(0.0, 10.0 * period, 400)
-        report = validate_against_numeric(n, cfg, c, grid, ncut=n + 2)
+        report = validate_against_numeric(n, cfg, c, grid)
         worst = max(worst, report.max_amp_err)
     crit.finish(worst < 1e-9, f"max amplitude error {worst:.2e}")
 

@@ -45,6 +45,16 @@ def test_rabi_default_benchmark(tmp_path):
     assert (out / "run_config.json").exists()
 
 
+def test_rabi_at_large_photon_number(tmp_path):
+    # the 2x2 block keeps n = 800 as cheap and as exact as n = 1
+    out = tmp_path / "rabi800"
+    assert run_cli(["rabi", "--out", str(out), "--set", "n=800"]) == 0
+    series = read_rows(out / "inversion.csv")
+    assert len(series) == 600
+    worst = max(abs(float(r["w_analytic"]) - float(r["w_numeric"])) for r in series)
+    assert worst <= 1e-9
+
+
 def test_rabi_without_gup_has_zero_shift_column(tmp_path):
     out = tmp_path / "rabi0"
     assert run_cli(["rabi", "--out", str(out), "--set", "gamma=0.0", *RABI_FAST]) == 0
@@ -226,6 +236,13 @@ def test_manifest_contents(tmp_path):
     ("wigner-diff", "grid_extent=NaN", "grid_extent"),
     ("wigner-diff", "grid_extent=Infinity", "grid_extent"),
     ("verify", "grid_points=1", "grid_points"),
+    ("verify", "draws=0", "draws"),
+    ("rabi", "n=-1", "n"),
+    ("rabi", "points=0", "points"),
+    ("rabi", "n_table_max=-1", "n_table_max"),
+    ("zeta-maps", "n_omega=0", "n_omega"),
+    ("zeta-maps", "n_delta=0", "n_delta"),
+    ("dispersive", "fidelity_points=0", "fidelity_points"),
 ])
 def test_bad_grid_rejected_before_any_output(tmp_path, capsys, command, setting, name):
     out = tmp_path / "bad"
@@ -252,3 +269,11 @@ def test_wigner_diff_rejects_retired_pad_levels(tmp_path, capsys):
     code = run_cli(["wigner-diff", "--out", str(tmp_path / "old"), "--config", str(cfg_path)])
     assert code == 2
     assert "pad_levels" in capsys.readouterr().err
+
+
+def test_rabi_rejects_retired_ncut(tmp_path, capsys):
+    cfg_path = tmp_path / "old.json"
+    cfg_path.write_text(json.dumps({"command": "rabi", "params": {"ncut": None}}))
+    code = run_cli(["rabi", "--out", str(tmp_path / "old"), "--config", str(cfg_path)])
+    assert code == 2
+    assert "ncut" in capsys.readouterr().err

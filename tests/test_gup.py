@@ -14,6 +14,7 @@ from gupjc.gup import (
     build_rwa_hamiltonian,
     derive_coefficients,
     length_scale_bounds,
+    rwa_block,
 )
 
 
@@ -159,6 +160,22 @@ def test_rwa_coupling_element():
     for n in range(ncut):
         expected = cfg.coupling * math.sqrt(n + 1) * (1.0 - (n + 1) * c.phi)
         assert h[n + 1, dim + n] == pytest.approx(expected, rel=1e-12)
+
+
+def test_rwa_block_matches_dense_subblock():
+    # each block is the {|e,n>, |g,n+1>} sub-block of the dense Hamiltonian
+    # minus its mean, which carries the optical-scale energy
+    cfg = InteractionConfig(omega=1e4, omega0=1e4 + 0.3, coupling=1.0)
+    # chi*omega = 0.01, large enough for the 8(n+1)chi*omega splitting to show
+    c = GupCoefficients(phi=2e-4, chi=1e-6, beta=(8e-6 - 2e-4) / 2.0, omega=cfg.omega)
+    ncut = 6
+    h = build_rwa_hamiltonian(cfg, c, ncut).entries
+    dim = ncut + 1
+    for n in range(ncut):
+        idx = [dim + n, n + 1]
+        sub = h[np.ix_(idx, idx)]
+        centered = sub - np.eye(2) * np.trace(sub) / 2.0
+        assert np.allclose(rwa_block(n, cfg, c), centered, rtol=0.0, atol=1e-9 * cfg.omega)
 
 
 def test_rwa_diagonal_field_energy():
