@@ -134,6 +134,7 @@ INT_MINIMUMS: dict[str, int] = {
     "draws": 1,
     "n": 0,
     "n_table_max": 0,
+    "ncut": 1,
 }
 
 
@@ -184,7 +185,11 @@ def resolve_config(command: str, args) -> dict:
 
 
 def _check_params(params: dict) -> None:
-    """Reject counts and extents that would crash a command or yield an empty artifact."""
+    """Reject counts, extents and non-finite floats that would crash a command
+    or yield an empty or misleading artifact."""
+    for key, value in params.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
     for key, minimum in INT_MINIMUMS.items():
         if key not in params:
             continue
@@ -193,12 +198,7 @@ def _check_params(params: dict) -> None:
             raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
     if "grid_extent" in params:
         extent = params["grid_extent"]
-        if (
-            isinstance(extent, bool)
-            or not isinstance(extent, (int, float))
-            or (isinstance(extent, float) and not math.isfinite(extent))
-            or extent <= 0
-        ):
+        if isinstance(extent, bool) or not isinstance(extent, (int, float)) or extent <= 0:
             raise ValueError(f"grid_extent must be finite and > 0, got {extent!r}")
 
 
@@ -446,15 +446,14 @@ def run_verify_checks(draws: int, grid_points: int, seed: int) -> list[dict]:
 
     rng = np.random.default_rng(seed)
 
-    # coefficient identity 8*chi = phi + 2*beta
+    # coefficient identity 8*chi = phi + 2*beta; one row per draw holds
+    # gamma0, delta, epsilon and omega, in the order of scalar draws, and is
+    # turned into Python floats row by row, which keeps the peak heap flat
     worst = 0.0
-    for _ in range(draws):
-        p = GupParams(
-            gamma0=float(rng.uniform(0.0, 1e8)),
-            delta=float(rng.uniform(-2.0, 2.0)),
-            epsilon=float(rng.uniform(-2.0, 2.0)),
-        )
-        c = derive_coefficients(p, float(rng.uniform(1e9, 1e17)))
+    samples = rng.uniform([0.0, -2.0, -2.0, 1e9], [1e8, 2.0, 2.0, 1e17], size=(draws, 4))
+    for gamma0, delta, epsilon, omega in map(np.ndarray.tolist, samples):
+        p = GupParams(gamma0=gamma0, delta=delta, epsilon=epsilon)
+        c = derive_coefficients(p, omega)
         scale = abs(c.phi) + 2.0 * abs(c.beta) + 8.0 * abs(c.chi)
         if scale > 0.0:
             worst = max(worst, abs(8.0 * c.chi - (c.phi + 2.0 * c.beta)) / scale)

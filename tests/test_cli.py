@@ -243,6 +243,12 @@ def test_manifest_contents(tmp_path):
     ("zeta-maps", "n_omega=0", "n_omega"),
     ("zeta-maps", "n_delta=0", "n_delta"),
     ("dispersive", "fidelity_points=0", "fidelity_points"),
+    ("rabi", "periods=NaN", "periods must be finite"),
+    ("zeta-maps", "omega_min=NaN", "omega_min must be finite"),
+    ("wigner-diff", "alpha_re=NaN", "alpha_re must be finite"),
+    ("dispersive", "t=Infinity", "t must be finite"),
+    ("dispersive", "ncut=2.5", "ncut must be an integer"),
+    ("wigner-diff", "ncut=0", "ncut must be an integer"),
 ])
 def test_bad_grid_rejected_before_any_output(tmp_path, capsys, command, setting, name):
     out = tmp_path / "bad"

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 
 import mpmath
@@ -24,6 +26,8 @@ from gupjc.wigner import (
     GridSpec,
     MAX_ABS_Z,
     WignerGrid,
+    grid_to_csv,
+    grid_to_json,
     wigner_difference,
     wigner_of_state,
     wigner_precision_ratio,
@@ -149,7 +153,8 @@ def test_point_past_underflow_limit_raises():
 
 def cahill_glauber_mpmath(states, z, dps=50):
     """(2/pi) sum_{m,n} c_m c*_n W_mn(z) for each amplitude vector in
-    ``states``, with each L^k_m from its finite power series."""
+    ``states``, with each L^k_m from its finite power series, as mpmath
+    numbers so that differences between states keep ``dps`` digits."""
     ncut = len(states[0]) - 1
     with mpmath.workdps(dps):
         z = mpmath.mpc(complex(z))
@@ -168,7 +173,7 @@ def cahill_glauber_mpmath(states, z, dps=50):
                 for i, c in enumerate(coeffs):
                     term = (-1) ** m * c[m] * mpmath.conj(c[m + k]) * w
                     totals[i] += term.real if k == 0 else 2 * term.real
-        return [float(2 * t / mpmath.pi) for t in totals]
+        return [2 * t / mpmath.pi for t in totals]
 
 
 def test_benchmark_field_matches_mpmath_oracle():
@@ -179,8 +184,8 @@ def test_benchmark_field_matches_mpmath_oracle():
     w_ref = wigner_values_at(ref_state, zs)
     for z, wf, wr in zip(zs, w_field, w_ref):
         oracle_field, oracle_ref = cahill_glauber_mpmath([field.amps, ref_state.amps], z)
-        assert wf == pytest.approx(oracle_field, abs=1e-14)
-        assert wf - wr == pytest.approx(oracle_field - oracle_ref, abs=1e-14)
+        assert wf == pytest.approx(float(oracle_field), abs=1e-14)
+        assert wf - wr == pytest.approx(float(oracle_field - oracle_ref), abs=1e-14)
 
 
 @settings(max_examples=100, deadline=None)
@@ -205,9 +210,75 @@ def test_wigner_bounded_by_two_over_pi(amps, zs):
     assert np.all(np.abs(w) <= TWO_OVER_PI * (1.0 + 1e-12))
 
 
+def test_one_pass_difference_matches_mpmath_oracle():
+    # W_field - W_ref from one sum over rho_field - rho_ref keeps the small
+    # difference to ~1e-10 relative; subtracting two totals does not
+    field, reference = _benchmark_state()
+    ref_state = coherent_state(reference, field.ncut)
+    zs = np.array([-0.92 + 1.0j, 0.5 - 0.5j, 2.5 + 1.5j])
+    delta = wigner_values_at(field, zs, reference=ref_state)
+    for z, value in zip(zs, delta):
+        oracle_field, oracle_ref = cahill_glauber_mpmath([field.amps, ref_state.amps], z)
+        oracle = float(oracle_field - oracle_ref)
+        assert abs(value - oracle) <= 1e-10 * abs(oracle) + 1e-20
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    amps=st.lists(
+        st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+        min_size=2,
+        max_size=32,
+    ),
+    zs=st.lists(
+        st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_one_pass_difference_is_the_difference_of_maps(amps, zs):
+    half = len(amps) // 2
+    a, b = np.array(amps[:half], dtype=complex), np.array(amps[half: 2 * half], dtype=complex)
+    assume(np.linalg.norm(a) > 1e-3 and np.linalg.norm(b) > 1e-3)
+    psi = FockVector(half - 1, a / np.linalg.norm(a))
+    ref = FockVector(half - 1, b / np.linalg.norm(b))
+    zs = np.array(zs, dtype=complex)
+    delta = wigner_values_at(psi, zs, reference=ref)
+    two_pass = wigner_values_at(psi, zs) - wigner_values_at(ref, zs)
+    assert np.max(np.abs(delta - two_pass)) <= 1e-13
+    assert np.array_equal(wigner_values_at(ref, zs, reference=psi), -delta)
+
+
+def test_reference_cutoff_must_match():
+    with pytest.raises(ValueError, match="cutoff"):
+        wigner_values_at(coherent_state(1.0, 30), np.array([0.0j]),
+                         reference=coherent_state(1.0, 31))
+
+
 def test_difference_of_state_with_itself_vanishes():
     diff = wigner_difference(coherent_state(1.0, 30), 1.0, small_grid(n=41))
-    assert diff.max_abs < 1e-10
+    assert diff.max_abs == 0.0
+
+
+@pytest.mark.parametrize("alpha, ncut, spec", [
+    (1.0, 30, GridSpec()),
+    (-0.3634 + 0.9316j, 40, GridSpec()),
+    (1.3 - 0.4j, 30, GridSpec(-3.0, 3.0, -3.0, 3.0, 61, 61)),
+    (0.5 + 2.0j, 35, GridSpec(-4.0, 4.0, -2.0, 3.5, 37, 52)),
+    (3.0, 60, GridSpec(-5.0, 5.0, -5.0, 5.0, 100, 101)),
+    (0.25 + 0.25j, 20, GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 2)),
+    (2.5 - 2.5j, 60, GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21)),
+    # alpha midway between grid points: the nearest point ties with its
+    # neighbours, and rounding picks the maximum among them
+    (0.5 + 0.5j, 20, GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)),
+    (1.1 - 0.3j, 30, GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21)),
+    (0.7 - 0.5j, 40, GridSpec(-1.0, 1.0, -1.0, 1.0, 11, 11)),
+])
+def test_reference_peak_equals_full_grid_peak(alpha, ncut, spec):
+    # ref_peak is sampled on the 3x3 block around the grid point nearest alpha
+    field = photon_added_coherent_state(0.5, 1, ncut)
+    diff = wigner_difference(field, alpha, spec)
+    assert diff.ref_peak == wigner_of_state(coherent_state(alpha, ncut), spec).peak()
 
 
 def test_precision_ratio():
@@ -254,6 +325,66 @@ def test_difference_extrema_stable_under_refinement():
         loc_f = extremum(fine.grid.values, (fine.grid.im_axis, fine.grid.re_axis), pick)
         assert abs(loc_c - loc_f) <= cell * math.sqrt(2.0) + 1e-12
     assert fine.max_abs == pytest.approx(coarse.max_abs, rel=1e-2)
+
+
+def test_nan_state_or_point_is_refused():
+    nan_state = FockVector(2, [math.nan, 0.0, 0.0])
+    zs = np.array([0.0j, 1.0 + 0.0j])
+    with pytest.raises(ValueError, match="normalized"):
+        wigner_values_at(nan_state, zs)
+    with pytest.raises(ValueError, match="normalized"):
+        wigner_values_at(fock_state(0, 2), zs, reference=nan_state)
+    with pytest.raises(ValueError, match="exceeds"):
+        wigner_values_at(coherent_state(1.0, 20), np.array([0.0j, complex(math.nan, 0.0)]))
+
+
+def _csv_writer_oracle(grid, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "w"])
+        for i, y in enumerate(grid.im_axis):
+            for j, x in enumerate(grid.re_axis):
+                writer.writerow([repr(float(x)), repr(float(y)), repr(float(grid.values[i, j]))])
+
+
+def _json_dump_oracle(grid, path):
+    payload = {
+        "re_axis": [float(v) for v in grid.re_axis],
+        "im_axis": [float(v) for v in grid.im_axis],
+        "values_row_major": [float(v) for v in grid.values.ravel()],
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (4, 5), (2, 0), "benchmark"])
+def test_grid_writers_match_csv_and_json_oracles(tmp_path, shape):
+    if shape == "benchmark":
+        field, reference = _benchmark_state()
+        grid = wigner_difference(field, reference, small_grid(n=41)).grid
+    else:
+        n_im, n_re = shape
+        values = np.random.default_rng(7).normal(size=shape) * np.logspace(-300, 300, n_re)
+        if values.size:
+            values.flat[0] = -0.0
+        grid = WignerGrid(np.linspace(-1.0, 1.0, n_re), np.linspace(-2.0, 0.3, n_im), values)
+    for write, oracle in ((grid_to_csv, _csv_writer_oracle), (grid_to_json, _json_dump_oracle)):
+        write(grid, tmp_path / "fast")
+        oracle(grid, tmp_path / "oracle")
+        assert (tmp_path / "fast").read_bytes() == (tmp_path / "oracle").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_grid_writers_refuse_non_finite_values(tmp_path, bad):
+    values = np.zeros((2, 2))
+    values[1, 0] = bad
+    grid = WignerGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), values)
+    for write in (grid_to_csv, grid_to_json):
+        path = tmp_path / write.__name__
+        with pytest.raises(ValueError, match="non-finite"):
+            write(grid, path)
+        assert not path.exists()
 
 
 def test_grid_spec_and_wigner_grid_helpers():
