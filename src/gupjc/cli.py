@@ -11,8 +11,8 @@ Subcommands reproduce the headline quantities as CSV/JSON artifacts:
 - ``verify``: the built-in consistency suite; exit code 0 iff all pass
 
 Every run resolves its configuration (defaults <- preset <- config file <-
---set overrides), writes it back as ``run_config.json``, and records a
-manifest.  Replaying a saved run_config.json reproduces every data artifact
+--set overrides), writes it back as ``run_config.json`` once the command
+has returned, and records a manifest.  Replaying a saved run_config.json reproduces every data artifact
 byte for byte; the manifest is metadata (it carries wall time) and is not
 part of that contract.
 """
@@ -66,11 +66,10 @@ from .gup import (
 from .rwa_validity import ZetaMapSpec, perturbation_cross_check, zeta_lq, zeta_map, zeta_rq
 from .wigner import (
     GridSpec,
-    grid_to_csv,
-    grid_to_json,
     wigner_difference,
     wigner_of_state,
     wigner_precision_ratio,
+    write_grid,
 )
 
 PRESETS: dict[str, dict] = {
@@ -137,6 +136,9 @@ INT_MINIMUMS: dict[str, int] = {
     "ncut": 1,
 }
 
+# Float parameters that must be > 0, whichever command has them.
+POSITIVE_FLOATS = ("grid_extent", "periods")
+
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
@@ -196,10 +198,14 @@ def _check_params(params: dict) -> None:
         value = params[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
             raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
-    if "grid_extent" in params:
-        extent = params["grid_extent"]
-        if isinstance(extent, bool) or not isinstance(extent, (int, float)) or extent <= 0:
-            raise ValueError(f"grid_extent must be finite and > 0, got {extent!r}")
+    for key in POSITIVE_FLOATS:
+        if key not in params:
+            continue
+        value = params[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+            raise ValueError(f"{key} must be a finite number > 0, got {value!r}")
+    if "initial_atom" in params and params["initial_atom"] not in ("g", "e"):
+        raise ValueError(f"initial_atom must be 'g' or 'e', got {params['initial_atom']!r}")
 
 
 def _fmt(value) -> str:
@@ -371,9 +377,8 @@ def cmd_wigner_diff(params: dict, out_dir: Path, seed: int) -> list[Path]:
     diff = wigner_difference(field, reference, grid)
 
     csv_path = out_dir / "delta_w.csv"
-    grid_to_csv(diff.grid, csv_path)
     json_path = out_dir / "delta_w.json"
-    grid_to_json(diff.grid, json_path)
+    write_grid(diff.grid, csv_path, json_path)
     summary_path = out_dir / "wigner_summary.json"
     write_json(
         summary_path,
@@ -616,10 +621,12 @@ def run_command(command: str, args) -> int:
     out_dir = Path(args.out) if args.out else Path("runs") / command
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    config_path = out_dir / "run_config.json"
-    write_json(config_path, config)
     result = COMMANDS[command](config["params"], out_dir, config["seed"])
     outputs, code = result if isinstance(result, tuple) else (result, 0)
+    # written only once the command has returned, so a failed run leaves no
+    # configuration that claims to reproduce it
+    config_path = out_dir / "run_config.json"
+    write_json(config_path, config)
     wall = time.perf_counter() - start
     write_manifest(out_dir, config, [config_path, *outputs], wall)
     for path in outputs:

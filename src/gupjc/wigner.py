@@ -15,13 +15,15 @@ k the w^k_m follow the normalized forward Laguerre recurrence
 
 started from w^k_0 = e^{-x/2} (2z)^k / sqrt(k!), which is built up one k at a
 time, as in QuTiP (Johansson, Nation & Nori, CPC 183, 1760 (2012)).  No
-factorial is formed and every w is a bounded matrix element, so the cost is
-O(ncut^2) vector operations over the points and the memory is O(points).
-The recurrence runs on the real factor w / e^{ik arg z}; the phase is applied
-once per diagonal.  The w^k_m do not depend on the state, so the difference of
-two maps is one pass over the coefficients of rho_psi - rho_ref, at the cost
-of one map.  The start value e^{-2|z|^2} underflows past
-|z| = MAX_ABS_Z (about 18.8), where evaluation is refused.
+factorial is formed and every w is a bounded matrix element.  The recurrence
+runs on the real factor w / e^{ik arg z}, which depends on |z| alone, so it
+runs once per distinct radius and its sums are gathered back to the points;
+the phase is applied once per diagonal.  The cost is O(ncut^2) vector
+operations over the distinct radii plus O(ncut) over the points, and the
+memory is O(points).  The w^k_m do not depend on the state, so the
+difference of two maps is one pass over the coefficients of
+rho_psi - rho_ref, at the cost of one map.  The start value e^{-2|z|^2}
+underflows past |z| = MAX_ABS_Z (about 18.8), where evaluation is refused.
 
 Normalization: integral of W over the plane is 1 with z in dimensionless
 quadrature units.
@@ -115,10 +117,12 @@ def wigner_values_at(
             )
         ref_amps = _checked_amps(reference)
     zs = np.asarray(zs, dtype=complex).ravel()
-    r = np.abs(zs)
-    if zs.size and not float(np.max(r)) <= MAX_ABS_Z:
+    # the real factors depend on |z| alone: one recurrence per distinct
+    # radius, gathered back to the points through inv
+    r, inv = np.unique(np.abs(zs), return_inverse=True)
+    if zs.size and not float(r[-1]) <= MAX_ABS_Z:
         raise ValueError(
-            f"|z| = {float(np.max(r)):.4g} exceeds the Wigner evaluation limit "
+            f"|z| = {float(r[-1]):.4g} exceeds the Wigner evaluation limit "
             f"|z| <= {MAX_ABS_Z:.4g}, where e^(-2|z|^2) underflows"
         )
     x = 4.0 * r * r
@@ -127,7 +131,8 @@ def wigner_values_at(
     start = np.exp(-0.5 * x)  # |w^k_0|
     turn = np.ones(zs.size, dtype=complex)  # e^{ik arg z}
     total = np.zeros(zs.size)
-    w_prev, w, w_next, scratch, acc_re, acc_im = (np.empty(zs.size) for _ in range(6))
+    w_prev, w, w_next, scratch, acc_re, acc_im = (np.empty(r.size) for _ in range(6))
+    at_re, at_im = np.empty(zs.size), np.empty(zs.size)
     for k in range(psi.ncut + 1):
         if k:
             start *= 2.0 / math.sqrt(k)
@@ -156,12 +161,14 @@ def wigner_values_at(
             np.multiply(w, c_im[m + 1], out=scratch)
             acc_im += scratch
         # Re(e^{ik arg z} acc), counted twice off the main diagonal
-        acc_re *= turn.real
-        acc_im *= turn.imag
-        acc_re -= acc_im
+        np.take(acc_re, inv, out=at_re)
+        np.take(acc_im, inv, out=at_im)
+        at_re *= turn.real
+        at_im *= turn.imag
+        at_re -= at_im
         if k:
-            acc_re *= 2.0
-        total += acc_re
+            at_re *= 2.0
+        total += at_re
     total *= TWO_OVER_PI
     return total
 
@@ -222,43 +229,32 @@ def _check_finite(grid: WignerGrid) -> None:
             raise ValueError(f"cannot write a Wigner grid whose {name} holds a non-finite value")
 
 
-def grid_to_csv(grid: WignerGrid, path) -> None:
-    """Write (x, y, w) rows, y-major, full round-trip precision.
+def write_grid(grid: WignerGrid, csv_path, json_path) -> None:
+    """Write (x, y, w) CSV rows, y-major, and JSON axes plus row-major values.
 
-    The bytes are those of ``csv.writer`` (excel dialect) fed repr() strings,
-    formatted and written one grid row at a time.
+    The CSV bytes are those of ``csv.writer`` (excel dialect) fed repr()
+    strings; the JSON bytes are those of ``json.dump(payload, indent=1,
+    sort_keys=True)`` plus a newline.  Both files are written one grid row at
+    a time, and each value is formatted once for the two of them.
     """
     _check_finite(grid)
-    xs = [repr(x) for x in grid.re_axis.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,w\r\n")
-        for y, row in zip(map(repr, grid.im_axis.tolist()), grid.values):
-            fh.write("".join([f"{x},{y},{v!r}\r\n" for x, v in zip(xs, row.tolist())]))
+    xs = list(map(repr, grid.re_axis.tolist()))
+    ys = list(map(repr, grid.im_axis.tolist()))
+    with open(csv_path, "w", newline="") as fc, open(json_path, "w") as fj:
+        fc.write("x,y,w\r\n")
+        fj.write(f'{{\n "im_axis": {_json_array(ys)},\n "re_axis": {_json_array(xs)},\n'
+                 ' "values_row_major": ')
+        # json.dump(indent=1) lays out the concatenated rows as one array
+        opener = "[\n  "
+        for y, row in zip(ys, grid.values):
+            vs = list(map(repr, row.tolist()))
+            fc.write("".join([f"{x},{y},{v}\r\n" for x, v in zip(xs, vs)]))
+            if vs:
+                fj.write(opener + ",\n  ".join(vs))
+                opener = ",\n  "
+        fj.write(("[]" if opener == "[\n  " else "\n ]") + "\n}\n")
 
 
-def grid_to_json(grid: WignerGrid, path) -> None:
-    """Write axes plus row-major values.
-
-    The bytes are those of ``json.dump(payload, indent=1, sort_keys=True)``
-    plus a newline, written one grid row at a time.
-    """
-    _check_finite(grid)
-    with open(path, "w") as fh:
-        fh.write('{\n "im_axis": ')
-        _write_json_array(fh, [grid.im_axis.tolist()])
-        fh.write(',\n "re_axis": ')
-        _write_json_array(fh, [grid.re_axis.tolist()])
-        fh.write(',\n "values_row_major": ')
-        _write_json_array(fh, (row.tolist() for row in grid.values))
-        fh.write("\n}\n")
-
-
-def _write_json_array(fh, rows) -> None:
-    """Write the concatenated rows as one array of finite floats, laid out as
-    json.dump(indent=1) lays out a list nested one level deep."""
-    opened = False
-    for row in rows:
-        if row:
-            fh.write((",\n  " if opened else "[\n  ") + ",\n  ".join(map(repr, row)))
-            opened = True
-    fh.write("\n ]" if opened else "[]")
+def _json_array(items: list[str]) -> str:
+    """One array of preformatted floats, laid out as json.dump(indent=1)."""
+    return "[\n  " + ",\n  ".join(items) + "\n ]" if items else "[]"

@@ -249,6 +249,9 @@ def test_manifest_contents(tmp_path):
     ("dispersive", "t=Infinity", "t must be finite"),
     ("dispersive", "ncut=2.5", "ncut must be an integer"),
     ("wigner-diff", "ncut=0", "ncut must be an integer"),
+    ("rabi", "periods=-1", "periods must be a finite number > 0"),
+    ("rabi", "periods=0", "periods must be a finite number > 0"),
+    ("dispersive", 'initial_atom="x"', "initial_atom must be 'g' or 'e', got 'x'"),
 ])
 def test_bad_grid_rejected_before_any_output(tmp_path, capsys, command, setting, name):
     out = tmp_path / "bad"
@@ -267,6 +270,15 @@ def test_wigner_diff_past_underflow_limit_exits_cleanly(tmp_path, capsys):
     assert code == 2
     assert "|z| = 28.28" in captured.err and "underflows" in captured.err
     assert not (out / "delta_w.csv").exists()
+
+
+def test_failed_run_leaves_no_run_config(tmp_path, capsys):
+    out = tmp_path / "failed"
+    code = run_cli(["wigner-diff", "--out", str(out), "--preset", "fig1",
+                    "--set", "alpha_re=10", "--set", "grid_points=3"])
+    assert code == 2
+    assert "LinearityError" in capsys.readouterr().err
+    assert not (out / "run_config.json").exists()
 
 
 def test_wigner_diff_rejects_retired_pad_levels(tmp_path, capsys):

@@ -26,12 +26,11 @@ from gupjc.wigner import (
     GridSpec,
     MAX_ABS_Z,
     WignerGrid,
-    grid_to_csv,
-    grid_to_json,
     wigner_difference,
     wigner_of_state,
     wigner_precision_ratio,
     wigner_values_at,
+    write_grid,
 )
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -338,6 +337,26 @@ def test_nan_state_or_point_is_refused():
         wigner_values_at(coherent_state(1.0, 20), np.array([0.0j, complex(math.nan, 0.0)]))
 
 
+@pytest.mark.parametrize("points", ["grid", "scattered"])
+def test_values_at_many_points_equal_per_point_values(points):
+    if points == "grid":
+        re_axis, im_axis = small_grid(n=21).axes()
+        zs = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
+        assert np.unique(np.abs(zs)).size < zs.size / 4
+    else:
+        rng = np.random.default_rng(11)
+        zs = rng.uniform(-3.0, 3.0, 60) + 1j * rng.uniform(-3.0, 3.0, 60)
+        assert np.unique(np.abs(zs)).size == zs.size
+    field, reference = _benchmark_state()
+    for ref in (None, coherent_state(reference, field.ncut)):
+        many = wigner_values_at(field, zs, reference=ref)
+        # each point alone, given twice: numpy's in-place complex multiply
+        # rounds a one-element array differently from longer ones
+        each = np.concatenate([wigner_values_at(field, np.full(2, z), reference=ref)[:1]
+                               for z in zs])
+        assert np.array_equal(many.view(np.uint64), each.view(np.uint64))
+
+
 def _csv_writer_oracle(grid, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -369,10 +388,12 @@ def test_grid_writers_match_csv_and_json_oracles(tmp_path, shape):
         if values.size:
             values.flat[0] = -0.0
         grid = WignerGrid(np.linspace(-1.0, 1.0, n_re), np.linspace(-2.0, 0.3, n_im), values)
-    for write, oracle in ((grid_to_csv, _csv_writer_oracle), (grid_to_json, _json_dump_oracle)):
-        write(grid, tmp_path / "fast")
-        oracle(grid, tmp_path / "oracle")
-        assert (tmp_path / "fast").read_bytes() == (tmp_path / "oracle").read_bytes()
+    write_grid(grid, tmp_path / "fast.csv", tmp_path / "fast.json")
+    _csv_writer_oracle(grid, tmp_path / "oracle.csv")
+    _json_dump_oracle(grid, tmp_path / "oracle.json")
+    for suffix in ("csv", "json"):
+        assert (tmp_path / f"fast.{suffix}").read_bytes() == (
+            tmp_path / f"oracle.{suffix}").read_bytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -380,11 +401,9 @@ def test_grid_writers_refuse_non_finite_values(tmp_path, bad):
     values = np.zeros((2, 2))
     values[1, 0] = bad
     grid = WignerGrid(np.array([0.0, 1.0]), np.array([0.0, 1.0]), values)
-    for write in (grid_to_csv, grid_to_json):
-        path = tmp_path / write.__name__
-        with pytest.raises(ValueError, match="non-finite"):
-            write(grid, path)
-        assert not path.exists()
+    with pytest.raises(ValueError, match="non-finite"):
+        write_grid(grid, tmp_path / "w.csv", tmp_path / "w.json")
+    assert not (tmp_path / "w.csv").exists() and not (tmp_path / "w.json").exists()
 
 
 def test_grid_spec_and_wigner_grid_helpers():
