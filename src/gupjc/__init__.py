@@ -8,6 +8,8 @@ Submodules:
 - ``dispersive``: large-detuning evolution and photon-added coherent states
 - ``wigner``: Wigner functions and Wigner-difference maps
 - ``rwa_validity``: perturbative validity ratios for the rotating-wave model
+- ``checks``: the registry of consistency checks behind ``verify`` and the
+  acceptance suite
 - ``cli``: command-line front end with reproducible run artifacts
 """
 

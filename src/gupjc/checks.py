@@ -1,0 +1,319 @@
+"""The consistency checks behind ``gupjc verify`` and the acceptance suite.
+
+Each entry of ``CHECKS`` measures one float from the verify parameters
+(``draws``, ``grid_points``) and a random generator, and passes when the
+measured value is below its ``tolerance``.  A check that bounds a value from
+both sides, or a ratio, measures a distance or a quotient instead, so that
+"below the tolerance" always means "passes".
+
+``budget_s`` is the runtime the acceptance suite allows a check at
+``grid_points = 201``: about ten times the median elapsed time measured
+there on a 2-vCPU Xeon, and at least 0.5 s.  commutator-scaling gets 1 s: its
+small complex matrix products took 0.12 s there when BLAS threads contended.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .dispersive import (
+    DispersiveConfig,
+    commutator_check,
+    decomposition_field_state,
+    dyson_consistency_check,
+    evolve_dispersive_exact,
+    interaction_picture_propagate,
+    photon_added_decomposition,
+)
+from .dynamics import rabi_shift, validate_against_numeric
+from .fock import (
+    build_annihilation,
+    coherent_state,
+    fock_state,
+    laguerre,
+    matrix_exponential_apply,
+    photon_added_coherent_state,
+)
+from .gup import (
+    GupCoefficients,
+    GupParams,
+    InteractionConfig,
+    build_rwa_hamiltonian,
+    derive_coefficients,
+)
+from .rwa_validity import perturbation_cross_check, zeta_lq, zeta_rq
+from .wigner import TWO_OVER_PI, GridSpec, wigner_of_state
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named check: ``measure(params, rng)`` must come out below ``tolerance``."""
+
+    name: str
+    tolerance: float
+    budget_s: float
+    measure: Callable[[dict, np.random.Generator], float]
+
+    def run(self, params: dict, seed: int) -> tuple[float, float]:
+        """(measured value, elapsed seconds), with a generator seeded afresh."""
+        rng = np.random.default_rng(seed)
+        start = time.perf_counter()
+        measured = float(self.measure(params, rng))
+        return measured, time.perf_counter() - start
+
+
+def coefficient_identity(params: dict, rng: np.random.Generator) -> float:
+    """Worst scaled residual of 8 chi = phi + 2 beta over ``draws`` random
+    (gamma0, delta, epsilon, omega)."""
+    # one row per draw, turned into Python floats row by row, which keeps the
+    # peak heap flat
+    samples = rng.uniform([0.0, -3.0, -3.0, 1e9], [1e8, 3.0, 3.0, 1e17],
+                          size=(params["draws"], 4))
+    worst = 0.0
+    for gamma0, delta, epsilon, omega in map(np.ndarray.tolist, samples):
+        c = derive_coefficients(GupParams(gamma0, delta, epsilon), omega)
+        scale = abs(c.phi) + 2.0 * abs(c.beta) + 8.0 * abs(c.chi)
+        if scale > 0.0:
+            worst = max(worst, abs(8.0 * c.chi - (c.phi + 2.0 * c.beta)) / scale)
+    return worst
+
+
+def ladder_commutator(params: dict, rng: np.random.Generator) -> float:
+    """max |[a, a^dag] - 1| at ncut = 12, off the last row, where truncation
+    breaks it by construction."""
+    ncut = 12
+    a = build_annihilation(ncut).entries
+    comm = a @ a.conj().T - a.conj().T @ a - np.eye(ncut + 1)
+    return float(np.max(np.abs(comm[: ncut - 1, : ncut - 1])))
+
+
+def standard_jcm_oracle(params: dict, rng: np.random.Generator) -> float:
+    """Worst amplitude error of exact evolution against the cos/sin amplitudes
+    at gamma = 0, for n = 0, 1, 5, 20 over ten Rabi periods."""
+    cfg = InteractionConfig(omega=10.0, omega0=10.0, coupling=1.0)
+    c = derive_coefficients(GupParams(0.0, 1.0, 1.0), cfg.omega)
+    worst = 0.0
+    for n in (0, 1, 5, 20):
+        period = 2.0 * math.pi / (2.0 * cfg.coupling * math.sqrt(n + 1))
+        t_grid = np.linspace(0.0, 10.0 * period, 400)
+        worst = max(worst, validate_against_numeric(n, cfg, c, t_grid).max_amp_err)
+    return worst
+
+
+def _electroweak_rabi_shift():
+    cfg = InteractionConfig(omega=1e16, omega0=1e16, coupling=1.0)
+    c = derive_coefficients(GupParams.from_gamma(1e3, 1.0, 1.0), cfg.omega)
+    return rabi_shift(1, cfg, c), c
+
+
+def rabi_shift_closed_form(params: dict, rng: np.random.Generator) -> float:
+    """Relative gap between the n = 1 Rabi shift at the electroweak benchmark
+    and its closed form Omega(n) (n+1) phi."""
+    sol, c = _electroweak_rabi_shift()
+    closed = sol.omega_std * 2.0 * c.phi
+    return abs(sol.delta_omega - closed) / closed
+
+
+def rabi_shift_magnitude(params: dict, rng: np.random.Generator) -> float:
+    """Decades between that shift and 1e-12 rad/s: below 1 means it lies in
+    (1e-13, 1e-11) rad/s."""
+    sol, _ = _electroweak_rabi_shift()
+    if not sol.delta_omega > 0.0:
+        return math.inf
+    return abs(math.log10(sol.delta_omega) + 12.0)
+
+
+def commutator_scaling(params: dict, rng: np.random.Generator) -> float:
+    """|slope - 2| of the effective-Hamiltonian commutator residual against
+    phi, log-log over four halvings at ncut = 20."""
+    cfg = InteractionConfig(omega=1e6, omega0=1e6 + 1e4, coupling=1.0)
+    phis = [1e-5, 5e-6, 2.5e-6, 1.25e-6]
+    residuals = [
+        commutator_check(cfg, GupCoefficients(phi=p, chi=0.0, beta=-p / 2.0, omega=cfg.omega),
+                         ncut=20)
+        for p in phis
+    ]
+    return abs(float(np.polyfit(np.log(phis), np.log(residuals), 1)[0]) - 2.0)
+
+
+def dispersive_resummation(params: dict, rng: np.random.Generator) -> float:
+    """Infidelity of phi = 0 dispersive evolution against the rotated coherent
+    state."""
+    d = DispersiveConfig(mu=1e5, phi=0.0, alpha=1.0, t=1e3, ncut=30)
+    state = evolve_dispersive_exact(d, "g")
+    target = coherent_state(np.exp(1j * d.mu * d.t), d.ncut)
+    return 1.0 - abs(np.vdot(state.amps_g, target.amps)) ** 2
+
+
+def _fig1_dispersive() -> DispersiveConfig:
+    c = derive_coefficients(GupParams.from_gamma(1e3, 1.0, 1.0), 1e15)
+    return DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=1e3, ncut=40)
+
+
+def photon_added_normalizers(params: dict, rng: np.random.Generator) -> float:
+    """Worst error of k_1 = sqrt(2) and k_2 = sqrt(7), where
+    k_m = sqrt(L_m(-|alpha|^2) m!) at |alpha| = 1."""
+    k1 = math.sqrt(laguerre(1, -1.0))
+    k2 = math.sqrt(laguerre(2, -1.0) * 2.0)
+    return max(abs(k1 - math.sqrt(2.0)), abs(k2 - math.sqrt(7.0)))
+
+
+def photon_added_amplitude(params: dict, rng: np.random.Generator) -> float:
+    """Relative error of |pacs1| N against 2 phi mu t k_1 at fig1."""
+    d = _fig1_dispersive()
+    dec = photon_added_decomposition(d, "g")
+    expected = 2.0 * d.phi * d.mu * d.t * math.sqrt(2.0)
+    return abs(abs(dec.pacs1_amp) * dec.normalization - expected) / expected
+
+
+def photon_added_overlap(params: dict, rng: np.random.Generator) -> float:
+    """Overlap defect of the first-order decomposition against the exact
+    state at fig1, in units of s^2 <n^4> with s = 2 phi mu t, the order of
+    the terms the decomposition drops."""
+    d = _fig1_dispersive()
+    exact = evolve_dispersive_exact(d, "g")
+    approx = decomposition_field_state(d, photon_added_decomposition(d, "g"), "g")
+    overlap = abs(np.vdot(exact.amps_g, approx.amps)) ** 2
+    n4 = 15.0  # coherent <n^4> at |alpha| = 1
+    return (1.0 - overlap) / ((2.0 * d.phi * d.mu * d.t) ** 2 * n4)
+
+
+# cutoff of the |alpha = 1> states: the first amplitude it drops is 4e-10, which
+# moves the coherent map by 4e-11, far inside the pointwise tolerance, while
+# each further level adds recurrence work to every map
+_WIGNER_NCUT = 20
+
+
+def _grid(params: dict) -> GridSpec:
+    n = params["grid_points"]
+    return GridSpec(-4.0, 4.0, -4.0, 4.0, n, n)
+
+
+def _fock_maps(grid: GridSpec):
+    """Maps of |0>..|5>, each with its closed form."""
+    re_axis, im_axis = grid.axes()
+    r2 = np.abs(re_axis[None, :] + 1j * im_axis[:, None]) ** 2
+    return [
+        (wigner_of_state(fock_state(n, max(n, 1)), grid),
+         TWO_OVER_PI * (-1.0) ** n * laguerre(n, 4.0 * r2) * np.exp(-2.0 * r2))
+        for n in range(6)
+    ]
+
+
+def _photon_added_map(grid: GridSpec):
+    return wigner_of_state(photon_added_coherent_state(1.0, 1, _WIGNER_NCUT), grid)
+
+
+def wigner_pointwise(params: dict, rng: np.random.Generator) -> float:
+    """Worst pointwise error of the Wigner maps of |alpha = 1> and |0>..|5>
+    against their closed forms, on the grid_points grid over [-4, 4]^2."""
+    grid = _grid(params)
+    w = wigner_of_state(coherent_state(1.0, _WIGNER_NCUT), grid)
+    zz = w.re_axis[None, :] + 1j * w.im_axis[:, None]
+    maps = [(w, TWO_OVER_PI * np.exp(-2.0 * np.abs(zz - 1.0) ** 2)), *_fock_maps(grid)]
+    return max(float(np.max(np.abs(w.values - exact))) for w, exact in maps)
+
+
+def wigner_integral(params: dict, rng: np.random.Generator) -> float:
+    """Worst |integral of W - 1| over the maps of |0>..|5> and of the one-
+    photon-added coherent state.  The coherent map is left out: within the
+    pointwise tolerance of its Gaussian at every grid point, its integral is
+    within 1e-6 of the Gaussian's, which is 1."""
+    grid = _grid(params)
+    maps = [w for w, _ in _fock_maps(grid)] + [_photon_added_map(grid)]
+    return max(abs(w.integral() - 1.0) for w in maps)
+
+
+def wigner_negativity(params: dict, rng: np.random.Generator) -> float:
+    """Minimum of the one-photon-added coherent state's Wigner map: below 0
+    means non-classical."""
+    return float(np.min(_photon_added_map(_grid(params)).values))
+
+
+# the fig2 and fig3 models, whose validity ratios are about 4e-4 at
+# omega = 1e16 rad/s and detuning 1e4 rad/s
+_ZETA_LQ_MODEL = GupParams.from_gamma(0.5, 1.0, 1.0)
+_ZETA_RQ_MODEL = GupParams.from_gamma(5e3, 1.0, 1.0)
+
+
+def zeta_spot_values(params: dict, rng: np.random.Generator) -> float:
+    """Worst relative deviation of zeta_lq (fig2) and zeta_rq (fig3) from 4e-4
+    at n = 50, omega = 1e16 rad/s and detuning 1e4 rad/s."""
+    cfg = InteractionConfig(omega=1e16, omega0=1e16 + 1e4, coupling=1.0)
+    lq = zeta_lq(50, cfg, _ZETA_LQ_MODEL)
+    rq = zeta_rq(50, cfg, _ZETA_RQ_MODEL)
+    return max(abs(lq - 4e-4), abs(rq - 4e-4)) / 4e-4
+
+
+def zeta_slice(params: dict, rng: np.random.Generator) -> float:
+    """Largest of those two ratios over 21 detunings from 1e3 to 1e5 rad/s at
+    omega = 1e16 rad/s."""
+    worst = 0.0
+    for delta in np.logspace(3, 5, 21).tolist():
+        cfg = InteractionConfig(omega=1e16, omega0=1e16 + delta, coupling=1.0)
+        worst = max(worst, zeta_lq(50, cfg, _ZETA_LQ_MODEL), zeta_rq(50, cfg, _ZETA_RQ_MODEL))
+    return worst
+
+
+def perturbation_scaling(params: dict, rng: np.random.Generator) -> float:
+    """|slope - 2| of the first-order amplitudes' relative error against the
+    coupling, log-log over four halvings."""
+    c = GupCoefficients(phi=1e-3, chi=0.0, beta=-5e-4, omega=50.0, xi_mag=2e-3)
+    lams = (1e-3, 5e-4, 2.5e-4, 1.25e-4)
+    errs = [
+        perturbation_cross_check(2, InteractionConfig(omega=50.0, omega0=30.0, coupling=lam),
+                                 c, t=0.35, ncut=10).max_rel_err
+        for lam in lams
+    ]
+    return abs(float(np.polyfit(np.log(lams), np.log(errs), 1)[0]) - 2.0)
+
+
+_DYSON_CFG = InteractionConfig(omega=200.0, omega0=280.0, coupling=1.5)
+_DYSON_COEFFS = GupCoefficients(phi=1e-4, chi=0.0, beta=-5e-5, omega=200.0)
+_DYSON_T = 0.05 / _DYSON_CFG.mu
+
+
+def dyson_fidelity(params: dict, rng: np.random.Generator) -> float:
+    """Infidelity of effective-Hamiltonian evolution against exact
+    interaction-picture evolution, in units of the squared dropped term."""
+    check = dyson_consistency_check(_DYSON_CFG, _DYSON_COEFFS, ncut=18, t=_DYSON_T)
+    return (1.0 - check.fidelity) / check.dropped_term_mag**2
+
+
+def block_propagator(params: dict, rng: np.random.Generator) -> float:
+    """Largest amplitude gap between the block-by-block propagator and a
+    dense lab-frame evolution of the same state."""
+    psi0 = np.concatenate([coherent_state(1.0, 18).amps, np.zeros(19, dtype=complex)])
+    h_dense = build_rwa_hamiltonian(_DYSON_CFG, _DYSON_COEFFS, 18).entries
+    dense = np.exp(1j * _DYSON_T * np.diag(h_dense)) * matrix_exponential_apply(
+        h_dense, _DYSON_T, psi0
+    )
+    blocks = interaction_picture_propagate(_DYSON_CFG, _DYSON_COEFFS, 18, _DYSON_T, psi0)
+    return float(np.max(np.abs(blocks - dense)))
+
+
+CHECKS: tuple[Check, ...] = (
+    Check("coefficient-identity", 1e-14, 0.5, coefficient_identity),
+    Check("ladder-commutator", 1e-12, 0.5, ladder_commutator),
+    Check("standard-jcm-oracle", 1e-9, 0.5, standard_jcm_oracle),
+    Check("rabi-shift-closed-form", 1e-12, 0.5, rabi_shift_closed_form),
+    Check("rabi-shift-magnitude", 1.0, 0.5, rabi_shift_magnitude),
+    Check("commutator-scaling", 0.1, 1.0, commutator_scaling),
+    Check("dispersive-resummation", 1e-10, 0.5, dispersive_resummation),
+    Check("photon-added-normalizers", 1e-10, 0.5, photon_added_normalizers),
+    Check("photon-added-amplitude", 1e-8, 0.5, photon_added_amplitude),
+    Check("photon-added-overlap", 10.0, 0.5, photon_added_overlap),
+    Check("wigner-pointwise", 1e-8, 1.0, wigner_pointwise),
+    Check("wigner-integral", 1e-3, 1.0, wigner_integral),
+    Check("wigner-negativity", 0.0, 0.5, wigner_negativity),
+    Check("zeta-spot-values", 0.2, 0.5, zeta_spot_values),
+    Check("zeta-slice", 1.0, 0.5, zeta_slice),
+    Check("perturbation-scaling", 0.1, 0.5, perturbation_scaling),
+    Check("dyson-fidelity", 10.0, 0.5, dyson_fidelity),
+    Check("block-propagator", 1e-8, 0.5, block_propagator),
+)

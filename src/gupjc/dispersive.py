@@ -138,15 +138,16 @@ def commutator_check(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> f
     With A = sigma+ a (1 - N phi) the commutator reproduces the effective
     Hamiltonian up to O(phi^2 n^3) terms; the residual therefore scales as
     phi^2 under parameter halving.  The top two Fock rows are excluded since
-    the truncated operator product is wrong there by construction.
+    the truncated operator product is wrong there by construction.  Like the
+    effective Hamiltonian it compares against, it requires the dispersive
+    regime.
     """
     if ncut < 3:
         raise ValueError("ncut must be at least 3")
     op_a = lowering_operator_dressed(c, ncut)
     op_adag = op_a.conj().T
     commutator = (cfg.coupling**2 / cfg.detuning) * (op_a @ op_adag - op_adag @ op_a)
-    g, e = _effective_diagonals(cfg.mu, c.phi, ncut)
-    reference = np.diag(np.concatenate([g, e])).astype(complex)
+    reference = build_effective_hamiltonian(cfg, c, ncut).entries
     dim = ncut + 1
     interior = np.concatenate([np.arange(0, ncut - 1), dim + np.arange(0, ncut - 1)])
     diff = (commutator - reference)[np.ix_(interior, interior)]

@@ -65,10 +65,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def includes_atom(self) -> bool:
-        return self.dim == 2 * (self.ncut + 1)
-
     def dag(self) -> "OperatorMatrix":
         return OperatorMatrix(self.ncut, self.entries.conj().T, hermitian=self.hermitian)
 

@@ -1,9 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gupjc
+from gupjc.checks import CHECKS
 from gupjc.cli import DEFAULTS, PRESETS, build_parser, main, resolve_config
 
 
@@ -211,7 +217,36 @@ def test_verify_exit_code_and_report(tmp_path, capsys):
     with open(out / "verify_report.json") as fh:
         report = json.load(fh)
     assert report["all_passed"]
-    assert len(report["checks"]) >= 10
+    assert [c["name"] for c in report["checks"]] == [check.name for check in CHECKS]
+    printed = {line.split()[0]: line.split()[1] for line in captured.out.splitlines()[:-1]}
+    for row, check in zip(report["checks"], CHECKS):
+        assert set(row) == {"name", "ok", "measured", "tolerance"}
+        assert row["tolerance"] == check.tolerance
+        assert row["ok"] and row["measured"] < row["tolerance"]
+        assert printed[check.name] == "PASS"
+
+
+def test_verify_reports_failing_checks(tmp_path, capsys):
+    # two points over [-4, 4] miss the whole Wigner mass and its negative part
+    out = tmp_path / "coarse"
+    code = run_cli(["verify", "--out", str(out), "--set", "draws=10", "--set", "grid_points=2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    with open(out / "verify_report.json") as fh:
+        report = json.load(fh)
+    failed = [row["name"] for row in report["checks"] if not row["ok"]]
+    assert failed == ["wigner-integral", "wigner-negativity"]
+    assert not report["all_passed"]
+    assert all(row["ok"] == (row["measured"] < row["tolerance"]) for row in report["checks"])
+    assert captured.out.count("FAIL") == 2
+
+
+def test_importing_the_cli_loads_no_scipy():
+    code = "import sys, gupjc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(gupjc.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_manifest_contents(tmp_path):
@@ -252,6 +287,12 @@ def test_manifest_contents(tmp_path):
     ("rabi", "periods=-1", "periods must be a finite number > 0"),
     ("rabi", "periods=0", "periods must be a finite number > 0"),
     ("dispersive", 'initial_atom="x"', "initial_atom must be 'g' or 'e', got 'x'"),
+    ("rabi", "coupling=0", "coupling must be a finite number > 0"),
+    ("dispersive", "t=0", "t must be a finite number > 0"),
+    ("zeta-maps", "omega_min=-1", "omega_min must be a finite number > 0"),
+    ("zeta-maps", "omega_max=0", "omega_max must be a finite number > 0"),
+    ("zeta-maps", "delta_min=-1", "delta_min must be a finite number > 0"),
+    ("zeta-maps", "delta_max=0", "delta_max must be a finite number > 0"),
 ])
 def test_bad_grid_rejected_before_any_output(tmp_path, capsys, command, setting, name):
     out = tmp_path / "bad"

@@ -94,6 +94,8 @@ def test_effective_hamiltonian_regime_guard():
     cfg = InteractionConfig(omega=1e4, omega0=1e4 + 10.0, coupling=1.0)
     with pytest.raises(DispersiveRegimeError):
         build_effective_hamiltonian(cfg, _phi_only(0.0), 6)
+    with pytest.raises(DispersiveRegimeError):
+        commutator_check(cfg, _phi_only(0.0), 6)
 
 
 def test_commutator_exact_without_gup():

@@ -154,14 +154,14 @@ def test_phi_channel_norm_defect_linear_and_shape_exact():
         defects.append(rep.max_norm_defect)
         assert rep.max_amp_err_normalized < 1e-9
         w = amplitude_angular_frequency(n, cfg, c)
-        assert abs(rep.fitted_half_frequency - w) / w < 1e-9
+        assert abs(rep.exact_half_frequency - w) / w < 1e-9
     slope = np.polyfit(np.log([1e-4, 5e-5, 2.5e-5]), np.log(raw), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.05)
     assert defects[0] == pytest.approx(2.0 * raw[0], rel=1e-2)
 
 
 def test_chi_channel_frequency_quadratic():
-    # the chi-induced level splitting shifts the fitted frequency at second
+    # the chi-induced level splitting shifts the block frequency at second
     # order in chi*omega/coupling
     cfg = _resonant()
     n = 1
@@ -171,7 +171,7 @@ def test_chi_channel_frequency_quadratic():
         c = _chi_only(chi)
         rep = validate_against_numeric(n, cfg, c, _grid(n, cfg, c, points=800))
         w = amplitude_angular_frequency(n, cfg, c)
-        rels.append(abs(rep.fitted_half_frequency - w) / w)
+        rels.append(abs(rep.exact_half_frequency - w) / w)
     assert rels[0] / rels[1] == pytest.approx(4.0, rel=0.05)
 
 
@@ -192,12 +192,12 @@ def test_norm_defect_linear_in_chi_term():
 def test_inversion_frequency_monotone_in_phi():
     cfg = _resonant()
     n = 1
-    fitted = []
+    freqs = []
     for phi in (0.0, 1e-4, 1e-3, 4e-3):
         c = _phi_only(phi)
         rep = validate_against_numeric(n, cfg, c, _grid(n, cfg, c))
-        fitted.append(rep.fitted_half_frequency)
-    assert all(a > b for a, b in zip(fitted, fitted[1:]))
+        freqs.append(rep.exact_half_frequency)
+    assert all(a > b for a, b in zip(freqs, freqs[1:]))
 
 
 def test_validation_returns_dataclass():
