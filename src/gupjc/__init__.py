@@ -48,6 +48,7 @@ from .gup import (
     build_rwa_hamiltonian,
     derive_coefficients,
     length_scale_bounds,
+    quadratic_coefficients,
     rwa_block,
 )
 from .dynamics import (
@@ -82,6 +83,8 @@ from .rwa_validity import (
     perturbation_cross_check,
     time_averaged_magnitudes,
     zeta_lq,
+    zeta_lq_at,
     zeta_map,
     zeta_rq,
+    zeta_rq_at,
 )

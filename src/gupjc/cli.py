@@ -188,6 +188,10 @@ def _check_params(params: dict) -> None:
             raise ValueError(f"{key} must be a finite number > 0, got {value!r}")
     if "initial_atom" in params and params["initial_atom"] not in ("g", "e"):
         raise ValueError(f"initial_atom must be 'g' or 'e', got {params['initial_atom']!r}")
+    # mu = 0 leaves the state unchanged, so every GUP difference would be zero;
+    # a negative mu is valid: the atom sits below resonance
+    if "mu" in params and params["mu"] == 0:
+        raise ValueError(f"mu must be nonzero, got {params['mu']!r}")
 
 
 def _fmt(value) -> str:

@@ -122,16 +122,34 @@ class LengthScaleBounds:
     gamma_upper_ok: bool
 
 
+def quadratic_coefficients(gamma, delta, epsilon, omega):
+    """(phi, chi, beta) for SI gamma at field frequency omega (rad/s).
+
+    Only arithmetic operators, so the inputs may be Python floats or
+    broadcastable ndarrays; Python floats give Python floats.  Squares are
+    products: ``x**2`` goes through libm pow() on a Python float, which is not
+    always correctly rounded, but through x*x on an ndarray, so a float and an
+    array input would differ in the last bit.  No input is checked:
+    ``derive_coefficients`` is the checked scalar entry point.
+    """
+    base = HBAR * omega * (gamma * gamma)
+    d2 = delta * delta
+    return (
+        base * (3.0 * d2 - 2.0 * epsilon),
+        0.5 * base * (d2 - epsilon),
+        0.5 * base * (d2 - 2.0 * epsilon),
+    )
+
+
 def derive_coefficients(p: GupParams, omega: float) -> GupCoefficients:
     """Evaluate phi, chi, beta and |xi| at field frequency omega (rad/s)."""
     if omega <= 0:
         raise ValueError("omega must be positive")
-    base = HBAR * omega * p.gamma**2
-    d2 = p.delta**2
+    phi, chi, beta = quadratic_coefficients(p.gamma, p.delta, p.epsilon, omega)
     return GupCoefficients(
-        phi=base * (3.0 * d2 - 2.0 * p.epsilon),
-        chi=0.5 * base * (d2 - p.epsilon),
-        beta=0.5 * base * (d2 - 2.0 * p.epsilon),
+        phi=phi,
+        chi=chi,
+        beta=beta,
         omega=omega,
         xi_mag=p.delta * p.gamma * math.sqrt(2.0 * HBAR * omega),
     )

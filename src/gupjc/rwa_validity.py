@@ -90,10 +90,11 @@ class PerturbationCrossCheck:
     max_rel_err: float  # relative to the coupling, the expansion parameter
 
 
-def _check_denominators(cfg: InteractionConfig) -> None:
-    if cfg.omega == cfg.omega0:
+def _check_denominators(omega, omega0) -> None:
+    """Refuse resonance lines; omega and omega0 may be floats or arrays."""
+    if np.any(omega == omega0):
         raise SingularDenominatorError("omega = omega0: co-rotating denominator vanishes")
-    if cfg.omega0 == 2.0 * cfg.omega:
+    if np.any(omega0 == 2.0 * omega):
         raise SingularDenominatorError("omega0 = 2*omega: two-photon denominator vanishes")
 
 
@@ -104,7 +105,7 @@ def first_order_amplitudes(
 
     The n-1 channel vanishes identically for n = 0 (nothing to annihilate).
     """
-    _check_denominators(cfg)
+    _check_denominators(cfg.omega, cfg.omega0)
     lam = cfg.coupling
     w, w0 = cfg.omega, cfg.omega0
     minus1 = lam * math.sqrt(n) * (np.exp(-1j * (w + w0) * t) - 1.0) / (w + w0)
@@ -140,7 +141,7 @@ def time_averaged_magnitudes(
     parts.  Only the GUP term of the co-rotating channel is reported
     (m_plus1_t2); the leading sqrt(n+1) piece is ordinary photon emission.
     """
-    _check_denominators(cfg)
+    _check_denominators(cfg.omega, cfg.omega0)
     lam = cfg.coupling
     w, w0 = cfg.omega, cfg.omega0
     phi_mag = abs(c.phi)
@@ -161,56 +162,74 @@ def _check_model(p: GupParams) -> float:
     return quad
 
 
-def zeta_lq(n: int, cfg: InteractionConfig, p: GupParams, signed: bool = False) -> float:
+def _check_ratio_inputs(omega, omega0, p: GupParams) -> float:
+    """Refuse resonances, a vanishing quadratic channel and gamma = 0; return
+    the quadratic-channel weight 3 delta^2 - 2 epsilon."""
+    _check_denominators(omega, omega0)
+    quad = _check_model(p)
+    if p.gamma == 0.0:
+        raise SingularDenominatorError("gamma = 0: the ratio diverges")
+    return quad
+
+
+def zeta_lq_at(n: int, omega, omega0, p: GupParams, signed: bool = False):
     """Linear-channel strength over quadratic-channel strength.
 
     zeta_lq = sqrt(2(n+2))/(n+1) * delta/(3 delta^2 - 2 epsilon)
               * 1/(gamma sqrt(hbar omega)) * (omega-omega0)/(2 omega-omega0)
 
-    The detuning-ratio factor is returned in absolute value unless ``signed``.
+    ``omega`` and ``omega0`` (rad/s) are floats or broadcastable arrays.  The
+    detuning-ratio factor is returned in absolute value unless ``signed``.
     """
-    _check_denominators(cfg)
-    quad = _check_model(p)
-    if p.gamma == 0.0:
-        raise SingularDenominatorError("gamma = 0: the ratio diverges")
-    ratio = (cfg.omega - cfg.omega0) / (2.0 * cfg.omega - cfg.omega0)
+    quad = _check_ratio_inputs(omega, omega0, p)
+    ratio = (omega - omega0) / (2.0 * omega - omega0)
     if not signed:
-        ratio = abs(ratio)
+        ratio = np.abs(ratio)
     return (
         math.sqrt(2.0 * (n + 2)) / (n + 1)
         * (p.delta / quad)
-        * 1.0 / (p.gamma * math.sqrt(HBAR * cfg.omega))
+        * 1.0 / (p.gamma * np.sqrt(HBAR * omega))
         * ratio
     )
 
 
-def zeta_rq(n: int, cfg: InteractionConfig, p: GupParams, signed: bool = False) -> float:
+def zeta_rq_at(n: int, omega, omega0, p: GupParams, signed: bool = False):
     """Counter-rotating strength over quadratic-channel strength.
 
     zeta_rq = sqrt(n)/(n+1)^{3/2} * (omega-omega0)/(omega+omega0)
               * 1/(3 delta^2 - 2 epsilon) * 1/gamma^2 * 1/(hbar omega)
+
+    ``omega`` and ``omega0`` as for ``zeta_lq_at``.
     """
-    _check_denominators(cfg)
-    quad = _check_model(p)
-    if p.gamma == 0.0:
-        raise SingularDenominatorError("gamma = 0: the ratio diverges")
-    ratio = (cfg.omega - cfg.omega0) / (cfg.omega + cfg.omega0)
+    quad = _check_ratio_inputs(omega, omega0, p)
+    ratio = (omega - omega0) / (omega + omega0)
     if not signed:
-        ratio = abs(ratio)
+        ratio = np.abs(ratio)
     return (
         math.sqrt(n) / (n + 1) ** 1.5
         * ratio
         * (1.0 / quad)
         * (1.0 / p.gamma**2)
-        * (1.0 / (HBAR * cfg.omega))
+        * (1.0 / (HBAR * omega))
     )
+
+
+def zeta_lq(n: int, cfg: InteractionConfig, p: GupParams, signed: bool = False) -> float:
+    """``zeta_lq_at`` for one interaction configuration."""
+    return float(zeta_lq_at(n, cfg.omega, cfg.omega0, p, signed))
+
+
+def zeta_rq(n: int, cfg: InteractionConfig, p: GupParams, signed: bool = False) -> float:
+    """``zeta_rq_at`` for one interaction configuration."""
+    return float(zeta_rq_at(n, cfg.omega, cfg.omega0, p, signed))
 
 
 def zeta_map(spec: ZetaMapSpec) -> ZetaMap:
     """Evaluate both validity ratios over a log-spaced (omega, detuning) grid.
 
     The detuning axis is omega0 - omega > 0; the sampled ranges stay clear of
-    the resonance lines omega = omega0 and omega0 = 2*omega.
+    the resonance lines omega = omega0 and omega0 = 2*omega.  Rows run over
+    the detuning, columns over omega.
     """
     omega_axis = np.logspace(
         math.log10(spec.omega_min), math.log10(spec.omega_max), spec.n_omega
@@ -218,18 +237,13 @@ def zeta_map(spec: ZetaMapSpec) -> ZetaMap:
     delta_axis = np.logspace(
         math.log10(spec.delta_min), math.log10(spec.delta_max), spec.n_delta
     )
-    lq = np.empty((spec.n_delta, spec.n_omega))
-    rq = np.empty((spec.n_delta, spec.n_omega))
-    for i, delta in enumerate(delta_axis):
-        for j, omega in enumerate(omega_axis):
-            cfg = InteractionConfig(omega=omega, omega0=omega + delta, coupling=1.0)
-            lq[i, j] = zeta_lq(spec.n, cfg, spec.params)
-            rq[i, j] = zeta_rq(spec.n, cfg, spec.params)
+    omega = omega_axis[None, :]
+    omega0 = omega + delta_axis[:, None]
     return ZetaMap(
         omega_axis=omega_axis,
         delta_axis=delta_axis,
-        zeta_lq=lq,
-        zeta_rq=rq,
+        zeta_lq=zeta_lq_at(spec.n, omega, omega0, spec.params),
+        zeta_rq=zeta_rq_at(spec.n, omega, omega0, spec.params),
         n=spec.n,
         gamma=spec.params.gamma,
         delta=spec.params.delta,

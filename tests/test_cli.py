@@ -287,6 +287,8 @@ def test_manifest_contents(tmp_path):
     ("rabi", "periods=-1", "periods must be a finite number > 0"),
     ("rabi", "periods=0", "periods must be a finite number > 0"),
     ("dispersive", 'initial_atom="x"', "initial_atom must be 'g' or 'e', got 'x'"),
+    ("dispersive", "mu=0", "mu must be nonzero, got 0"),
+    ("wigner-diff", "mu=0", "mu must be nonzero, got 0"),
     ("rabi", "coupling=0", "coupling must be a finite number > 0"),
     ("dispersive", "t=0", "t must be a finite number > 0"),
     ("zeta-maps", "omega_min=-1", "omega_min must be a finite number > 0"),

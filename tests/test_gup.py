@@ -14,6 +14,7 @@ from gupjc.gup import (
     build_rwa_hamiltonian,
     derive_coefficients,
     length_scale_bounds,
+    quadratic_coefficients,
     rwa_block,
 )
 
@@ -72,6 +73,33 @@ def test_coefficient_identity_random_draws():
         c = derive_coefficients(p, float(rng.uniform(1e9, 1e17)))
         scale = abs(c.phi) + 2 * abs(c.beta) + 8 * abs(c.chi)
         assert abs(8 * c.chi - (c.phi + 2 * c.beta)) <= 1e-14 * scale
+
+
+# the second model's gamma is 2018.034556542811, whose libm pow() square is
+# one ulp off gamma*gamma
+@pytest.mark.parametrize("params, omega", [
+    (GupParams.from_gamma(1e3, 1.0, 1.0), 1e15),
+    (GupParams(89252841.7370236, -1.4928348105803217, 2.517924369371806), 1.5076437323732226e16),
+    (GupParams(0.0, 1.0, 1.0), 10.0),
+])
+def test_derive_coefficients_returns_helper_floats(params, omega):
+    c = derive_coefficients(params, omega)
+    expected = quadratic_coefficients(params.gamma, params.delta, params.epsilon, omega)
+    assert all(type(v) is float for v in (c.phi, c.chi, c.beta))
+    assert (c.phi, c.chi, c.beta) == expected
+
+
+def test_quadratic_coefficients_arrays_equal_scalars():
+    rng = np.random.default_rng(7)
+    rows = rng.uniform([0.0, -3.0, -3.0, 1e9], [5e3, 3.0, 3.0, 1e17], size=(256, 4))
+    # the gamma above whose pow() square is one ulp off the product
+    rows = np.vstack([rows, [2018.034556542811, 1.3, 0.2, 1e15]])
+    gamma, delta, epsilon, omega = rows.T
+    arrays = quadratic_coefficients(gamma, delta, epsilon, omega)
+    for i in range(gamma.size):
+        scalars = quadratic_coefficients(float(gamma[i]), float(delta[i]), float(epsilon[i]),
+                                         float(omega[i]))
+        assert tuple(float(a[i]) for a in arrays) == scalars
 
 
 def test_coefficients_dimensionless_under_rescaling():

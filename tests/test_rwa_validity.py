@@ -11,8 +11,10 @@ from gupjc.rwa_validity import (
     perturbation_cross_check,
     time_averaged_magnitudes,
     zeta_lq,
+    zeta_lq_at,
     zeta_map,
     zeta_rq,
+    zeta_rq_at,
 )
 
 FIG_LQ = GupParams.from_gamma(0.5, 1.0, 1.0)
@@ -183,6 +185,44 @@ def test_zeta_map_values_and_monotonicity():
         coupling=1.0,
     )
     assert grid.zeta_lq[2, 5] == pytest.approx(zeta_lq(50, cfg, FIG_LQ), rel=1e-12)
+
+
+def test_zeta_map_equals_scalar_ratios_bitwise():
+    params = GupParams.from_gamma(3.0, 0.8, 0.3)
+    spec = ZetaMapSpec(n=7, params=params, omega_min=1e11, omega_max=1e15, n_omega=6,
+                       delta_min=50.0, delta_max=5e6, n_delta=5)
+    grid = zeta_map(spec)
+    assert grid.zeta_lq.shape == grid.zeta_rq.shape == (5, 6)
+    for i, delta in enumerate(grid.delta_axis):
+        for j, omega in enumerate(grid.omega_axis):
+            cfg = InteractionConfig(omega=omega, omega0=omega + delta, coupling=1.0)
+            assert grid.zeta_lq[i, j] == zeta_lq(7, cfg, params)
+            assert grid.zeta_rq[i, j] == zeta_rq(7, cfg, params)
+
+
+def test_zeta_array_form_signed_and_guards():
+    omega = np.array([1e12, 1e14])
+    omega0 = omega + 1e4
+    signed = zeta_lq_at(50, omega, omega0, FIG_LQ, signed=True)
+    assert np.all(signed < 0.0)
+    assert np.array_equal(np.abs(signed), zeta_lq_at(50, omega, omega0, FIG_LQ))
+    # one resonant point refuses the whole array
+    with pytest.raises(SingularDenominatorError, match="omega = omega0"):
+        zeta_rq_at(50, omega, np.array([1e12 + 1e4, 1e14]), FIG_RQ)
+    with pytest.raises(SingularDenominatorError, match="omega0 = 2"):
+        zeta_lq_at(50, omega, np.array([1e12 + 1e4, 2e14]), FIG_LQ)
+    with pytest.raises(DegenerateModelError):
+        zeta_rq_at(50, omega, omega0, GupParams.from_gamma(0.5, 1.0, 1.5))
+    with pytest.raises(SingularDenominatorError, match="gamma = 0"):
+        zeta_lq_at(50, omega, omega0, GupParams.from_gamma(0.0, 1.0, 1.0))
+
+
+def test_zeta_map_refuses_resonant_point():
+    # omega0 = omega + delta rounds back to omega at omega = 1e17, delta = 1
+    spec = ZetaMapSpec(n=50, params=FIG_LQ, omega_min=1e15, omega_max=1e17, n_omega=3,
+                       delta_min=1.0, delta_max=1e3, n_delta=2)
+    with pytest.raises(SingularDenominatorError, match="omega = omega0"):
+        zeta_map(spec)
 
 
 def test_zeta_map_high_frequency_column():
