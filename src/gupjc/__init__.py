@@ -2,7 +2,7 @@
 
 Submodules:
 
-- ``fock``: truncated Fock-space states, ladder operators, exact evolution
+- ``fock``: truncated Fock-space states, ladder operators, the exact propagator
 - ``gup``: GUP parameters, derived coefficients, Hamiltonian builders
 - ``dynamics``: resonant Rabi dynamics and the corrected Rabi frequency
 - ``dispersive``: large-detuning evolution and photon-added coherent states
@@ -28,15 +28,11 @@ from .errors import (
 from .fock import (
     AtomFieldState,
     FockVector,
-    OperatorMatrix,
     build_annihilation,
-    build_creation,
-    build_number,
     coherent_state,
     evolve_on_grid,
     fock_state,
     laguerre,
-    matrix_exponential_apply,
     photon_added_coherent_state,
 )
 from .gup import (
@@ -44,7 +40,6 @@ from .gup import (
     GupParams,
     InteractionConfig,
     build_full_interaction_hamiltonian,
-    build_modified_free_field,
     build_rwa_hamiltonian,
     derive_coefficients,
     length_scale_bounds,
@@ -81,7 +76,6 @@ from .rwa_validity import (
     ZetaMapSpec,
     first_order_amplitudes,
     perturbation_cross_check,
-    time_averaged_magnitudes,
     zeta_lq,
     zeta_lq_at,
     zeta_map,

@@ -34,9 +34,9 @@ from .dynamics import rabi_shift, validate_against_numeric
 from .fock import (
     build_annihilation,
     coherent_state,
+    evolve_on_grid,
     fock_state,
     laguerre,
-    matrix_exponential_apply,
     photon_added_coherent_state,
 )
 from .gup import (
@@ -89,7 +89,7 @@ def ladder_commutator(params: dict, rng: np.random.Generator) -> float:
     """max |[a, a^dag] - 1| at ncut = 12, off the last row, where truncation
     breaks it by construction."""
     ncut = 12
-    a = build_annihilation(ncut).entries
+    a = build_annihilation(ncut)
     comm = a @ a.conj().T - a.conj().T @ a - np.eye(ncut + 1)
     return float(np.max(np.abs(comm[: ncut - 1, : ncut - 1])))
 
@@ -289,10 +289,9 @@ def block_propagator(params: dict, rng: np.random.Generator) -> float:
     """Largest amplitude gap between the block-by-block propagator and a
     dense lab-frame evolution of the same state."""
     psi0 = np.concatenate([coherent_state(1.0, 18).amps, np.zeros(19, dtype=complex)])
-    h_dense = build_rwa_hamiltonian(_DYSON_CFG, _DYSON_COEFFS, 18).entries
-    dense = np.exp(1j * _DYSON_T * np.diag(h_dense)) * matrix_exponential_apply(
-        h_dense, _DYSON_T, psi0
-    )
+    h_dense = build_rwa_hamiltonian(_DYSON_CFG, _DYSON_COEFFS, 18)
+    evolved = evolve_on_grid(h_dense, [_DYSON_T], psi0)[0]
+    dense = np.exp(1j * _DYSON_T * np.diag(h_dense)) * evolved
     blocks = interaction_picture_propagate(_DYSON_CFG, _DYSON_COEFFS, 18, _DYSON_T, psi0)
     return float(np.max(np.abs(blocks - dense)))
 

@@ -25,6 +25,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
 import time
@@ -42,7 +43,7 @@ from .dispersive import (
     evolve_dispersive_exact,
     photon_added_decomposition,
 )
-from .dynamics import amplitude_angular_frequency, rabi_shift
+from .dynamics import amplitude_angular_frequency, atomic_inversion, rabi_shift
 from .errors import GupJcError
 from .fock import evolve_on_grid, laguerre
 from .gup import GupParams, InteractionConfig, derive_coefficients, rwa_block
@@ -118,7 +119,8 @@ INT_MINIMUMS: dict[str, int] = {
 
 # Float parameters that must be > 0, whichever command has them.
 POSITIVE_FLOATS = (
-    "grid_extent", "periods", "coupling", "t", "omega_min", "omega_max", "delta_min", "delta_max",
+    "grid_extent", "periods", "coupling", "t", "omega", "omega_min", "omega_max", "delta_min",
+    "delta_max",
 )
 
 
@@ -217,6 +219,22 @@ def write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _print_line(line: str) -> None:
+    """Print one line of a run's console output.
+
+    A reader may close stdout early (``gupjc verify | head -1``).  The run
+    then goes on silently, so it writes the same artifacts as a run that is
+    read to the end: stdout is pointed at the null device, which also keeps
+    the exit-time flush from failing.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -288,7 +306,7 @@ def cmd_rabi(params: dict, out_dir: Path, seed: int) -> list[Path]:
     t_grid = np.linspace(0.0, t_max, int(params["points"]))
     states = evolve_on_grid(rwa_block(n, cfg, c), t_grid, np.array([1.0, 0.0]))
     w_numeric = np.abs(states[:, 0]) ** 2 - np.abs(states[:, 1]) ** 2
-    w_analytic = np.cos(2.0 * w_half * t_grid)
+    w_analytic = atomic_inversion(n, cfg, c, t_grid)
     series_path = out_dir / "inversion.csv"
     write_csv(
         series_path,
@@ -429,8 +447,8 @@ def cmd_verify(params: dict, out_dir: Path, seed: int) -> tuple[list[Path], int]
     for check in CHECKS:
         measured, elapsed = check.run(params, seed)
         ok = measured < check.tolerance
-        print(f"{check.name:<{width}}  {'PASS' if ok else 'FAIL'}  measured {measured:.3e}, "
-              f"tolerance {check.tolerance:g}  ({elapsed:.3f} s)")
+        _print_line(f"{check.name:<{width}}  {'PASS' if ok else 'FAIL'}  measured "
+                    f"{measured:.3e}, tolerance {check.tolerance:g}  ({elapsed:.3f} s)")
         rows.append({"name": check.name, "ok": ok, "measured": measured,
                      "tolerance": check.tolerance})
     all_passed = all(row["ok"] for row in rows)
@@ -463,7 +481,7 @@ def run_command(command: str, args) -> int:
     wall = time.perf_counter() - start
     write_manifest(out_dir, config, [config_path, *outputs], wall)
     for path in outputs:
-        print(path)
+        _print_line(str(path))
     return code
 
 

@@ -28,10 +28,9 @@ from .errors import DispersiveRegimeError, LinearityError
 from .fock import (
     AtomFieldState,
     FockVector,
-    OperatorMatrix,
     coherent_state,
+    evolve_on_grid,
     laguerre,
-    matrix_exponential_apply,
     photon_added_coherent_state,
 )
 from .gup import GupCoefficients, InteractionConfig, lowering_operator_dressed, rwa_block
@@ -120,7 +119,7 @@ def _require_dispersive(cfg: InteractionConfig, ncut: int) -> None:
 
 def build_effective_hamiltonian(
     cfg: InteractionConfig, c: GupCoefficients, ncut: int
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Dispersive effective Hamiltonian (H_eff/hbar, rad/s), diagonal in Fock basis.
 
     Eigenvalues: -mu*(n - 2n^2 phi) on |g,n> and
@@ -128,7 +127,7 @@ def build_effective_hamiltonian(
     """
     _require_dispersive(cfg, ncut)
     g, e = _effective_diagonals(cfg.mu, c.phi, ncut)
-    return OperatorMatrix(ncut, np.diag(np.concatenate([g, e])).astype(complex), hermitian=True)
+    return np.diag(np.concatenate([g, e])).astype(complex)
 
 
 def commutator_check(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> float:
@@ -154,7 +153,7 @@ def commutator_check(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> f
     commutator = (cfg.coupling**2 / cfg.detuning) * (
         np.einsum(product, op_a, op_adag) - np.einsum(product, op_adag, op_a)
     )
-    reference = build_effective_hamiltonian(cfg, c, ncut).entries
+    reference = build_effective_hamiltonian(cfg, c, ncut)
     dim = ncut + 1
     interior = np.concatenate([np.arange(0, ncut - 1), dim + np.arange(0, ncut - 1)])
     diff = (commutator - reference)[np.ix_(interior, interior)]
@@ -262,7 +261,7 @@ def interaction_picture_propagate(
     for n in range(ncut):
         block = rwa_block(n, cfg, c)
         idx = [dim + n, n + 1]
-        psi[idx] = np.exp(1j * t * np.diag(block)) * matrix_exponential_apply(block, t, psi[idx])
+        psi[idx] = np.exp(1j * t * np.diag(block)) * evolve_on_grid(block, [t], psi[idx])[0]
     return psi
 
 

@@ -104,20 +104,14 @@ def analytic_amplitudes(
 
 
 def atomic_inversion(
-    n: int, cfg: InteractionConfig, c: GupCoefficients, t: float,
-    from_amplitudes: bool = False,
-) -> float:
-    """Atomic inversion W(t) for the initial state |e,n>.
+    n: int, cfg: InteractionConfig, c: GupCoefficients, t: float | np.ndarray
+) -> float | np.ndarray:
+    """Leading-order atomic inversion cos(2 W t) for the initial state |e,n>,
+    at a time ``t`` or elementwise over an array of times.
 
-    Default is the leading-order closed form cos(2 W t); with
-    ``from_amplitudes`` the inversion is computed as |C_e|^2 - |C_g|^2 from
-    the first-order amplitudes instead (the two differ at O(phi)).
+    It differs from |C_e|^2 - |C_g|^2 of the first-order amplitudes at O(phi).
     """
-    if from_amplitudes:
-        c_e, c_g = analytic_amplitudes(n, cfg, c, t)
-        return abs(c_e) ** 2 - abs(c_g) ** 2
-    w = amplitude_angular_frequency(n, cfg, c)
-    return math.cos(2.0 * w * t)
+    return np.cos(2.0 * amplitude_angular_frequency(n, cfg, c) * t)
 
 
 def rabi_shift(n: int, cfg: InteractionConfig, c: GupCoefficients) -> RabiSolution:
@@ -181,8 +175,7 @@ def validate_against_numeric(
     )
 
     inv_num = np.abs(c_e_num) ** 2 - np.abs(c_g_num) ** 2
-    w_half = amplitude_angular_frequency(n, cfg, c)
-    max_inv_err = float(np.max(np.abs(inv_num - np.cos(2.0 * w_half * t))))
+    max_inv_err = float(np.max(np.abs(inv_num - atomic_inversion(n, cfg, c, t))))
     return NumericValidation(
         max_amp_err=max_amp_err,
         max_inv_err=max_inv_err,

@@ -20,56 +20,13 @@ import numpy as np
 
 from .errors import NonHermitianError, TruncationError
 
-# Absolute Hermiticity budget for flagged matrices; builders in this package
+# Absolute Hermiticity budget of the propagator; builders in this package
 # produce bitwise-Hermitian matrices, so any violation signals a real bug.
 HERMITICITY_ATOL = 1e-12
 
 # Two-level atom operators in the (ground, excited) basis.
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)   # |e><g|
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 SIGMA_3 = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)     # |e><e| - |g><g|
-ATOM_IDENTITY = np.eye(2, dtype=complex)
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense complex operator on the truncated field or atom+field space.
-
-    ``entries`` has dimension ncut+1 (field only) or 2*(ncut+1) (tensored
-    with the atom).  Ladder operators are dimensionless; Hamiltonians are
-    stored as H/hbar in rad/s.  Matrices flagged ``hermitian`` are checked on
-    construction.
-    """
-
-    ncut: int
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        dim = self.ncut + 1
-        if entries.shape not in {(dim, dim), (2 * dim, 2 * dim)}:
-            raise ValueError(
-                f"entries shape {entries.shape} matches neither the field "
-                f"space ({dim}) nor the atom+field space ({2 * dim})"
-            )
-        object.__setattr__(self, "entries", entries)
-        if self.hermitian:
-            residual = hermiticity_residual(entries)
-            if residual >= HERMITICITY_ATOL:
-                raise NonHermitianError(
-                    f"Hermiticity residual {residual:.3e} exceeds {HERMITICITY_ATOL:.1e}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.ncut, self.entries.conj().T, hermitian=self.hermitian)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.entries @ np.asarray(vec, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -93,19 +50,6 @@ class FockVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self) -> "FockVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockVector(self.ncut, self.amps / n, self.tail_weight)
-
-    def overlap(self, other: "FockVector") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
-    def number_expectation(self) -> float:
-        n = np.arange(self.ncut + 1)
-        return float(np.real(np.sum(n * np.abs(self.amps) ** 2)))
-
 
 @dataclass(frozen=True)
 class AtomFieldState:
@@ -122,51 +66,19 @@ class AtomFieldState:
                 raise ValueError(f"{name} must have length ncut+1 = {self.ncut + 1}")
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, ncut: int) -> "AtomFieldState":
-        vec = np.asarray(vec, dtype=complex)
-        dim = ncut + 1
-        if vec.shape != (2 * dim,):
-            raise ValueError(f"vector must have length 2*(ncut+1) = {2 * dim}")
-        return cls(ncut, vec[:dim], vec[dim:])
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.amps_g, self.amps_e])
-
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amps_g) ** 2) + np.sum(np.abs(self.amps_e) ** 2)))
-
-    def overlap(self, other: "AtomFieldState") -> complex:
-        return complex(np.vdot(self.to_vector(), other.to_vector()))
-
-    def inversion(self) -> float:
-        """Excited-state population minus ground-state population."""
-        return float(np.sum(np.abs(self.amps_e) ** 2) - np.sum(np.abs(self.amps_g) ** 2))
 
 
 def hermiticity_residual(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
 
-def build_annihilation(ncut: int) -> OperatorMatrix:
+def build_annihilation(ncut: int) -> np.ndarray:
     """Annihilation operator with <n-1|a|n> = sqrt(n) on |0..ncut>."""
     if ncut < 1:
         raise ValueError("ncut must be at least 1")
-    entries = np.diag(np.sqrt(np.arange(1, ncut + 1, dtype=float)), k=1).astype(complex)
-    return OperatorMatrix(ncut, entries)
-
-
-def build_creation(ncut: int) -> OperatorMatrix:
-    return build_annihilation(ncut).dag()
-
-
-def build_number(ncut: int) -> OperatorMatrix:
-    entries = np.diag(np.arange(ncut + 1, dtype=float)).astype(complex)
-    return OperatorMatrix(ncut, entries, hermitian=True)
-
-
-def field_identity(ncut: int) -> np.ndarray:
-    return np.eye(ncut + 1, dtype=complex)
+    return np.diag(np.sqrt(np.arange(1, ncut + 1, dtype=float)), k=1).astype(complex)
 
 
 def tensor_with_atom(atom_op: np.ndarray, field_op: np.ndarray) -> np.ndarray:
@@ -249,45 +161,25 @@ def photon_added_coherent_state(
     return FockVector(ncut, raised / math.sqrt(norm_sq), tail_weight=rel_dev)
 
 
-def _as_matrix(h_over_hbar) -> np.ndarray:
-    if isinstance(h_over_hbar, OperatorMatrix):
-        return h_over_hbar.entries
-    return np.asarray(h_over_hbar, dtype=complex)
+def evolve_on_grid(h_over_hbar: np.ndarray, t_grid, state: np.ndarray) -> np.ndarray:
+    """Evolve ``state`` by exp(-i H t / hbar) to every time in ``t_grid``, via
+    one eigendecomposition; returns shape (len(t_grid), dim).
 
-
-def matrix_exponential_apply(
-    h_over_hbar, t: float, state: np.ndarray, herm_atol: float = HERMITICITY_ATOL
-) -> np.ndarray:
-    """Apply exp(-i H t / hbar) to a state vector via eigendecomposition.
-
-    ``h_over_hbar`` is the Hamiltonian divided by hbar (rad/s), as a dense
-    matrix or OperatorMatrix; it must be Hermitian.  Phase accuracy degrades
-    as eps * ||H/hbar|| * t, so callers working at optical frequencies should
-    first remove the optical-scale energies, as ``gup.rwa_block`` does.
+    ``h_over_hbar`` is the Hamiltonian divided by hbar (rad/s), a dense matrix
+    that must be Hermitian: this is the one place that refuses one that is
+    not.  One time is ``evolve_on_grid(h, [t], psi)[0]``.  Phase accuracy
+    degrades as eps * ||H/hbar|| * t, so callers working at optical
+    frequencies should first remove the optical-scale energies, as
+    ``gup.rwa_block`` does.
     """
-    h = _as_matrix(h_over_hbar)
+    h = np.asarray(h_over_hbar, dtype=complex)
     residual = hermiticity_residual(h)
-    if residual >= herm_atol:
+    if residual >= HERMITICITY_ATOL:
         raise NonHermitianError(
-            f"Hermiticity residual {residual:.3e} exceeds {herm_atol:.1e}"
-        )
-    vals, vecs = np.linalg.eigh(h)
-    psi = np.asarray(state, dtype=complex)
-    return vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi))
-
-
-def evolve_on_grid(h_over_hbar, t_grid: np.ndarray, state: np.ndarray,
-                   herm_atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Evolve ``state`` to every time in ``t_grid``; returns shape (len(t), dim)."""
-    h = _as_matrix(h_over_hbar)
-    residual = hermiticity_residual(h)
-    if residual >= herm_atol:
-        raise NonHermitianError(
-            f"Hermiticity residual {residual:.3e} exceeds {herm_atol:.1e}"
+            f"Hermiticity residual {residual:.3e} exceeds {HERMITICITY_ATOL:.1e}"
         )
     vals, vecs = np.linalg.eigh(h)
     coeffs = vecs.conj().T @ np.asarray(state, dtype=complex)
     t = np.asarray(t_grid, dtype=float)
     phases = np.exp(-1j * np.outer(t, vals))
     return (phases * coeffs) @ vecs.T
-

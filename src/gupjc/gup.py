@@ -30,14 +30,7 @@ from .constants import (
     HBAR,
     PLANCK_LENGTH,
 )
-from .fock import (
-    OperatorMatrix,
-    SIGMA_3,
-    SIGMA_PLUS,
-    build_annihilation,
-    field_identity,
-    tensor_with_atom,
-)
+from .fock import SIGMA_3, SIGMA_PLUS, build_annihilation, tensor_with_atom
 
 
 @dataclass(frozen=True)
@@ -122,6 +115,17 @@ class LengthScaleBounds:
     gamma_upper_ok: bool
 
 
+def quadratic_weight(delta, epsilon):
+    """Quadratic-channel weight 3 delta^2 - 2 epsilon, the factor phi carries.
+
+    The one expression of it, shared by ``quadratic_coefficients`` and the
+    degenerate-model guard of the validity ratios, so both judge a model
+    alike to the last bit.  The square is a product, for the reason given in
+    ``quadratic_coefficients``.
+    """
+    return 3.0 * (delta * delta) - 2.0 * epsilon
+
+
 def quadratic_coefficients(gamma, delta, epsilon, omega):
     """(phi, chi, beta) for SI gamma at field frequency omega (rad/s).
 
@@ -135,7 +139,7 @@ def quadratic_coefficients(gamma, delta, epsilon, omega):
     base = HBAR * omega * (gamma * gamma)
     d2 = delta * delta
     return (
-        base * (3.0 * d2 - 2.0 * epsilon),
+        base * quadratic_weight(delta, epsilon),
         0.5 * base * (d2 - epsilon),
         0.5 * base * (d2 - 2.0 * epsilon),
     )
@@ -169,29 +173,6 @@ def length_scale_bounds(p: GupParams) -> LengthScaleBounds:
     )
 
 
-def _modified_field_diagonal(c: GupCoefficients, omega: float, ncut: int,
-                             include_zero_point: bool) -> np.ndarray:
-    """Diagonal field energies omega*[n (+1/2) - 4(n^2+n)chi - beta], rad/s."""
-    n = np.arange(ncut + 1, dtype=float)
-    diag = n - 4.0 * (n**2 + n) * c.chi - c.beta
-    if include_zero_point:
-        diag = diag + 0.5
-    return omega * diag
-
-
-def build_modified_free_field(c: GupCoefficients, omega: float, ncut: int) -> OperatorMatrix:
-    """GUP-corrected free-field Hamiltonian (H/hbar, field space only).
-
-    Diagonal with entries omega*[(n + 1/2) - 4*(n^2 + n)*chi - beta]; the
-    quadratic channel compresses the level spacing, E_1 - E_0 =
-    hbar*omega*(1 - 8*chi).
-    """
-    if ncut < 1:
-        raise ValueError("ncut must be at least 1")
-    diag = _modified_field_diagonal(c, omega, ncut, include_zero_point=True)
-    return OperatorMatrix(ncut, np.diag(diag).astype(complex), hermitian=True)
-
-
 def _rwa_coupling_element(n, c: GupCoefficients):
     """Coupling between |e,n> and |g,n+1> per unit dipole rate: sqrt(n+1)*(1 - (n+1)*phi).
 
@@ -221,7 +202,7 @@ def rwa_block(n: int, cfg: InteractionConfig, c: GupCoefficients) -> np.ndarray:
     return np.array([[d, g], [g, -d]])
 
 
-def build_rwa_hamiltonian(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> OperatorMatrix:
+def build_rwa_hamiltonian(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> np.ndarray:
     """Rotating-wave GUP Hamiltonian on the atom+field space (H/hbar, rad/s).
 
     H/hbar = omega0/2 * sigma3 + omega*[N - 4(N^2+N)chi - beta]
@@ -233,17 +214,17 @@ def build_rwa_hamiltonian(cfg: InteractionConfig, c: GupCoefficients, ncut: int)
     """
     if ncut < 2:
         raise ValueError("ncut must be at least 2")
-    field_diag = _modified_field_diagonal(c, cfg.omega, ncut, include_zero_point=False)
-    diag_part = tensor_with_atom(0.5 * cfg.omega0 * SIGMA_3, field_identity(ncut))
+    n = np.arange(ncut + 1, dtype=float)
+    field_diag = cfg.omega * (n - 4.0 * (n**2 + n) * c.chi - c.beta)
+    diag_part = tensor_with_atom(0.5 * cfg.omega0 * SIGMA_3, np.eye(ncut + 1))
     diag_part += tensor_with_atom(np.eye(2), np.diag(field_diag))
     raising = cfg.coupling * lowering_operator_dressed(c, ncut)
-    entries = diag_part + raising + raising.conj().T
-    return OperatorMatrix(ncut, entries, hermitian=True)
+    return diag_part + raising + raising.conj().T
 
 
 def build_full_interaction_hamiltonian(
     cfg: InteractionConfig, c: GupCoefficients, ncut: int
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Pre-RWA dipole interaction with both GUP channels (H/hbar, rad/s).
 
     H_I/hbar = coupling * [sigma+ (a^dag + a - phi*a*N + xi*a^2) + h.c.]
@@ -255,10 +236,9 @@ def build_full_interaction_hamiltonian(
     """
     if ncut < 3:
         raise ValueError("ncut must be at least 3")
-    a = build_annihilation(ncut).entries
+    a = build_annihilation(ncut)
     adag = a.conj().T
     n_diag = np.diag(np.arange(ncut + 1, dtype=float)).astype(complex)
     block = adag + a - c.phi * (a @ n_diag) + c.xi * (a @ a)
     raising = cfg.coupling * tensor_with_atom(SIGMA_PLUS, block)
-    entries = raising + raising.conj().T
-    return OperatorMatrix(ncut, entries, hermitian=True)
+    return raising + raising.conj().T

@@ -25,12 +25,13 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DegenerateModelError, SingularDenominatorError
-from .fock import matrix_exponential_apply
+from .fock import evolve_on_grid
 from .gup import (
     GupCoefficients,
     GupParams,
     InteractionConfig,
     build_full_interaction_hamiltonian,
+    quadratic_weight,
 )
 
 # weak-coupling requirement for the numeric cross-check
@@ -46,16 +47,6 @@ class PerturbationAmplitudes:
     c_gn_plus2: complex
     t: float
     n: int
-
-
-@dataclass(frozen=True)
-class AveragedMagnitudes:
-    """Time-averaged magnitudes; m_plus1_t2 keeps only the GUP part of the
-    co-rotating channel."""
-
-    m_minus1: float
-    m_plus1_t2: float
-    m_plus2: float
 
 
 @dataclass(frozen=True)
@@ -132,28 +123,8 @@ def first_order_amplitudes(
     )
 
 
-def time_averaged_magnitudes(
-    n: int, cfg: InteractionConfig, c: GupCoefficients
-) -> AveragedMagnitudes:
-    """Magnitudes of the long-time averages of the three amplitudes.
-
-    Averaging kills the oscillating exponential, leaving the 1/denominator
-    parts.  Only the GUP term of the co-rotating channel is reported
-    (m_plus1_t2); the leading sqrt(n+1) piece is ordinary photon emission.
-    """
-    _check_denominators(cfg.omega, cfg.omega0)
-    lam = cfg.coupling
-    w, w0 = cfg.omega, cfg.omega0
-    phi_mag = abs(c.phi)
-    return AveragedMagnitudes(
-        m_minus1=lam * math.sqrt(n) / (w + w0),
-        m_plus1_t2=lam * (n + 1) ** 1.5 * phi_mag / abs(w - w0),
-        m_plus2=lam * c.xi_mag * math.sqrt((n + 1) * (n + 2)) / abs(2.0 * w - w0),
-    )
-
-
 def _check_model(p: GupParams) -> float:
-    quad = 3.0 * p.delta**2 - 2.0 * p.epsilon
+    quad = quadratic_weight(p.delta, p.epsilon)
     if quad == 0.0:
         raise DegenerateModelError(
             "3*delta^2 = 2*epsilon: the quadratic channel vanishes and the "
@@ -288,12 +259,11 @@ def perturbation_cross_check(
     levels = np.arange(dim, dtype=float)
     h0_diag = np.concatenate([-0.5 * cfg.omega0 + cfg.omega * levels,
                               0.5 * cfg.omega0 + cfg.omega * levels])
-    h_int = build_full_interaction_hamiltonian(cfg, c, ncut).entries
-    h_total = np.diag(h0_diag).astype(complex) + h_int
+    h_total = np.diag(h0_diag).astype(complex) + build_full_interaction_hamiltonian(cfg, c, ncut)
 
     psi0 = np.zeros(2 * dim, dtype=complex)
     psi0[dim + n] = 1.0
-    psi_t = matrix_exponential_apply(h_total, t, psi0)
+    psi_t = evolve_on_grid(h_total, [t], psi0)[0]
 
     analytic = first_order_amplitudes(n, cfg, c, t)
     targets = {

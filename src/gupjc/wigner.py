@@ -61,12 +61,6 @@ class GridSpec:
             np.linspace(self.im_min, self.im_max, self.n_im),
         )
 
-    def refined(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(
-            self.re_min, self.re_max, self.im_min, self.im_max,
-            (self.n_re - 1) * factor + 1, (self.n_im - 1) * factor + 1,
-        )
-
 
 @dataclass(frozen=True)
 class WignerGrid:

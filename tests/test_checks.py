@@ -1,11 +1,22 @@
-"""The vectorized ``coefficient-identity`` check against the per-draw scalar
-loop it replaced, kept here as its oracle."""
+"""Checks of the verify registry against the code they replaced, kept here
+as oracles: the per-draw loop of ``coefficient-identity`` and the one-time
+eigh propagator behind ``block-propagator``, ``dyson-fidelity`` and
+``perturbation-scaling``."""
 
 import numpy as np
 import pytest
 
-from gupjc.checks import coefficient_identity
-from gupjc.gup import GupParams, derive_coefficients
+from gupjc.checks import _DYSON_CFG, _DYSON_COEFFS, _DYSON_T, coefficient_identity
+from gupjc.fock import coherent_state, evolve_on_grid
+from gupjc.gup import (
+    GupCoefficients,
+    GupParams,
+    InteractionConfig,
+    build_full_interaction_hamiltonian,
+    build_rwa_hamiltonian,
+    derive_coefficients,
+    rwa_block,
+)
 
 
 def per_draw_coefficient_identity(params, rng):
@@ -43,3 +54,31 @@ class _LowDraws:
 def test_no_resolved_draw_measures_zero():
     assert coefficient_identity({"draws": 5}, _LowDraws()) == 0.0
     assert per_draw_coefficient_identity({"draws": 5}, _LowDraws()) == 0.0
+
+
+def eigh_apply(h, t, psi):
+    """The one-time propagator exp(-i H t) psi that ``evolve_on_grid`` replaced."""
+    vals, vecs = np.linalg.eigh(h)
+    return vecs @ (np.exp(-1j * vals * t) * (vecs.conj().T @ psi))
+
+
+def _propagator_cases():
+    """(H/hbar, t, psi) as the checks evolve them."""
+    psi0 = np.concatenate([coherent_state(1.0, 18).amps, np.zeros(19, dtype=complex)])
+    for n in range(18):
+        yield rwa_block(n, _DYSON_CFG, _DYSON_COEFFS), _DYSON_T, psi0[[19 + n, n + 1]]
+    yield build_rwa_hamiltonian(_DYSON_CFG, _DYSON_COEFFS, 18), _DYSON_T, psi0
+    # perturbation-scaling: |e,2> under the free terms plus the full interaction
+    c = GupCoefficients(phi=1e-3, chi=0.0, beta=-5e-4, omega=50.0, xi_mag=2e-3)
+    levels = np.arange(11.0)
+    h0 = np.diag(np.concatenate([-15.0 + 50.0 * levels, 15.0 + 50.0 * levels]))
+    psi = np.zeros(22, dtype=complex)
+    psi[13] = 1.0
+    for lam in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
+        cfg = InteractionConfig(omega=50.0, omega0=30.0, coupling=lam)
+        yield h0 + build_full_interaction_hamiltonian(cfg, c, 10), 0.35, psi
+
+
+def test_one_time_evolution_equals_the_replaced_propagator_bitwise():
+    for h, t, psi in _propagator_cases():
+        assert np.array_equal(evolve_on_grid(h, [t], psi)[0], eigh_apply(h, t, psi))

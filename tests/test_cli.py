@@ -241,6 +241,29 @@ def test_verify_reports_failing_checks(tmp_path, capsys):
     assert captured.out.count("FAIL") == 2
 
 
+def test_verify_survives_a_reader_that_closes_stdout(tmp_path):
+    # like `gupjc verify | head -1`: the run goes on to write every artifact,
+    # and the report matches a run whose output is read to the end
+    env = dict(os.environ, PYTHONPATH=str(Path(gupjc.__file__).parents[1]))
+    args = [sys.executable, "-m", "gupjc.cli", "verify", "--set", "draws=500",
+            "--set", "grid_points=31"]
+    proc = subprocess.Popen([*args, "--out", str(tmp_path / "closed")], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(CHECKS[0].name.encode())
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert stderr == b""
+    read = subprocess.run([*args, "--out", str(tmp_path / "read")], env=env,
+                          capture_output=True, timeout=120)
+    assert read.returncode == 0
+    closed = tmp_path / "closed"
+    assert sorted(p.name for p in closed.iterdir()) == sorted(
+        p.name for p in (tmp_path / "read").iterdir())
+    assert databytes(closed) == databytes(tmp_path / "read")
+
+
 def test_importing_the_cli_loads_no_scipy():
     code = "import sys, gupjc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = dict(os.environ, PYTHONPATH=str(Path(gupjc.__file__).parents[1]))
@@ -295,6 +318,8 @@ def test_manifest_contents(tmp_path):
     ("zeta-maps", "omega_max=0", "omega_max must be a finite number > 0"),
     ("zeta-maps", "delta_min=-1", "delta_min must be a finite number > 0"),
     ("zeta-maps", "delta_max=0", "delta_max must be a finite number > 0"),
+    ("rabi", "omega=0", "omega must be a finite number > 0"),
+    ("wigner-diff", "omega=-1", "omega must be a finite number > 0"),
 ])
 def test_bad_grid_rejected_before_any_output(tmp_path, capsys, command, setting, name):
     out = tmp_path / "bad"

@@ -14,7 +14,7 @@ from gupjc.dispersive import (
     photon_added_decomposition,
 )
 from gupjc.errors import DispersiveRegimeError, LinearityError
-from gupjc.fock import coherent_state, hermiticity_residual, matrix_exponential_apply
+from gupjc.fock import coherent_state, evolve_on_grid, hermiticity_residual
 from gupjc.gup import (
     GupCoefficients,
     GupParams,
@@ -69,7 +69,7 @@ def test_taylor_time_bounds_at_stated_scales():
 def test_effective_hamiltonian_standard_limit():
     cfg = _dispersive_cfg()
     c = _phi_only(0.0)
-    h = build_effective_hamiltonian(cfg, c, 6).entries
+    h = build_effective_hamiltonian(cfg, c, 6)
     mu = cfg.mu
     n = np.arange(7)
     assert np.allclose(np.diag(h)[:7], -mu * n)
@@ -81,7 +81,7 @@ def test_effective_hamiltonian_eigenvalues_with_gup():
     cfg = _dispersive_cfg()
     phi = 1e-4
     c = _phi_only(phi)
-    h = build_effective_hamiltonian(cfg, c, 8).entries
+    h = build_effective_hamiltonian(cfg, c, 8)
     mu = cfg.mu
     for n in (0, 3, 7):
         assert h[n, n].real == pytest.approx(-mu * (n - 2 * n**2 * phi), rel=1e-12)
@@ -325,7 +325,7 @@ def test_interaction_picture_integrators_agree():
     psi0 = _coherent_with_atom("g")
     t = 0.8
     exact = interaction_picture_propagate(cfg, c, 18, t, psi0)
-    h = build_rwa_hamiltonian(cfg, c, 18).entries
+    h = build_rwa_hamiltonian(cfg, c, 18)
     stepped, local_err = interaction_picture_rk4(h, t, psi0)
     assert local_err < 1e-10
     assert np.max(np.abs(exact - stepped)) < 1e-9
@@ -337,7 +337,7 @@ def test_interaction_picture_integrators_agree():
 def test_block_propagator_matches_dense_lab_evolution(atom, t):
     cfg, c = _chi_config()
     psi0 = _coherent_with_atom(atom)
-    h = build_rwa_hamiltonian(cfg, c, 18).entries
-    dense = np.exp(1j * t * np.diag(h)) * matrix_exponential_apply(h, t, psi0)
+    h = build_rwa_hamiltonian(cfg, c, 18)
+    dense = np.exp(1j * t * np.diag(h)) * evolve_on_grid(h, [t], psi0)[0]
     blocks = interaction_picture_propagate(cfg, c, 18, t, psi0)
     assert np.max(np.abs(blocks - dense)) < 1e-10

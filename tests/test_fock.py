@@ -5,16 +5,12 @@ import pytest
 
 from gupjc.errors import NonHermitianError, TruncationError
 from gupjc.fock import (
-    AtomFieldState,
     FockVector,
-    OperatorMatrix,
     build_annihilation,
-    build_creation,
-    build_number,
     coherent_state,
+    evolve_on_grid,
     fock_state,
     laguerre,
-    matrix_exponential_apply,
     photon_added_coherent_state,
 )
 
@@ -37,8 +33,8 @@ def laguerre_by_summation(m, x):
 def test_annihilation_entries():
     a = build_annihilation(8)
     for n in range(1, 9):
-        assert a.entries[n - 1, n] == pytest.approx(math.sqrt(n), abs=0)
-    assert np.count_nonzero(a.entries) == 8
+        assert a[n - 1, n] == pytest.approx(math.sqrt(n), abs=0)
+    assert np.count_nonzero(a) == 8
 
 
 def test_annihilation_rejects_small_cutoff():
@@ -48,25 +44,20 @@ def test_annihilation_rejects_small_cutoff():
 
 def test_vacuum_annihilates_and_single_photon_lowers():
     a = build_annihilation(3)
-    assert np.allclose(a.apply(fock_state(0, 3).amps), 0.0)
-    lowered = a.apply(fock_state(1, 3).amps)
+    assert np.allclose(a @ fock_state(0, 3).amps, 0.0)
+    lowered = a @ fock_state(1, 3).amps
     assert np.allclose(lowered, fock_state(0, 3).amps)
 
 
 def test_number_operator_eigenvalue():
-    n_op = build_number(8)
+    a = build_annihilation(8)
     state = fock_state(5, 8).amps
-    assert np.vdot(state, n_op.apply(state)).real == pytest.approx(5.0, abs=1e-14)
-
-
-def test_creation_is_adjoint():
-    a = build_annihilation(6)
-    assert np.array_equal(build_creation(6).entries, a.entries.conj().T)
+    assert np.vdot(state, a.conj().T @ (a @ state)).real == pytest.approx(5.0, abs=1e-14)
 
 
 def test_ladder_commutator_interior_block():
     ncut = 12
-    a = build_annihilation(ncut).entries
+    a = build_annihilation(ncut)
     comm = a @ a.conj().T - a.conj().T @ a - np.eye(ncut + 1)
     assert np.max(np.abs(comm[: ncut - 1, : ncut - 1])) < 1e-12
     # the top corner deviates by construction of the truncation
@@ -75,18 +66,7 @@ def test_ladder_commutator_interior_block():
 
 def test_number_is_creation_times_annihilation():
     a = build_annihilation(7)
-    assert np.allclose(a.entries.conj().T @ a.entries, build_number(7).entries, atol=1e-14)
-
-
-def test_operator_matrix_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        OperatorMatrix(3, np.zeros((3, 3)))
-
-
-def test_operator_matrix_hermitian_flag():
-    bad = np.array([[0.0, 1.0], [0.5, 0.0]])
-    with pytest.raises(NonHermitianError):
-        OperatorMatrix(1, bad, hermitian=True)
+    assert np.allclose(a.conj().T @ a, np.diag(np.arange(8.0)), atol=1e-14)
 
 
 def test_coherent_vacuum_limit():
@@ -95,7 +75,7 @@ def test_coherent_vacuum_limit():
 
 def test_coherent_mean_photon_number():
     coh = coherent_state(1.0, 30)
-    assert coh.number_expectation() == pytest.approx(1.0, abs=1e-10)
+    assert np.sum(np.arange(31) * np.abs(coh.amps) ** 2) == pytest.approx(1.0, abs=1e-10)
     assert abs(coh.norm() - 1.0) < 1e-12
 
 
@@ -129,7 +109,7 @@ def test_photon_added_norm_against_brute_force():
     # brute-force norm of adag^2 |alpha> at a generous cutoff
     ncut = 60
     coh = coherent_state(1.0, ncut)
-    adag = build_creation(ncut).entries
+    adag = build_annihilation(ncut).conj().T
     raised = adag @ (adag @ coh.amps)
     assert np.vdot(raised, raised).real == pytest.approx(7.0, rel=1e-10)
     pacs = photon_added_coherent_state(1.0, 2, ncut)
@@ -166,14 +146,14 @@ def test_laguerre_recurrence_matches_summation():
 def test_exponential_zero_hamiltonian():
     h = np.zeros((4, 4))
     state = coherent_state(0.5, 3, tail_tol=1e-2).amps
-    assert np.allclose(matrix_exponential_apply(h, 2.3, state), state)
+    assert np.allclose(evolve_on_grid(h, [2.3], state)[0], state)
 
 
 def test_exponential_number_operator_periodic():
     ncut = 12
     state = coherent_state(0.5, ncut)
-    h = build_number(ncut).entries  # omega = 1
-    evolved = matrix_exponential_apply(h, 2.0 * math.pi, state.amps)
+    h = np.diag(np.arange(ncut + 1.0))  # the number operator, omega = 1
+    evolved = evolve_on_grid(h, [2.0 * math.pi], state.amps)[0]
     fidelity = abs(np.vdot(evolved, state.amps)) ** 2
     assert fidelity == pytest.approx(1.0, abs=1e-10)
 
@@ -185,45 +165,29 @@ def test_exponential_unitarity_random_hermitian():
         h = raw + raw.conj().T
         psi = rng.normal(size=9) + 1j * rng.normal(size=9)
         psi /= np.linalg.norm(psi)
-        evolved = matrix_exponential_apply(h, 0.73, psi)
-        assert abs(np.linalg.norm(evolved) - 1.0) < 1e-10
+        evolved = evolve_on_grid(h, [0.0, 0.73, 41.0], psi)
+        assert np.max(np.abs(np.linalg.norm(evolved, axis=1) - 1.0)) < 1e-10
 
 
 def test_exponential_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
-        matrix_exponential_apply(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, np.array([1.0, 0.0]))
+        evolve_on_grid(np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0], np.array([1.0, 0.0]))
 
 
 def test_standard_jcm_block_against_closed_form():
     # resonant JCM: evolution of |e,n> oscillates as cos / -i sin at rate sqrt(n+1)
     ncut, n, lam = 5, 2, 1.0
     dim = ncut + 1
-    a = build_annihilation(ncut).entries
+    a = build_annihilation(ncut)
     sp = np.array([[0, 0], [1, 0]], dtype=complex)
     h = lam * (np.kron(sp, a) + np.kron(sp, a).conj().T)
     psi0 = np.zeros(2 * dim, dtype=complex)
     psi0[dim + n] = 1.0
-    for t in np.linspace(0.0, 4.0, 9):
-        psi = matrix_exponential_apply(h, t, psi0)
+    ts = np.linspace(0.0, 4.0, 9)
+    for t, psi in zip(ts, evolve_on_grid(h, ts, psi0)):
         w = lam * math.sqrt(n + 1)
         assert psi[dim + n] == pytest.approx(math.cos(w * t), abs=1e-12)
         assert psi[n + 1] == pytest.approx(-1j * math.sin(w * t), abs=1e-12)
-
-
-def test_atom_field_roundtrip_and_guard():
-    ncut = 6
-    state = AtomFieldState(
-        ncut,
-        coherent_state(0.4, ncut, tail_tol=1e-4).amps / math.sqrt(2),
-        coherent_state(0.4, ncut, tail_tol=1e-4).amps / math.sqrt(2),
-    )
-    vec = state.to_vector()
-    back = AtomFieldState.from_vector(vec, ncut)
-    assert np.array_equal(back.amps_g, state.amps_g)
-    assert np.array_equal(back.amps_e, state.amps_e)
-    h = np.kron(np.eye(2), build_number(ncut).entries)
-    evolved = AtomFieldState.from_vector(matrix_exponential_apply(h, 0.9, vec), ncut)
-    assert abs(evolved.norm() - 1.0) < 1e-10
 
 
 def test_fock_vector_validation():

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from gupjc.constants import GAMMA_SI_DIVISOR, HBAR, PLANCK_LENGTH
-from gupjc.fock import SIGMA_3, field_identity, hermiticity_residual, tensor_with_atom
+from gupjc.fock import SIGMA_3, build_annihilation, hermiticity_residual, tensor_with_atom
 from gupjc.gup import (
     GupCoefficients,
     GupParams,
     InteractionConfig,
     build_full_interaction_hamiltonian,
-    build_modified_free_field,
     build_rwa_hamiltonian,
     derive_coefficients,
     length_scale_bounds,
@@ -143,17 +142,24 @@ def test_interaction_config():
         _config(detuning=0.0).mu
 
 
+def modified_free_field(c, omega, ncut):
+    """Oracle: the GUP-corrected free field H/hbar on the field space, diagonal
+    with entries omega*[(n + 1/2) - 4*(n^2 + n)*chi - beta]; the quadratic
+    channel compresses the level spacing, E_1 - E_0 = hbar*omega*(1 - 8*chi)."""
+    n = np.arange(ncut + 1, dtype=float)
+    return np.diag(omega * (n + 0.5 - 4.0 * (n**2 + n) * c.chi - c.beta)).astype(complex)
+
+
 def test_free_field_spectrum_without_gup():
     c = derive_coefficients(GupParams(0.0, 1.0, 1.0), 1e6)
-    h = build_modified_free_field(c, 1e6, 5)
-    assert np.allclose(np.diag(h.entries).real, 1e6 * (np.arange(6) + 0.5))
+    h = modified_free_field(c, 1e6, 5)
+    assert np.allclose(np.diag(h).real, 1e6 * (np.arange(6) + 0.5))
 
 
 def test_free_field_ground_level_and_spacing():
     omega = 1e6
     c = derive_coefficients(GupParams.from_gamma(900.0, 1.2, 0.3), omega)
-    h = build_modified_free_field(c, omega, 6)
-    diag = np.diag(h.entries).real
+    diag = np.diag(modified_free_field(c, omega, 6)).real
     assert diag[0] == pytest.approx(omega * (0.5 - c.beta), rel=1e-12)
     # level spacing compresses by 8*chi, equivalently phi + 2*beta
     assert diag[1] - diag[0] == pytest.approx(omega * (1.0 - 8 * c.chi), rel=1e-12)
@@ -164,7 +170,7 @@ def test_rwa_hamiltonian_reduces_to_standard_jcm():
     # modest omega keeps the block eigenvalue arithmetic at full precision
     cfg = _config(omega=10.0)
     c = derive_coefficients(GupParams(0.0, 1.0, 1.0), cfg.omega)
-    h = build_rwa_hamiltonian(cfg, c, 4).entries
+    h = build_rwa_hamiltonian(cfg, c, 4)
     dim = 5
     # resonant dressed-state splitting of the n-th block is +-coupling*sqrt(n+1)
     for n in range(3):
@@ -183,7 +189,7 @@ def test_rwa_coupling_element():
     cfg = _config()
     c = derive_coefficients(GupParams.from_gamma(700.0, 1.0, 0.6), cfg.omega)
     ncut = 6
-    h = build_rwa_hamiltonian(cfg, c, ncut).entries
+    h = build_rwa_hamiltonian(cfg, c, ncut)
     dim = ncut + 1
     for n in range(ncut):
         expected = cfg.coupling * math.sqrt(n + 1) * (1.0 - (n + 1) * c.phi)
@@ -197,7 +203,7 @@ def test_rwa_block_matches_dense_subblock():
     # chi*omega = 0.01, large enough for the 8(n+1)chi*omega splitting to show
     c = GupCoefficients(phi=2e-4, chi=1e-6, beta=(8e-6 - 2e-4) / 2.0, omega=cfg.omega)
     ncut = 6
-    h = build_rwa_hamiltonian(cfg, c, ncut).entries
+    h = build_rwa_hamiltonian(cfg, c, ncut)
     dim = ncut + 1
     for n in range(ncut):
         idx = [dim + n, n + 1]
@@ -209,7 +215,7 @@ def test_rwa_block_matches_dense_subblock():
 def test_rwa_diagonal_field_energy():
     cfg = _config()
     c = derive_coefficients(GupParams.from_gamma(700.0, 0.9, 1.1), cfg.omega)
-    h = build_rwa_hamiltonian(cfg, c, 5).entries
+    h = build_rwa_hamiltonian(cfg, c, 5)
     for n in range(6):
         expected = -0.5 * cfg.omega0 + cfg.omega * (n - 4 * (n**2 + n) * c.chi - c.beta)
         assert h[n, n].real == pytest.approx(expected, rel=1e-12)
@@ -219,7 +225,7 @@ def test_rwa_coupling_block_structure():
     cfg = _config()
     c = derive_coefficients(GupParams.from_gamma(10.0, 1.0, 1.0), cfg.omega)
     ncut = 5
-    h = build_rwa_hamiltonian(cfg, c, ncut).entries
+    h = build_rwa_hamiltonian(cfg, c, ncut)
     dim = ncut + 1
     coupling_block = h[:dim, dim:]
     # only |e,n> <-> |g,n+1> entries are allowed
@@ -231,8 +237,8 @@ def test_rwa_coupling_block_structure():
 
 def test_hamiltonians_linear_in_coupling():
     c = derive_coefficients(GupParams.from_gamma(5.0, 1.0, 1.0), 1e6)
-    h1 = build_rwa_hamiltonian(_config(coupling=1.0), c, 4).entries
-    h2 = build_rwa_hamiltonian(_config(coupling=2.0), c, 4).entries
+    h1 = build_rwa_hamiltonian(_config(coupling=1.0), c, 4)
+    h2 = build_rwa_hamiltonian(_config(coupling=2.0), c, 4)
     dim = 5
     assert np.allclose(h2[:dim, dim:], 2.0 * h1[:dim, dim:])
     assert np.allclose(np.diag(h2), np.diag(h1))
@@ -242,10 +248,8 @@ def test_full_interaction_standard_limit():
     cfg = _config()
     c = derive_coefficients(GupParams(0.0, 1.0, 1.0), cfg.omega)
     ncut = 5
-    h = build_full_interaction_hamiltonian(cfg, c, ncut).entries
-    from gupjc.fock import build_annihilation
-
-    a = build_annihilation(ncut).entries
+    h = build_full_interaction_hamiltonian(cfg, c, ncut)
+    a = build_annihilation(ncut)
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     expected = cfg.coupling * np.kron(sx, a + a.conj().T)
     assert np.allclose(h, expected, atol=1e-14)
@@ -255,7 +259,7 @@ def test_full_interaction_two_photon_element():
     cfg = _config()
     c = derive_coefficients(GupParams.from_gamma(300.0, 1.4, 0.8), cfg.omega)
     ncut = 7
-    h = build_full_interaction_hamiltonian(cfg, c, ncut).entries
+    h = build_full_interaction_hamiltonian(cfg, c, ncut)
     dim = ncut + 1
     for n in range(ncut - 1):
         # <g,n+2| H_I/hbar |e,n> = -coupling * xi * sqrt((n+1)(n+2))
@@ -271,7 +275,7 @@ def test_full_interaction_hermitian_random_draws():
         omega = float(rng.uniform(1e5, 1e16))
         cfg = InteractionConfig(omega=omega, omega0=omega * 1.3, coupling=float(rng.uniform(0, 5)))
         c = derive_coefficients(p, omega)
-        h = build_full_interaction_hamiltonian(cfg, c, 6).entries
+        h = build_full_interaction_hamiltonian(cfg, c, 6)
         assert hermiticity_residual(h) < 1e-12
 
 
@@ -282,20 +286,20 @@ def test_rwa_equals_full_with_blocks_zeroed():
     ncut = 8
     cfg = _config(omega=1e6, detuning=2e5, coupling=3.0)
     c = derive_coefficients(GupParams.from_gamma(800.0, 1.0, 0.7), cfg.omega)
-    h_int = build_full_interaction_hamiltonian(cfg, c, ncut).entries.copy()
+    h_int = build_full_interaction_hamiltonian(cfg, c, ncut)
     dim = ncut + 1
     for n_e in range(dim):
         for m_g in range(dim):
             if n_e != m_g - 1:  # keep only the co-rotating |e,n><g,n+1| channel
                 h_int[dim + n_e, m_g] = 0.0
                 h_int[m_g, dim + n_e] = 0.0
-    h_free = build_modified_free_field(c, cfg.omega, ncut).entries
+    h_free = modified_free_field(c, cfg.omega, ncut)
     h_total = (
-        tensor_with_atom(0.5 * cfg.omega0 * SIGMA_3, field_identity(ncut))
+        tensor_with_atom(0.5 * cfg.omega0 * SIGMA_3, np.eye(ncut + 1))
         + tensor_with_atom(np.eye(2), h_free)
         + h_int
     )
-    h_rwa = build_rwa_hamiltonian(cfg, c, ncut).entries
+    h_rwa = build_rwa_hamiltonian(cfg, c, ncut)
     diff = h_total - h_rwa
     assert np.allclose(diff, 0.5 * cfg.omega * np.eye(2 * dim), atol=1e-9)
 
@@ -307,8 +311,6 @@ def test_builders_enforce_minimum_cutoffs():
         build_rwa_hamiltonian(cfg, c, 1)
     with pytest.raises(ValueError):
         build_full_interaction_hamiltonian(cfg, c, 2)
-    with pytest.raises(ValueError):
-        build_modified_free_field(c, cfg.omega, 0)
 
 
 def test_synthetic_coefficients_keep_xi_convention():

@@ -9,7 +9,6 @@ from gupjc.rwa_validity import (
     ZetaMapSpec,
     first_order_amplitudes,
     perturbation_cross_check,
-    time_averaged_magnitudes,
     zeta_lq,
     zeta_lq_at,
     zeta_map,
@@ -67,28 +66,49 @@ def test_amplitudes_reject_resonances():
         first_order_amplitudes(1, InteractionConfig(10.0, 20.0, 1e-3), _coeffs(), 0.1)
 
 
+def time_averaged_magnitudes(n, cfg, c):
+    """Oracle: magnitudes (m_minus1, m_plus1_t2, m_plus2) of the long-time
+    averages of the three first-order amplitudes.
+
+    Averaging kills the oscillating exponentials, leaving the 1/denominator
+    parts.  Only the GUP term of the co-rotating channel is kept (m_plus1_t2);
+    the leading sqrt(n+1) piece is ordinary photon emission.
+    """
+    lam, w, w0 = cfg.coupling, cfg.omega, cfg.omega0
+    return (
+        lam * math.sqrt(n) / (w + w0),
+        lam * (n + 1) ** 1.5 * abs(c.phi) / abs(w - w0),
+        lam * c.xi_mag * math.sqrt((n + 1) * (n + 2)) / abs(2.0 * w - w0),
+    )
+
+
 def test_time_averaged_magnitudes_formulas():
+    # at omega = 50, omega0 = 30 the Bohr frequencies 80, 20 and 70 rad/s all
+    # complete whole cycles in 2 pi / 10 s, so the mean over 64 equal steps of
+    # that period is exactly the static part of each amplitude
     cfg = _cfg()
     c = _coeffs()
     n = 5
-    mags = time_averaged_magnitudes(n, cfg, c)
-    assert mags.m_minus1 == pytest.approx(
-        cfg.coupling * math.sqrt(n) / (cfg.omega + cfg.omega0), rel=1e-14
-    )
-    assert mags.m_plus1_t2 == pytest.approx(
-        cfg.coupling * (n + 1) ** 1.5 * c.phi / abs(cfg.omega - cfg.omega0), rel=1e-14
-    )
-    assert mags.m_plus2 == pytest.approx(
-        cfg.coupling * c.xi_mag * math.sqrt((n + 1) * (n + 2)) / abs(2 * cfg.omega - cfg.omega0),
-        rel=1e-14,
-    )
+    ts = np.arange(64) * (2.0 * math.pi / 10.0 / 64)
+
+    def averages(coeffs):
+        amps = [first_order_amplitudes(n, cfg, coeffs, float(t)) for t in ts]
+        return [np.mean([getattr(a, name) for a in amps])
+                for name in ("c_gn_minus1", "c_gn_plus1", "c_gn_plus2")]
+
+    minus1, plus1, plus2 = averages(c)
+    plus1_std = averages(_coeffs(phi=0.0))[1]
+    m_minus1, m_plus1_t2, m_plus2 = time_averaged_magnitudes(n, cfg, c)
+    assert abs(minus1) == pytest.approx(m_minus1, rel=1e-12)
+    assert abs(plus1 - plus1_std) == pytest.approx(m_plus1_t2, rel=1e-9)
+    assert abs(plus2) == pytest.approx(m_plus2, rel=1e-12)
 
 
 def test_time_averaged_gup_channels_vanish_without_gup():
     c0 = derive_coefficients(GupParams(0.0, 1.0, 1.0), 50.0)
-    mags = time_averaged_magnitudes(2, _cfg(), c0)
-    assert mags.m_plus1_t2 == 0.0 and mags.m_plus2 == 0.0
-    assert mags.m_minus1 > 0.0  # independent of every GUP parameter
+    m_minus1, m_plus1_t2, m_plus2 = time_averaged_magnitudes(2, _cfg(), c0)
+    assert m_plus1_t2 == 0.0 and m_plus2 == 0.0
+    assert m_minus1 > 0.0  # independent of every GUP parameter
 
 
 def test_zeta_spot_values_match_hand_arithmetic():
@@ -103,13 +123,9 @@ def test_zeta_matches_magnitude_ratios():
     cfg = InteractionConfig(omega=2e15, omega0=2e15 + 5e4, coupling=0.7)
     for params in (FIG_LQ, GupParams.from_gamma(20.0, 0.7, 0.2)):
         c = derive_coefficients(params, cfg.omega)
-        mags = time_averaged_magnitudes(50, cfg, c)
-        assert zeta_lq(50, cfg, params) == pytest.approx(
-            mags.m_plus2 / mags.m_plus1_t2, rel=1e-12
-        )
-        assert zeta_rq(50, cfg, params) == pytest.approx(
-            mags.m_minus1 / mags.m_plus1_t2, rel=1e-12
-        )
+        m_minus1, m_plus1_t2, m_plus2 = time_averaged_magnitudes(50, cfg, c)
+        assert zeta_lq(50, cfg, params) == pytest.approx(m_plus2 / m_plus1_t2, rel=1e-12)
+        assert zeta_rq(50, cfg, params) == pytest.approx(m_minus1 / m_plus1_t2, rel=1e-12)
 
 
 def test_zeta_scaling_in_gamma():
@@ -143,6 +159,21 @@ def test_zeta_guards():
         zeta_lq(50, cfg, GupParams.from_gamma(0.0, 1.0, 1.0))
     with pytest.raises(SingularDenominatorError):
         zeta_lq(50, InteractionConfig(1e16, 2e16, 1.0), FIG_LQ)
+
+
+def test_degenerate_guard_judges_the_model_as_phi_does():
+    # 3 delta^2 - 2 epsilon is exactly 0 with delta^2 as the product
+    # delta*delta, which phi uses, but 8.9e-16 with libm pow()'s delta**2,
+    # one ulp off the product at this delta
+    delta, epsilon = 1.5241554154166315, 3.4845745955157663
+    assert delta**2 != delta * delta
+    params = GupParams.from_gamma(0.5, delta, epsilon)
+    assert derive_coefficients(params, 1e16).phi == 0.0
+    cfg = InteractionConfig(omega=1e16, omega0=1e16 + 1e4, coupling=1.0)
+    with pytest.raises(DegenerateModelError):
+        zeta_lq(50, cfg, params)
+    with pytest.raises(DegenerateModelError):
+        zeta_rq(50, cfg, params)
 
 
 def test_zeta_signed_variant():

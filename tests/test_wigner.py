@@ -305,6 +305,12 @@ def test_difference_linear_in_time():
     assert vals[1] / vals[0] == pytest.approx(2.0, rel=0.1)
 
 
+def refined(spec):
+    """``spec`` with each cell halved along both axes."""
+    return GridSpec(spec.re_min, spec.re_max, spec.im_min, spec.im_max,
+                    2 * spec.n_re - 1, 2 * spec.n_im - 1)
+
+
 def test_difference_extrema_stable_under_refinement():
     # the signed lobes keep their positions within one coarse cell when the
     # grid is refined; the two lobes are nearly degenerate in |value|, so the
@@ -312,7 +318,7 @@ def test_difference_extrema_stable_under_refinement():
     field, reference = _benchmark_state()
     coarse_spec = GridSpec(-4.0, 4.0, -4.0, 4.0, 101, 101)
     coarse = wigner_difference(field, reference, coarse_spec)
-    fine = wigner_difference(field, reference, coarse_spec.refined())
+    fine = wigner_difference(field, reference, refined(coarse_spec))
     cell = 8.0 / 100.0
 
     def extremum(grid_values, axes, pick):
@@ -410,8 +416,8 @@ def test_grid_spec_and_wigner_grid_helpers():
     spec = GridSpec(-2.0, 2.0, -1.0, 1.0, 5, 3)
     re_axis, im_axis = spec.axes()
     assert re_axis.shape == (5,) and im_axis.shape == (3,)
-    refined = spec.refined()
-    assert refined.n_re == 9 and refined.n_im == 5
+    fine = refined(spec)
+    assert fine.n_re == 9 and fine.n_im == 5
     values = np.zeros((3, 5))
     values[1, 2] = -0.5
     grid = WignerGrid(re_axis, im_axis, values)
