@@ -26,7 +26,6 @@ from .errors import (
     TruncationError,
 )
 from .fock import (
-    AtomFieldState,
     FockVector,
     build_annihilation,
     coherent_state,
@@ -59,7 +58,6 @@ from .dispersive import (
     PhotonAddedDecomposition,
     build_effective_hamiltonian,
     commutator_check,
-    decomposition_field_state,
     dyson_consistency_check,
     evolve_dispersive_exact,
     photon_added_decomposition,

@@ -24,7 +24,6 @@ from .constants import GAMMA_SI_DIVISOR
 from .dispersive import (
     DispersiveConfig,
     commutator_check,
-    decomposition_field_state,
     dyson_consistency_check,
     evolve_dispersive_exact,
     interaction_picture_propagate,
@@ -144,12 +143,13 @@ def commutator_scaling(params: dict, rng: np.random.Generator) -> float:
 
 
 def dispersive_resummation(params: dict, rng: np.random.Generator) -> float:
-    """Infidelity of phi = 0 dispersive evolution against the rotated coherent
-    state."""
+    """Largest amplitude gap between phi = 0 dispersive evolution and the
+    coherent state at the decomposition's rotated amplitude beta.  An
+    infidelity would be quadratic in that gap, and read 0 for a small one."""
     d = DispersiveConfig(mu=1e5, phi=0.0, alpha=1.0, t=1e3, ncut=30)
     state = evolve_dispersive_exact(d, "g")
-    target = coherent_state(np.exp(1j * d.mu * d.t), d.ncut)
-    return 1.0 - abs(np.vdot(state.amps_g, target.amps)) ** 2
+    target = coherent_state(photon_added_decomposition(d, "g").beta, d.ncut)
+    return float(np.max(np.abs(state.amps - target.amps)))
 
 
 def _fig1_dispersive() -> DispersiveConfig:
@@ -179,8 +179,8 @@ def photon_added_overlap(params: dict, rng: np.random.Generator) -> float:
     the terms the decomposition drops."""
     d = _fig1_dispersive()
     exact = evolve_dispersive_exact(d, "g")
-    approx = decomposition_field_state(d, photon_added_decomposition(d, "g"), "g")
-    overlap = abs(np.vdot(exact.amps_g, approx.amps)) ** 2
+    approx = photon_added_decomposition(d, "g").state
+    overlap = abs(np.vdot(exact.amps, approx.amps)) ** 2
     n4 = 15.0  # coherent <n^4> at |alpha| = 1
     return (1.0 - overlap) / ((2.0 * d.phi * d.mu * d.t) ** 2 * n4)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -39,7 +40,6 @@ from .checks import CHECKS
 from .constants import C_LIGHT, GAMMA_SI_DIVISOR, HBAR, PLANCK_LENGTH, PLANCK_MASS
 from .dispersive import (
     DispersiveConfig,
-    decomposition_field_state,
     evolve_dispersive_exact,
     photon_added_decomposition,
 )
@@ -117,10 +117,18 @@ INT_MINIMUMS: dict[str, int] = {
     "ncut": 1,
 }
 
-# Float parameters that must be > 0, whichever command has them.
+# Parameters whose default is a float, whichever command has them: each must
+# be given as a number.
+FLOAT_PARAMS = frozenset(
+    key for defaults in DEFAULTS.values() for key, value in defaults.items()
+    if isinstance(value, float)
+)
+
+# Float parameters that must be > 0, whichever command has them.  omega0 may
+# also be None, its default, which means "equal to omega".
 POSITIVE_FLOATS = (
-    "grid_extent", "periods", "coupling", "t", "omega", "omega_min", "omega_max", "delta_min",
-    "delta_max",
+    "grid_extent", "periods", "coupling", "t", "omega", "omega0", "omega_min", "omega_max",
+    "delta_min", "delta_max",
 )
 
 
@@ -171,9 +179,11 @@ def resolve_config(command: str, args) -> dict:
 
 
 def _check_params(params: dict) -> None:
-    """Reject counts, extents and non-finite floats that would crash a command
-    or yield an empty or misleading artifact."""
+    """Reject counts, extents, non-numbers and non-finite floats that would
+    crash a command or yield an empty or misleading artifact."""
     for key, value in params.items():
+        if key in FLOAT_PARAMS and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ValueError(f"{key} must be a number, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value!r}")
     for key, minimum in INT_MINIMUMS.items():
@@ -183,7 +193,7 @@ def _check_params(params: dict) -> None:
         if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
             raise ValueError(f"{key} must be an integer >= {minimum}, got {value!r}")
     for key in POSITIVE_FLOATS:
-        if key not in params:
+        if params.get(key) is None:
             continue
         value = params[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
@@ -269,17 +279,15 @@ def _alpha(params: dict) -> complex:
     return complex(params["alpha_re"], params["alpha_im"])
 
 
-def _dispersive_inputs(params: dict):
+def _dispersive_inputs(params: dict) -> DispersiveConfig:
     p = GupParams.from_gamma(params["gamma"], params["delta"], params["epsilon"])
-    c = derive_coefficients(p, params["omega"])
-    d = DispersiveConfig(
+    return DispersiveConfig(
         mu=params["mu"],
-        phi=c.phi,
+        phi=derive_coefficients(p, params["omega"]).phi,
         alpha=_alpha(params),
         t=params["t"],
         ncut=int(params["ncut"]),
     )
-    return p, c, d
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +325,20 @@ def cmd_rabi(params: dict, out_dir: Path, seed: int) -> list[Path]:
 
 
 def cmd_dispersive(params: dict, out_dir: Path, seed: int) -> list[Path]:
-    _, c, d = _dispersive_inputs(params)
+    d = _dispersive_inputs(params)
     atom = params["initial_atom"]
 
-    exact = evolve_dispersive_exact(d, atom)
+    # H_eff keeps the atom in its level, so the other level's columns are zero
+    field = evolve_dispersive_exact(d, atom).amps
+    zeros = np.zeros_like(field)
+    ground, excited = (field, zeros) if atom == "g" else (zeros, field)
     state_path = out_dir / "exact_state.csv"
     write_csv(
         state_path,
         ["n", "g_re", "g_im", "e_re", "e_im"],
         (
             [n, amp_g.real, amp_g.imag, amp_e.real, amp_e.imag]
-            for n, (amp_g, amp_e) in enumerate(zip(exact.amps_g, exact.amps_e))
+            for n, (amp_g, amp_e) in enumerate(zip(ground, excited))
         ),
     )
 
@@ -354,12 +365,10 @@ def cmd_dispersive(params: dict, out_dir: Path, seed: int) -> list[Path]:
     ts = np.linspace(0.0, d.t, int(params["fidelity_points"]) + 1)[1:]
     fid_rows = []
     for t in ts:
-        dt = DispersiveConfig(mu=d.mu, phi=d.phi, alpha=d.alpha, t=float(t), ncut=d.ncut)
-        ex = evolve_dispersive_exact(dt, atom)
-        field = ex.amps_g if atom == "g" else ex.amps_e
-        dec_t = photon_added_decomposition(dt, atom)
-        approx = decomposition_field_state(dt, dec_t, atom)
-        overlap = abs(np.vdot(field, approx.amps)) ** 2
+        dt = dataclasses.replace(d, t=float(t))
+        exact = evolve_dispersive_exact(dt, atom)
+        approx = photon_added_decomposition(dt, atom).state
+        overlap = abs(np.vdot(exact.amps, approx.amps)) ** 2
         fid_rows.append([float(t), float(overlap)])
     fid_path = out_dir / "fidelity_vs_t.csv"
     write_csv(fid_path, ["t", "overlap_sq"], fid_rows)
@@ -367,17 +376,13 @@ def cmd_dispersive(params: dict, out_dir: Path, seed: int) -> list[Path]:
 
 
 def cmd_wigner_diff(params: dict, out_dir: Path, seed: int) -> list[Path]:
-    _, c, d = _dispersive_inputs(params)
-    atom = params["initial_atom"]
-    dec = photon_added_decomposition(d, atom)
-    field = decomposition_field_state(d, dec, atom)
-    rot = np.exp(1j * d.mu * d.t)
-    reference = complex(d.alpha) * (rot if atom == "g" else np.conj(rot))
+    d = _dispersive_inputs(params)
+    dec = photon_added_decomposition(d, params["initial_atom"])
 
     extent = params["grid_extent"]
     grid = GridSpec(-extent, extent, -extent, extent, int(params["grid_points"]),
                     int(params["grid_points"]))
-    diff = wigner_difference(field, reference, grid)
+    diff = wigner_difference(dec.state, dec.beta, grid)
 
     csv_path = out_dir / "delta_w.csv"
     json_path = out_dir / "delta_w.json"

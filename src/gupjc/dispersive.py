@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import DispersiveRegimeError, LinearityError
 from .fock import (
-    AtomFieldState,
     FockVector,
     coherent_state,
     evolve_on_grid,
@@ -80,18 +79,20 @@ class DispersiveConfig:
 
 @dataclass(frozen=True)
 class PhotonAddedDecomposition:
-    """Coefficients of the first-order state over the photon-added family.
+    """The first-order state and its coefficients over the photon-added family.
 
-    The state is base_amp*|coh> + pacs1_amp*|coh,1> + pacs2_amp*|coh,2> where
-    |coh,m> are unit-norm m-photon-added coherent states at the rotated
-    amplitude, and ``normalization`` is the norm the raw first-order
-    superposition had before dividing out.
+    ``state`` is the unit-norm field base_amp*|coh> + pacs1_amp*|coh,1> +
+    pacs2_amp*|coh,2>, where |coh,m> are unit-norm m-photon-added coherent
+    states at the rotated amplitude ``beta``, and ``normalization`` is the
+    norm the raw first-order superposition had before dividing out.
     """
 
     base_amp: complex
     pacs1_amp: complex
     pacs2_amp: complex
     normalization: float
+    beta: complex
+    state: FockVector
 
 
 @dataclass(frozen=True)
@@ -160,17 +161,18 @@ def commutator_check(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> f
     return float(np.max(np.abs(diff)))
 
 
-def evolve_dispersive_exact(d: DispersiveConfig, initial_atom: str = "g") -> AtomFieldState:
-    """Exact dispersive evolution of |atom> |alpha>: per-level phases, no expansion."""
+def evolve_dispersive_exact(d: DispersiveConfig, initial_atom: str = "g") -> FockVector:
+    """Exact dispersive evolution of |atom> |alpha>: per-level phases, no expansion.
+
+    H_eff is diagonal, so the atom stays in ``initial_atom``; the result is
+    the field state of that level.
+    """
     coh = coherent_state(d.alpha, d.ncut)
     g_diag, e_diag = _effective_diagonals(d.mu, d.phi, d.ncut)
-    zeros = np.zeros(d.ncut + 1, dtype=complex)
     if initial_atom == "g":
-        amps = coh.amps * np.exp(-1j * g_diag * d.t)
-        return AtomFieldState(d.ncut, amps, zeros)
+        return FockVector(d.ncut, coh.amps * np.exp(-1j * g_diag * d.t))
     if initial_atom == "e":
-        amps = coh.amps * np.exp(-1j * e_diag * d.t)
-        return AtomFieldState(d.ncut, zeros, amps)
+        return FockVector(d.ncut, coh.amps * np.exp(-1j * e_diag * d.t))
     raise ValueError("initial_atom must be 'g' or 'e'")
 
 
@@ -214,31 +216,13 @@ def photon_added_decomposition(
         beta = alpha * np.conj(rot)
     else:
         raise ValueError("initial_atom must be 'g' or 'e'")
-    assembled = _assemble_field(beta, (u_base, u1, u2), d.ncut)
-    norm = float(np.linalg.norm(assembled))
-    return PhotonAddedDecomposition(
-        base_amp=complex(u_base) / norm,
-        pacs1_amp=complex(u1) / norm,
-        pacs2_amp=complex(u2) / norm,
-        normalization=norm,
-    )
-
-
-def _assemble_field(beta: complex, coeffs: tuple, ncut: int) -> np.ndarray:
-    base = coherent_state(beta, ncut)
-    pacs1 = photon_added_coherent_state(beta, 1, ncut)
-    pacs2 = photon_added_coherent_state(beta, 2, ncut)
-    return coeffs[0] * base.amps + coeffs[1] * pacs1.amps + coeffs[2] * pacs2.amps
-
-
-def decomposition_field_state(
-    d: DispersiveConfig, dec: PhotonAddedDecomposition, initial_atom: str = "g"
-) -> FockVector:
-    """Field part of the decomposed state as a unit-norm vector."""
-    rot = np.exp(1j * d.mu * d.t)
-    beta = complex(d.alpha) * (rot if initial_atom == "g" else np.conj(rot))
-    amps = _assemble_field(beta, (dec.base_amp, dec.pacs1_amp, dec.pacs2_amp), d.ncut)
-    return FockVector(d.ncut, amps)
+    base = coherent_state(beta, d.ncut).amps
+    pacs1 = photon_added_coherent_state(beta, 1, d.ncut).amps
+    pacs2 = photon_added_coherent_state(beta, 2, d.ncut).amps
+    norm = float(np.linalg.norm(u_base * base + u1 * pacs1 + u2 * pacs2))
+    base_amp, pacs1_amp, pacs2_amp = complex(u_base) / norm, complex(u1) / norm, complex(u2) / norm
+    state = FockVector(d.ncut, base_amp * base + pacs1_amp * pacs1 + pacs2_amp * pacs2)
+    return PhotonAddedDecomposition(base_amp, pacs1_amp, pacs2_amp, norm, complex(beta), state)
 
 
 def interaction_picture_propagate(

@@ -51,25 +51,6 @@ class FockVector:
         return float(np.linalg.norm(self.amps))
 
 
-@dataclass(frozen=True)
-class AtomFieldState:
-    """Joint state of the two-level atom and the truncated field mode."""
-
-    ncut: int
-    amps_g: np.ndarray
-    amps_e: np.ndarray
-
-    def __post_init__(self):
-        for name in ("amps_g", "amps_e"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            if arr.shape != (self.ncut + 1,):
-                raise ValueError(f"{name} must have length ncut+1 = {self.ncut + 1}")
-            object.__setattr__(self, name, arr)
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amps_g) ** 2) + np.sum(np.abs(self.amps_e) ** 2)))
-
-
 def hermiticity_residual(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T)))
 
@@ -82,7 +63,7 @@ def build_annihilation(ncut: int) -> np.ndarray:
 
 
 def tensor_with_atom(atom_op: np.ndarray, field_op: np.ndarray) -> np.ndarray:
-    """Kronecker product in the (atom, field) ordering used by AtomFieldState."""
+    """Kronecker product in the (atom, field) ordering: ground block, then excited."""
     return np.kron(np.asarray(atom_op, dtype=complex), np.asarray(field_op, dtype=complex))
 
 
@@ -98,13 +79,20 @@ def coherent_state(alpha: complex, ncut: int, tail_tol: float = 1e-12) -> FockVe
     """Coherent state truncated at ncut and renormalized.
 
     Amplitudes follow exp(-|alpha|^2/2) * alpha^n / sqrt(n!).  Raises
-    TruncationError when the discarded tail probability reaches ``tail_tol``.
+    TruncationError when the discarded tail probability reaches ``tail_tol``,
+    and ValueError for |alpha| beyond about 38.6, where exp(-|alpha|^2/2)
+    underflows to 0 and no cutoff can help.
     """
     if ncut < 1:
         raise ValueError("ncut must be at least 1")
     alpha = complex(alpha)
     amps = np.empty(ncut + 1, dtype=complex)
     amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    if amps[0] == 0.0:
+        raise ValueError(
+            f"|alpha| = {abs(alpha):.6g}: the vacuum amplitude exp(-|alpha|^2/2) "
+            "underflows to 0 in double precision"
+        )
     for n in range(ncut):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
     kept = float(np.sum(np.abs(amps) ** 2))

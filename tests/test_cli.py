@@ -11,6 +11,8 @@ import pytest
 import gupjc
 from gupjc.checks import CHECKS
 from gupjc.cli import DEFAULTS, PRESETS, build_parser, main, resolve_config
+from gupjc.dispersive import DispersiveConfig, evolve_dispersive_exact
+from gupjc.gup import GupParams, derive_coefficients
 
 
 def run_cli(args):
@@ -91,6 +93,20 @@ def test_dispersive_benchmark_preset(tmp_path):
     state_rows = read_rows(out / "exact_state.csv")
     norm = sum(float(r["g_re"]) ** 2 + float(r["g_im"]) ** 2 for r in state_rows)
     assert norm == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("atom, other", [("g", "e"), ("e", "g")])
+def test_dispersive_exact_state_fills_the_initial_level_only(tmp_path, atom, other):
+    out = tmp_path / atom
+    assert run_cli(["dispersive", "--out", str(out), "--preset", "fig1",
+                    "--set", f'initial_atom="{atom}"', "--set", "fidelity_points=1"]) == 0
+    c = derive_coefficients(GupParams.from_gamma(1e3, 1.0, 1.0), 1e15)
+    d = DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=1e3, ncut=40)
+    field = evolve_dispersive_exact(d, atom).amps
+    rows = read_rows(out / "exact_state.csv")
+    assert [int(r["n"]) for r in rows] == list(range(41))
+    assert all(r[f"{other}_re"] == r[f"{other}_im"] == "0.0" for r in rows)
+    assert [complex(float(r[f"{atom}_re"]), float(r[f"{atom}_im"])) for r in rows] == list(field)
 
 
 def test_dispersive_time_past_bound_exits_cleanly(tmp_path, capsys):
@@ -320,6 +336,15 @@ def test_manifest_contents(tmp_path):
     ("zeta-maps", "delta_max=0", "delta_max must be a finite number > 0"),
     ("rabi", "omega=0", "omega must be a finite number > 0"),
     ("wigner-diff", "omega=-1", "omega must be a finite number > 0"),
+    ("zeta-maps", 'gamma="x"', "gamma must be a number, got 'x'"),
+    ("rabi", 'omega0="x"', "omega0 must be a finite number > 0, got 'x'"),
+    ("rabi", 'delta="x"', "delta must be a number, got 'x'"),
+    ("wigner-diff", 'alpha_im="1"', "alpha_im must be a number, got '1'"),
+    ("wigner-diff", "gamma=null", "gamma must be a number, got None"),
+    ("dispersive", "epsilon=[1]", "epsilon must be a number, got [1]"),
+    ("rabi", "gamma=true", "gamma must be a number, got True"),
+    ("rabi", "omega0=0", "omega0 must be"),
+    ("dispersive", "alpha_re=40", "|alpha| = 40: the vacuum amplitude"),
 ])
 def test_bad_grid_rejected_before_any_output(tmp_path, capsys, command, setting, name):
     out = tmp_path / "bad"

@@ -1,3 +1,5 @@
+import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +9,18 @@ from gupjc.dispersive import (
     DispersiveConfig,
     build_effective_hamiltonian,
     commutator_check,
-    decomposition_field_state,
     dyson_consistency_check,
     evolve_dispersive_exact,
     interaction_picture_propagate,
     photon_added_decomposition,
 )
 from gupjc.errors import DispersiveRegimeError, LinearityError
-from gupjc.fock import coherent_state, evolve_on_grid, hermiticity_residual
+from gupjc.fock import (
+    coherent_state,
+    evolve_on_grid,
+    hermiticity_residual,
+    photon_added_coherent_state,
+)
 from gupjc.gup import (
     GupCoefficients,
     GupParams,
@@ -127,11 +133,11 @@ def test_commutator_residual_quadratic_in_phi():
 
 def test_exact_evolution_is_rotated_coherent_when_phi_zero():
     d = DispersiveConfig(mu=1e5, phi=0.0, alpha=1.0, t=1e3, ncut=30)
-    state = evolve_dispersive_exact(d, "g")
-    target = coherent_state(1.0 * np.exp(1j * d.mu * d.t), 30)
-    infidelity = 1.0 - abs(np.vdot(state.amps_g, target.amps)) ** 2
-    assert infidelity < 1e-10
-    assert np.allclose(state.amps_e, 0.0)
+    for atom, sign in (("g", 1), ("e", -1)):
+        state = evolve_dispersive_exact(d, atom)
+        target = coherent_state(1.0 * np.exp(sign * 1j * d.mu * d.t), 30)
+        infidelity = 1.0 - abs(np.vdot(state.amps, target.amps)) ** 2
+        assert infidelity < 1e-10
 
 
 def test_exact_evolution_identity_at_t_zero():
@@ -139,7 +145,7 @@ def test_exact_evolution_identity_at_t_zero():
     d0 = DispersiveConfig(mu=d.mu, phi=d.phi, alpha=d.alpha, t=0.0, ncut=d.ncut)
     state = evolve_dispersive_exact(d0, "e")
     coh = coherent_state(d.alpha, d.ncut)
-    assert np.allclose(state.amps_e, coh.amps)
+    assert np.allclose(state.amps, coh.amps)
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -187,9 +193,27 @@ def test_decomposition_rejects_long_times():
 def test_decomposition_state_is_normalized():
     _, d = bench_config()
     for atom in ("g", "e"):
-        dec = photon_added_decomposition(d, atom)
-        state = decomposition_field_state(d, dec, atom)
+        state = photon_added_decomposition(d, atom).state
         assert state.norm() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("atom", ["g", "e"])
+def test_decomposition_state_is_its_amplitudes_over_the_basis_at_beta(atom):
+    _, d = bench_config()
+    dec = photon_added_decomposition(d, atom)
+    expected = (dec.base_amp * coherent_state(dec.beta, d.ncut).amps
+                + dec.pacs1_amp * photon_added_coherent_state(dec.beta, 1, d.ncut).amps
+                + dec.pacs2_amp * photon_added_coherent_state(dec.beta, 2, d.ncut).amps)
+    assert np.array_equal(dec.state.amps, expected)
+
+
+@pytest.mark.parametrize("atom, sign", [("g", 1), ("e", -1)])
+def test_decomposition_beta_is_alpha_rotated_by_mu_t(atom, sign):
+    # a complex alpha, so that beta must carry its phase too
+    _, d = bench_config()
+    d = dataclasses.replace(d, alpha=0.6 + 0.8j)
+    beta = photon_added_decomposition(d, atom).beta
+    assert abs(beta - d.alpha * cmath.exp(sign * 1j * d.mu * d.t)) < 1e-15
 
 
 def test_decomposition_matches_exact_evolution():
@@ -199,10 +223,8 @@ def test_decomposition_matches_exact_evolution():
     n4 = 15.0
     for atom in ("g", "e"):
         exact = evolve_dispersive_exact(d, atom)
-        field = exact.amps_g if atom == "g" else exact.amps_e
-        dec = photon_added_decomposition(d, atom)
-        approx = decomposition_field_state(d, dec, atom)
-        overlap = abs(np.vdot(field, approx.amps)) ** 2
+        approx = photon_added_decomposition(d, atom).state
+        overlap = abs(np.vdot(exact.amps, approx.amps)) ** 2
         assert overlap >= 1.0 - 10.0 * (2.0 * c.phi * d.mu * d.t) ** 2 * n4
 
 
@@ -215,9 +237,8 @@ def test_decomposition_fidelity_remainder_scaling():
     for phi in (4e-12, 2e-12):
         dp = DispersiveConfig(mu=d.mu, phi=phi, alpha=d.alpha, t=d.t, ncut=d.ncut)
         exact = evolve_dispersive_exact(dp, "g")
-        dec = photon_added_decomposition(dp, "g")
-        approx = decomposition_field_state(dp, dec, "g")
-        defects.append(1.0 - abs(np.vdot(exact.amps_g, approx.amps)) ** 2)
+        approx = photon_added_decomposition(dp, "g").state
+        defects.append(1.0 - abs(np.vdot(exact.amps, approx.amps)) ** 2)
     assert defects[0] / defects[1] == pytest.approx(16.0, rel=0.05)
     s = 2.0 * 4e-12 * d.mu * d.t
     n8, n4 = 4140.0, 15.0  # coherent moments at |alpha| = 1

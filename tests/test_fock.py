@@ -89,6 +89,19 @@ def test_coherent_truncation_error():
         coherent_state(3.0, 8)
 
 
+def test_coherent_underflow_is_named_as_the_cause():
+    # past |alpha| ~ 38.6 exp(-|alpha|^2/2) is 0 and no cutoff can help
+    with pytest.raises(ValueError, match=r"\|alpha\| = 39: .* underflows to 0"):
+        coherent_state(39.0, 4000)
+    # at 38.5 it is subnormal, and the state still matches its log-space form
+    n = np.arange(4001)
+    log_amps = -0.5 * 38.5**2 + n * math.log(38.5) - 0.5 * np.array(
+        [math.lgamma(k + 1.0) for k in n])
+    reference = np.exp(log_amps)
+    reference /= np.linalg.norm(reference)
+    assert np.max(np.abs(coherent_state(38.5, 4000).amps - reference)) < 1e-12
+
+
 def test_coherent_reports_tail_weight():
     coh = coherent_state(1.5, 20, tail_tol=1e-6)
     assert 0.0 < coh.tail_weight < 1e-6
