@@ -47,7 +47,7 @@ from .gup import (
     quadratic_coefficients,
 )
 from .rwa_validity import perturbation_cross_check, zeta_lq, zeta_lq_at, zeta_rq, zeta_rq_at
-from .wigner import TWO_OVER_PI, GridSpec, wigner_of_state
+from .wigner import TWO_OVER_PI, GridSpec, wigner_maps, wigner_of_state
 
 
 @dataclass(frozen=True)
@@ -196,29 +196,30 @@ def _grid(params: dict) -> GridSpec:
     return GridSpec(-4.0, 4.0, -4.0, 4.0, n, n)
 
 
-def _fock_maps(grid: GridSpec):
-    """Maps of |0>..|5>, each with its closed form."""
-    re_axis, im_axis = grid.axes()
+def _fock_states() -> list:
+    """|0>..|5>, each at its own cutoff."""
+    return [fock_state(n, max(n, 1)) for n in range(6)]
+
+
+def _fock_closed_forms(re_axis: np.ndarray, im_axis: np.ndarray) -> list[np.ndarray]:
     r2 = np.abs(re_axis[None, :] + 1j * im_axis[:, None]) ** 2
-    return [
-        (wigner_of_state(fock_state(n, max(n, 1)), grid),
-         TWO_OVER_PI * (-1.0) ** n * laguerre(n, 4.0 * r2) * np.exp(-2.0 * r2))
-        for n in range(6)
-    ]
+    return [TWO_OVER_PI * (-1.0) ** n * laguerre(n, 4.0 * r2) * np.exp(-2.0 * r2)
+            for n in range(6)]
 
 
-def _photon_added_map(grid: GridSpec):
-    return wigner_of_state(photon_added_coherent_state(1.0, 1, _WIGNER_NCUT), grid)
+def _photon_added_state():
+    return photon_added_coherent_state(1.0, 1, _WIGNER_NCUT)
 
 
 def wigner_pointwise(params: dict, rng: np.random.Generator) -> float:
     """Worst pointwise error of the Wigner maps of |alpha = 1> and |0>..|5>
     against their closed forms, on the grid_points grid over [-4, 4]^2."""
-    grid = _grid(params)
-    w = wigner_of_state(coherent_state(1.0, _WIGNER_NCUT), grid)
-    zz = w.re_axis[None, :] + 1j * w.im_axis[:, None]
-    maps = [(w, TWO_OVER_PI * np.exp(-2.0 * np.abs(zz - 1.0) ** 2)), *_fock_maps(grid)]
-    return max(float(np.max(np.abs(w.values - exact))) for w, exact in maps)
+    maps = wigner_maps([coherent_state(1.0, _WIGNER_NCUT), *_fock_states()], _grid(params))
+    re_axis, im_axis = maps[0].re_axis, maps[0].im_axis
+    zz = re_axis[None, :] + 1j * im_axis[:, None]
+    exact = [TWO_OVER_PI * np.exp(-2.0 * np.abs(zz - 1.0) ** 2),
+             *_fock_closed_forms(re_axis, im_axis)]
+    return max(float(np.max(np.abs(w.values - e))) for w, e in zip(maps, exact))
 
 
 def wigner_integral(params: dict, rng: np.random.Generator) -> float:
@@ -226,15 +227,14 @@ def wigner_integral(params: dict, rng: np.random.Generator) -> float:
     photon-added coherent state.  The coherent map is left out: within the
     pointwise tolerance of its Gaussian at every grid point, its integral is
     within 1e-6 of the Gaussian's, which is 1."""
-    grid = _grid(params)
-    maps = [w for w, _ in _fock_maps(grid)] + [_photon_added_map(grid)]
+    maps = wigner_maps([*_fock_states(), _photon_added_state()], _grid(params))
     return max(abs(w.integral() - 1.0) for w in maps)
 
 
 def wigner_negativity(params: dict, rng: np.random.Generator) -> float:
     """Minimum of the one-photon-added coherent state's Wigner map: below 0
     means non-classical."""
-    return float(np.min(_photon_added_map(_grid(params)).values))
+    return float(np.min(wigner_of_state(_photon_added_state(), _grid(params)).values))
 
 
 # the fig2 and fig3 models, whose validity ratios are about 4e-4 at
@@ -307,8 +307,8 @@ CHECKS: tuple[Check, ...] = (
     Check("photon-added-normalizers", 1e-10, 0.5, photon_added_normalizers),
     Check("photon-added-amplitude", 1e-8, 0.5, photon_added_amplitude),
     Check("photon-added-overlap", 10.0, 0.5, photon_added_overlap),
-    Check("wigner-pointwise", 1e-8, 1.0, wigner_pointwise),
-    Check("wigner-integral", 1e-3, 1.0, wigner_integral),
+    Check("wigner-pointwise", 1e-8, 0.5, wigner_pointwise),
+    Check("wigner-integral", 1e-3, 0.5, wigner_integral),
     Check("wigner-negativity", 0.0, 0.5, wigner_negativity),
     Check("zeta-spot-values", 0.2, 0.5, zeta_spot_values),
     Check("zeta-slice", 1.0, 0.5, zeta_slice),

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands reproduce the headline quantities as CSV/JSON artifacts:
+Commands reproduce the headline quantities as CSV/JSON artifacts:
 
 - ``rabi``: corrected Rabi frequency table and inversion time series
 - ``dispersive``: exact dispersive state, photon-added decomposition,
@@ -495,19 +495,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gupjc",
         description="GUP-corrected Jaynes-Cummings simulator",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", help="JSON run configuration to replay")
-        cmd.add_argument("--preset", help=f"named parameter set: {sorted(PRESETS)}")
-        cmd.add_argument("--out", help="output directory (default runs/<command>)")
-        cmd.add_argument("--seed", type=int, help="seed for randomized checks")
-        cmd.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override a single parameter (JSON-typed value)",
-        )
+    parser.add_argument("command", choices=COMMANDS, help="what to compute")
+    parser.add_argument("--config", help="JSON run configuration to replay")
+    parser.add_argument("--preset", help=f"named parameter set: {sorted(PRESETS)}")
+    parser.add_argument("--out", help="output directory (default runs/<command>)")
+    parser.add_argument("--seed", type=int, help="seed for randomized checks")
+    parser.add_argument(
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help="override a single parameter (JSON-typed value)",
+    )
     return parser
 
 

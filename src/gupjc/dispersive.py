@@ -242,10 +242,12 @@ def interaction_picture_propagate(
     """
     dim = ncut + 1
     psi = np.array(psi0, dtype=complex)
-    for n in range(ncut):
-        block = rwa_block(n, cfg, c)
-        idx = [dim + n, n + 1]
-        psi[idx] = np.exp(1j * t * np.diag(block)) * evolve_on_grid(block, [t], psi[idx])[0]
+    blocks = np.reshape([rwa_block(n, cfg, c) for n in range(ncut)], (ncut, 2, 2))
+    excited, ground = dim + np.arange(ncut), np.arange(1, dim)
+    pairs = np.stack([psi[excited], psi[ground]], axis=1)
+    free = np.exp(1j * t * np.diagonal(blocks, axis1=1, axis2=2))
+    evolved = free * evolve_on_grid(blocks, [t], pairs)[:, 0]
+    psi[excited], psi[ground] = evolved[:, 0], evolved[:, 1]
     return psi
 
 

@@ -52,7 +52,8 @@ class FockVector:
 
 
 def hermiticity_residual(matrix: np.ndarray) -> float:
-    return float(np.max(np.abs(matrix - matrix.conj().T)))
+    """max |H - H^dag| of a matrix, or over a stack of matrices (..., d, d)."""
+    return float(np.max(np.abs(matrix - matrix.conj().swapaxes(-1, -2)), initial=0.0))
 
 
 def build_annihilation(ncut: int) -> np.ndarray:
@@ -155,7 +156,9 @@ def evolve_on_grid(h_over_hbar: np.ndarray, t_grid, state: np.ndarray) -> np.nda
 
     ``h_over_hbar`` is the Hamiltonian divided by hbar (rad/s), a dense matrix
     that must be Hermitian: this is the one place that refuses one that is
-    not.  One time is ``evolve_on_grid(h, [t], psi)[0]``.  Phase accuracy
+    not.  One time is ``evolve_on_grid(h, [t], psi)[0]``.  A stack of B
+    matrices (B, dim, dim) with one state per matrix (B, dim) evolves every
+    pair at once and returns shape (B, len(t_grid), dim).  Phase accuracy
     degrades as eps * ||H/hbar|| * t, so callers working at optical
     frequencies should first remove the optical-scale energies, as
     ``gup.rwa_block`` does.
@@ -167,7 +170,8 @@ def evolve_on_grid(h_over_hbar: np.ndarray, t_grid, state: np.ndarray) -> np.nda
             f"Hermiticity residual {residual:.3e} exceeds {HERMITICITY_ATOL:.1e}"
         )
     vals, vecs = np.linalg.eigh(h)
-    coeffs = vecs.conj().T @ np.asarray(state, dtype=complex)
+    psi = np.asarray(state, dtype=complex)
+    coeffs = (vecs.conj().swapaxes(-1, -2) @ psi[..., None])[..., 0]
     t = np.asarray(t_grid, dtype=float)
-    phases = np.exp(-1j * np.outer(t, vals))
-    return (phases * coeffs) @ vecs.T
+    phases = np.exp(-1j * (t[:, None] * vals[..., None, :]))
+    return (phases * coeffs[..., None, :]) @ vecs.swapaxes(-1, -2)

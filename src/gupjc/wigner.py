@@ -18,12 +18,20 @@ time, as in QuTiP (Johansson, Nation & Nori, CPC 183, 1760 (2012)).  No
 factorial is formed and every w is a bounded matrix element.  The recurrence
 runs on the real factor w / e^{ik arg z}, which depends on |z| alone, so it
 runs once per distinct radius and its sums are gathered back to the points;
-the phase is applied once per diagonal.  The cost is O(ncut^2) vector
-operations over the distinct radii plus O(ncut) over the points, and the
-memory is O(points).  The w^k_m do not depend on the state, so the
-difference of two maps is one pass over the coefficients of
-rho_psi - rho_ref, at the cost of one map.  The start value e^{-2|z|^2}
-underflows past |z| = MAX_ABS_Z (about 18.8), where evaluation is refused.
+the phase is applied once per diagonal.  The w^k_m do not depend on the
+state, so one pass serves every state evaluated on the same points: the
+point plan and each diagonal's recurrence are shared, and each state only
+adds its own accumulation.  The recurrence along a diagonal runs to the
+largest m whose coefficient is nonzero in some state, each state stops
+accumulating at its own last nonzero coefficient, and a diagonal with no
+nonzero coefficient is skipped; the terms left out are exact zeros, so every
+map keeps the bits it has when evaluated alone.  A pass costs at most
+O(ncut^2) vector operations over the distinct radii plus O(ncut) over the
+points, and a Fock state |n> adds one diagonal of n + 1 steps.  The memory
+is O(states * points).  The difference of two maps is one pass over the
+coefficients of rho_psi - rho_ref, at the cost of one map.  The start value
+e^{-2|z|^2} underflows past |z| = MAX_ABS_Z (about 18.8), where evaluation
+is refused.
 
 Normalization: integral of W over the plane is 1 with z in dimensionless
 quadrature units.
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -103,13 +112,49 @@ def wigner_values_at(
     so the result is formed from the small difference of the two density
     matrices, not as the difference of two large totals.
     """
-    amps = _checked_amps(psi)
-    if reference is not None:
-        if reference.ncut != psi.ncut:
-            raise ValueError(
-                f"reference cutoff {reference.ncut} differs from the state cutoff {psi.ncut}"
-            )
-        ref_amps = _checked_amps(reference)
+    return _wigner_terms([(psi, reference)], zs)[0]
+
+
+def wigner_maps(states: Sequence[FockVector], grid: GridSpec = GridSpec()) -> list[WignerGrid]:
+    """Wigner functions of several pure states on one rectangular grid.
+
+    The states may have different cutoffs; they share one pass over the grid,
+    and each map has the bits a call for its state alone would give.
+    """
+    re_axis, im_axis = grid.axes()
+    zz = re_axis[None, :] + 1j * im_axis[:, None]
+    values = _wigner_terms([(psi, None) for psi in states], zz.ravel())
+    return [WignerGrid(re_axis, im_axis, v.reshape(zz.shape)) for v in values]
+
+
+def wigner_of_state(psi: FockVector, grid: GridSpec = GridSpec()) -> WignerGrid:
+    """Wigner function of a pure state on a rectangular grid."""
+    return wigner_maps([psi], grid)[0]
+
+
+def _wigner_terms(
+    terms: Sequence[tuple[FockVector, FockVector | None]], zs: np.ndarray
+) -> np.ndarray:
+    """Values at ``zs`` of each term (psi, reference), shape (len(terms), points).
+
+    A term is W_psi, or with a reference state of the same cutoff
+    W_psi - W_reference.  Every term shares the point plan and, along each
+    diagonal k, one forward recurrence that runs as far as the largest m any
+    term needs.  A term accumulates w_m c_m only up to its last nonzero
+    coefficient on the diagonal and skips a diagonal whose coefficients are
+    all zero: the sums it leaves out are exact zeros, so each term keeps the
+    bits of a pass of its own.
+    """
+    pairs = []
+    for psi, reference in terms:
+        amps = _checked_amps(psi)
+        if reference is not None:
+            if reference.ncut != psi.ncut:
+                raise ValueError(
+                    f"reference cutoff {reference.ncut} differs from the state cutoff {psi.ncut}"
+                )
+            reference = _checked_amps(reference)
+        pairs.append((amps, reference))
     zs = np.asarray(zs, dtype=complex).ravel()
     # the real factors depend on |z| alone: one recurrence per distinct
     # radius, gathered back to the points through inv
@@ -121,28 +166,47 @@ def wigner_values_at(
         )
     x = 4.0 * r * r
     unit = np.exp(1j * np.angle(zs))
-    signs = np.where(np.arange(psi.ncut + 1) % 2 == 0, 1.0, -1.0)
+    dim = max((amps.size for amps, _ in pairs), default=0)
+    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     start = np.exp(-0.5 * x)  # |w^k_0|
     turn = np.ones(zs.size, dtype=complex)  # e^{ik arg z}
-    total = np.zeros(zs.size)
-    w_prev, w, w_next, scratch, acc_re, acc_im = (np.empty(r.size) for _ in range(6))
-    at_re, at_im = np.empty(zs.size), np.empty(zs.size)
-    for k in range(psi.ncut + 1):
+    totals = np.zeros((len(pairs), zs.size))
+    w_prev, w, w_next = (np.empty(r.size) for _ in range(3))
+    acc = np.empty((len(pairs), 2, r.size))
+    scratch = np.empty_like(acc)
+    for k in range(dim):
         if k:
             start *= 2.0 / math.sqrt(k)
             start *= r
             turn *= unit
-        n = psi.ncut + 1 - k
-        coeffs = amps[:n] * np.conj(amps[k:])
-        if reference is not None:
-            coeffs -= ref_amps[:n] * np.conj(ref_amps[k:])
-        coeffs *= signs[:n]
-        c_re, c_im = coeffs.real.tolist(), coeffs.imag.tolist()
+        # (last nonzero m, term index, coefficients) of each term that has a
+        # nonzero coefficient on this diagonal, the longest first
+        active = []
+        for i, (amps, ref_amps) in enumerate(pairs):
+            n = amps.size - k
+            if n <= 0:
+                continue
+            coeffs = amps[:n] * np.conj(amps[k:])
+            if ref_amps is not None:
+                coeffs -= ref_amps[:n] * np.conj(ref_amps[k:])
+            coeffs *= signs[:n]
+            nonzero = coeffs.nonzero()[0]
+            if nonzero.size:
+                active.append((int(nonzero[-1]), i, coeffs))
+        if not active:
+            continue
+        active.sort(key=lambda item: -item[0])
+        # c[m, j] holds (Re, Im) of the j-th active term's c_m, up to its last
+        c = np.empty((active[0][0] + 1, len(active), 2, 1))
+        for j, (last, _, coeffs) in enumerate(active):
+            c[: last + 1, j, 0, 0] = coeffs.real[: last + 1]
+            c[: last + 1, j, 1, 0] = coeffs.imag[: last + 1]
+        count = len(active)
+        c_now, acc_now, scratch_now = c, acc[:count], scratch[:count]
         w[:] = start
         w_prev[:] = 0.0
-        np.multiply(w, c_re[0], out=acc_re)
-        np.multiply(w, c_im[0], out=acc_im)
-        for m in range(n - 1):
+        np.multiply(c[0], w, out=acc_now)
+        for m in range(active[0][0]):
             # w_{m+1} = ((2m+1+k - x) w_m - sqrt(m(m+k)) w_{m-1}) / sqrt((m+1)(m+1+k))
             np.subtract(2 * m + 1 + k, x, out=w_next)
             w_next *= w
@@ -150,21 +214,22 @@ def wigner_values_at(
             w_next -= w_prev
             w_next *= 1.0 / math.sqrt((m + 1) * (m + 1 + k))
             w_prev, w, w_next = w, w_next, w_prev
-            np.multiply(w, c_re[m + 1], out=scratch)
-            acc_re += scratch
-            np.multiply(w, c_im[m + 1], out=scratch)
-            acc_im += scratch
+            while active[count - 1][0] <= m:
+                count -= 1
+                c_now, acc_now, scratch_now = c[:, :count], acc[:count], scratch[:count]
+            np.multiply(c_now[m + 1], w, out=scratch_now)
+            acc_now += scratch_now
         # Re(e^{ik arg z} acc), counted twice off the main diagonal
-        np.take(acc_re, inv, out=at_re)
-        np.take(acc_im, inv, out=at_im)
+        at_re, at_im = np.take(acc[: len(active)], inv, axis=2).transpose(1, 0, 2)
         at_re *= turn.real
         at_im *= turn.imag
         at_re -= at_im
         if k:
             at_re *= 2.0
-        total += at_re
-    total *= TWO_OVER_PI
-    return total
+        for (_, i, _), values in zip(active, at_re):
+            totals[i] += values
+    totals *= TWO_OVER_PI
+    return totals
 
 
 def _checked_amps(psi: FockVector) -> np.ndarray:
@@ -172,14 +237,6 @@ def _checked_amps(psi: FockVector) -> np.ndarray:
     if not abs(psi.norm() - 1.0) <= 1e-10:
         raise ValueError("state must be normalized for a Wigner evaluation")
     return psi.amps
-
-
-def wigner_of_state(psi: FockVector, grid: GridSpec = GridSpec()) -> WignerGrid:
-    """Wigner function of a pure state on a rectangular grid."""
-    re_axis, im_axis = grid.axes()
-    zz = re_axis[None, :] + 1j * im_axis[:, None]
-    values = wigner_values_at(psi, zz.ravel())
-    return WignerGrid(re_axis, im_axis, values.reshape(zz.shape))
 
 
 def wigner_difference(

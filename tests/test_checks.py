@@ -1,12 +1,15 @@
 """Checks of the verify registry against the code they replaced, kept here
-as oracles: the per-draw loop of ``coefficient-identity`` and the one-time
+as oracles: the per-draw loop of ``coefficient-identity``, the one-time
 eigh propagator behind ``block-propagator``, ``dyson-fidelity`` and
-``perturbation-scaling``."""
+``perturbation-scaling``, and the block-by-block loop of
+``interaction_picture_propagate``."""
 
 import numpy as np
 import pytest
 
 from gupjc.checks import _DYSON_CFG, _DYSON_COEFFS, _DYSON_T, coefficient_identity
+from gupjc.dispersive import interaction_picture_propagate
+from gupjc.errors import NonHermitianError
 from gupjc.fock import coherent_state, evolve_on_grid
 from gupjc.gup import (
     GupCoefficients,
@@ -82,3 +85,33 @@ def _propagator_cases():
 def test_one_time_evolution_equals_the_replaced_propagator_bitwise():
     for h, t, psi in _propagator_cases():
         assert np.array_equal(evolve_on_grid(h, [t], psi)[0], eigh_apply(h, t, psi))
+
+
+def test_stacked_evolution_equals_the_per_block_calls_bitwise():
+    psi0 = np.concatenate([coherent_state(1.0, 18).amps, np.zeros(19, dtype=complex)])
+    blocks = np.array([rwa_block(n, _DYSON_CFG, _DYSON_COEFFS) for n in range(18)])
+    pairs = np.stack([psi0[19:37], psi0[1:19]], axis=1)
+    ts = [0.0, _DYSON_T, 3.7 * _DYSON_T]
+    stacked = evolve_on_grid(blocks, ts, pairs)
+    assert stacked.shape == (18, 3, 2)
+    for block, pair, evolved in zip(blocks, pairs, stacked):
+        assert np.array_equal(evolved, evolve_on_grid(block, ts, pair))
+
+
+def test_block_propagation_equals_the_per_block_loop_bitwise():
+    psi0 = np.concatenate([coherent_state(1.0, 18).amps, np.zeros(19, dtype=complex)])
+    psi = psi0.copy()
+    for n in range(18):
+        block = rwa_block(n, _DYSON_CFG, _DYSON_COEFFS)
+        idx = [19 + n, n + 1]
+        psi[idx] = np.exp(1j * _DYSON_T * np.diag(block)) * evolve_on_grid(
+            block, [_DYSON_T], psi[idx])[0]
+    blocks = interaction_picture_propagate(_DYSON_CFG, _DYSON_COEFFS, 18, _DYSON_T, psi0)
+    assert np.array_equal(blocks, psi)
+
+
+def test_stacked_evolution_refuses_a_non_hermitian_block():
+    blocks = np.array([rwa_block(n, _DYSON_CFG, _DYSON_COEFFS) for n in range(3)])
+    blocks[1, 0, 1] += 1e-9
+    with pytest.raises(NonHermitianError):
+        evolve_on_grid(blocks, [_DYSON_T], np.ones((3, 2)))

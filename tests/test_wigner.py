@@ -22,7 +22,9 @@ from gupjc.wigner import (
     GridSpec,
     MAX_ABS_Z,
     WignerGrid,
+    _wigner_terms,
     wigner_difference,
+    wigner_maps,
     wigner_of_state,
     wigner_precision_ratio,
     wigner_values_at,
@@ -355,6 +357,115 @@ def test_values_at_many_points_equal_per_point_values(points):
         each = np.concatenate([wigner_values_at(field, np.full(2, z), reference=ref)[:1]
                                for z in zs])
         assert np.array_equal(many.view(np.uint64), each.view(np.uint64))
+
+
+def single_state_kernel(psi, zs, reference=None):
+    """The one-state kernel that the shared pass replaced: its own point plan
+    and its own recurrence, run over every (k, m) of the cutoff."""
+    amps = psi.amps
+    zs = np.asarray(zs, dtype=complex).ravel()
+    r, inv = np.unique(np.abs(zs), return_inverse=True)
+    x = 4.0 * r * r
+    unit = np.exp(1j * np.angle(zs))
+    signs = np.where(np.arange(psi.ncut + 1) % 2 == 0, 1.0, -1.0)
+    start = np.exp(-0.5 * x)
+    turn = np.ones(zs.size, dtype=complex)
+    total = np.zeros(zs.size)
+    w_prev, w, w_next, scratch, acc_re, acc_im = (np.empty(r.size) for _ in range(6))
+    at_re, at_im = np.empty(zs.size), np.empty(zs.size)
+    for k in range(psi.ncut + 1):
+        if k:
+            start *= 2.0 / math.sqrt(k)
+            start *= r
+            turn *= unit
+        n = psi.ncut + 1 - k
+        coeffs = amps[:n] * np.conj(amps[k:])
+        if reference is not None:
+            coeffs -= reference.amps[:n] * np.conj(reference.amps[k:])
+        coeffs *= signs[:n]
+        c_re, c_im = coeffs.real.tolist(), coeffs.imag.tolist()
+        w[:] = start
+        w_prev[:] = 0.0
+        np.multiply(w, c_re[0], out=acc_re)
+        np.multiply(w, c_im[0], out=acc_im)
+        for m in range(n - 1):
+            np.subtract(2 * m + 1 + k, x, out=w_next)
+            w_next *= w
+            w_prev *= math.sqrt(m * (m + k))
+            w_next -= w_prev
+            w_next *= 1.0 / math.sqrt((m + 1) * (m + 1 + k))
+            w_prev, w, w_next = w, w_next, w_prev
+            np.multiply(w, c_re[m + 1], out=scratch)
+            acc_re += scratch
+            np.multiply(w, c_im[m + 1], out=scratch)
+            acc_im += scratch
+        np.take(acc_re, inv, out=at_re)
+        np.take(acc_im, inv, out=at_im)
+        at_re *= turn.real
+        at_im *= turn.imag
+        at_re -= at_im
+        if k:
+            at_re *= 2.0
+        total += at_re
+    total *= TWO_OVER_PI
+    return total
+
+
+def _mixed_batch():
+    """States whose cutoffs, last nonzero coefficients and zero diagonals all
+    differ: |0>..|5> at their own cutoffs, a complex-alpha coherent state, the
+    photon-added state, and (|1> + |4>)/sqrt(2), which has zero diagonals
+    between nonzero ones."""
+    sparse = np.zeros(8, dtype=complex)
+    sparse[[1, 4]] = 1.0 / math.sqrt(2.0)
+    return [
+        *(fock_state(n, max(n, 1)) for n in range(6)),
+        coherent_state(0.8 + 0.3j, 30),
+        photon_added_coherent_state(1.0, 1, 20),
+        FockVector(7, sparse),
+    ]
+
+
+def test_maps_of_a_mixed_batch_equal_the_single_state_kernel_bitwise():
+    spec = GridSpec(-4.0, 4.0, -3.0, 3.5, 41, 37)
+    re_axis, im_axis = spec.axes()
+    zz = re_axis[None, :] + 1j * im_axis[:, None]
+    states = _mixed_batch()
+    maps = wigner_maps(states, spec)
+    assert len(maps) == len(states)
+    for psi, w in zip(states, maps):
+        assert np.array_equal(w.re_axis, re_axis) and np.array_equal(w.im_axis, im_axis)
+        oracle = single_state_kernel(psi, zz.ravel()).reshape(zz.shape)
+        assert np.array_equal(w.values.view(np.uint64), oracle.view(np.uint64))
+        assert np.array_equal(wigner_of_state(psi, spec).values, w.values)
+
+
+def test_difference_term_in_a_batch_equals_the_one_pass_difference_bitwise():
+    field, reference = _benchmark_state()
+    ref_state = coherent_state(reference, field.ncut)
+    rng = np.random.default_rng(5)
+    zs = rng.uniform(-3.0, 3.0, 50) + 1j * rng.uniform(-3.0, 3.0, 50)
+    states = _mixed_batch()
+    terms = [(psi, None) for psi in states] + [(field, ref_state), (ref_state, None)]
+    values = _wigner_terms(terms, zs)
+    assert values.shape == (len(terms), zs.size)
+    delta = wigner_values_at(field, zs, reference=ref_state)
+    assert np.array_equal(values[-2].view(np.uint64), delta.view(np.uint64))
+    assert np.array_equal(delta.view(np.uint64),
+                          single_state_kernel(field, zs, ref_state).view(np.uint64))
+    for (psi, _), row in zip(terms[:-2] + terms[-1:], np.delete(values, -2, axis=0)):
+        assert np.array_equal(row.view(np.uint64), single_state_kernel(psi, zs).view(np.uint64))
+
+
+def test_batch_refuses_a_bad_term_and_takes_an_empty_one():
+    zs = np.array([0.0j, 1.0 + 0.5j])
+    with pytest.raises(ValueError, match="cutoff"):
+        _wigner_terms([(fock_state(0, 2), None),
+                       (coherent_state(1.0, 30), coherent_state(1.0, 31))], zs)
+    with pytest.raises(ValueError, match="normalized"):
+        wigner_maps([fock_state(0, 2), FockVector(2, [math.nan, 0.0, 0.0])], small_grid(n=3))
+    assert _wigner_terms([], zs).shape == (0, 2)
+    assert wigner_maps([], small_grid(n=3)) == []
 
 
 def _csv_writer_oracle(grid, path):
