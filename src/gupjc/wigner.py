@@ -147,14 +147,14 @@ def _wigner_terms(
     """
     pairs = []
     for psi, reference in terms:
-        amps = _checked_amps(psi)
+        amps, ref_amps = _checked_amps(psi), None
         if reference is not None:
             if reference.ncut != psi.ncut:
                 raise ValueError(
                     f"reference cutoff {reference.ncut} differs from the state cutoff {psi.ncut}"
                 )
-            reference = _checked_amps(reference)
-        pairs.append((amps, reference))
+            ref_amps = _checked_amps(reference)
+        pairs.append((amps, ref_amps))
     zs = np.asarray(zs, dtype=complex).ravel()
     # the real factors depend on |z| alone: one recurrence per distinct
     # radius, gathered back to the points through inv
@@ -174,6 +174,7 @@ def _wigner_terms(
     w_prev, w, w_next = (np.empty(r.size) for _ in range(3))
     acc = np.empty((len(pairs), 2, r.size))
     scratch = np.empty_like(acc)
+    at = np.empty((len(pairs), 2, zs.size))
     for k in range(dim):
         if k:
             start *= 2.0 / math.sqrt(k)
@@ -219,8 +220,11 @@ def _wigner_terms(
                 c_now, acc_now, scratch_now = c[:, :count], acc[:count], scratch[:count]
             np.multiply(c_now[m + 1], w, out=scratch_now)
             acc_now += scratch_now
-        # Re(e^{ik arg z} acc), counted twice off the main diagonal
-        at_re, at_im = np.take(acc[: len(active)], inv, axis=2).transpose(1, 0, 2)
+        # Re(e^{ik arg z} acc), counted twice off the main diagonal; inv is
+        # in range, so mode="clip" clips nothing and spares take the copy of
+        # ``out`` that mode="raise" makes
+        gathered = np.take(acc[: len(active)], inv, axis=2, out=at[: len(active)], mode="clip")
+        at_re, at_im = gathered.transpose(1, 0, 2)
         at_re *= turn.real
         at_im *= turn.imag
         at_re -= at_im
