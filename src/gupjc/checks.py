@@ -1,10 +1,16 @@
 """The consistency checks behind ``gupjc verify`` and the acceptance suite.
 
-Each entry of ``CHECKS`` measures one float from the verify parameters
-(``draws``, ``grid_points``) and a random generator, and passes when the
-measured value is below its ``tolerance``.  A check that bounds a value from
-both sides, or a ratio, measures a distance or a quotient instead, so that
-"below the tolerance" always means "passes".
+Each entry of ``CHECKS`` measures one float from a ``VerifyRun`` and a random
+generator, and passes when the measured value is below its ``tolerance``.  A
+check that bounds a value from both sides, or a ratio, measures a distance or
+a quotient instead, so that "below the tolerance" always means "passes".
+
+A ``VerifyRun`` holds one run's verify parameters (``draws``,
+``grid_points``) and the Wigner maps of the eight fixture states that the
+three Wigner checks read.  The first Wigner check to run evaluates all eight
+in one ``wigner_maps`` pass, so in registry order ``wigner-pointwise``'s
+elapsed time carries that pass and the other two read its maps.  The maps
+live as long as the run object: ``gupjc verify`` makes one per run.
 
 ``budget_s`` is the runtime the acceptance suite allows a check at
 ``grid_points = 201``: about ten times the median elapsed time measured
@@ -16,6 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -47,33 +54,55 @@ from .gup import (
     quadratic_coefficients,
 )
 from .rwa_validity import perturbation_cross_check, zeta_lq, zeta_lq_at, zeta_rq, zeta_rq_at
-from .wigner import TWO_OVER_PI, GridSpec, wigner_maps, wigner_of_state
+from .wigner import TWO_OVER_PI, GridSpec, WignerGrid, wigner_maps
+
+# cutoff of the |alpha = 1> states: the first amplitude it drops is 4e-10, which
+# moves the coherent map by 4e-11, far inside the pointwise tolerance, while
+# each further level adds recurrence work to every map
+_WIGNER_NCUT = 20
+
+
+@dataclass
+class VerifyRun:
+    """One verify run: its parameters, and the Wigner maps its checks share."""
+
+    params: dict
+
+    @cached_property
+    def wigner_maps(self) -> list[WignerGrid]:
+        """Maps of |alpha = 1>, |0>..|5> and the one-photon-added coherent
+        state, in that order, on the grid_points grid over [-4, 4]^2."""
+        n = self.params["grid_points"]
+        states = [coherent_state(1.0, _WIGNER_NCUT),
+                  *(fock_state(k, max(k, 1)) for k in range(6)),
+                  photon_added_coherent_state(1.0, 1, _WIGNER_NCUT)]
+        return wigner_maps(states, GridSpec(-4.0, 4.0, -4.0, 4.0, n, n))
 
 
 @dataclass(frozen=True)
 class Check:
-    """One named check: ``measure(params, rng)`` must come out below ``tolerance``."""
+    """One named check: ``measure(run, rng)`` must come out below ``tolerance``."""
 
     name: str
     tolerance: float
     budget_s: float
-    measure: Callable[[dict, np.random.Generator], float]
+    measure: Callable[[VerifyRun, np.random.Generator], float]
 
-    def run(self, params: dict, seed: int) -> tuple[float, float]:
+    def run(self, run: VerifyRun, seed: int) -> tuple[float, float]:
         """(measured value, elapsed seconds), with a generator seeded afresh."""
         rng = np.random.default_rng(seed)
         start = time.perf_counter()
-        measured = float(self.measure(params, rng))
+        measured = float(self.measure(run, rng))
         return measured, time.perf_counter() - start
 
 
-def coefficient_identity(params: dict, rng: np.random.Generator) -> float:
+def coefficient_identity(run: VerifyRun, rng: np.random.Generator) -> float:
     """Worst scaled residual of 8 chi = phi + 2 beta over ``draws`` random
     (gamma0, delta, epsilon, omega)."""
     # one row per draw; its columns go through derive_coefficients' closed form
     # in one array pass, which gives each draw the same bits as a scalar call
     gamma0, delta, epsilon, omega = rng.uniform(
-        [0.0, -3.0, -3.0, 1e9], [1e8, 3.0, 3.0, 1e17], size=(params["draws"], 4)
+        [0.0, -3.0, -3.0, 1e9], [1e8, 3.0, 3.0, 1e17], size=(run.params["draws"], 4)
     ).T
     phi, chi, beta = quadratic_coefficients(gamma0 / GAMMA_SI_DIVISOR, delta, epsilon, omega)
     scale = np.abs(phi) + 2.0 * np.abs(beta) + 8.0 * np.abs(chi)
@@ -84,7 +113,7 @@ def coefficient_identity(params: dict, rng: np.random.Generator) -> float:
     return float(np.max(residual[resolved] / scale[resolved]))
 
 
-def ladder_commutator(params: dict, rng: np.random.Generator) -> float:
+def ladder_commutator(run: VerifyRun, rng: np.random.Generator) -> float:
     """max |[a, a^dag] - 1| at ncut = 12, off the last row, where truncation
     breaks it by construction."""
     ncut = 12
@@ -93,7 +122,7 @@ def ladder_commutator(params: dict, rng: np.random.Generator) -> float:
     return float(np.max(np.abs(comm[: ncut - 1, : ncut - 1])))
 
 
-def standard_jcm_oracle(params: dict, rng: np.random.Generator) -> float:
+def standard_jcm_oracle(run: VerifyRun, rng: np.random.Generator) -> float:
     """Worst amplitude error of exact evolution against the cos/sin amplitudes
     at gamma = 0, for n = 0, 1, 5, 20 over ten Rabi periods."""
     cfg = InteractionConfig(omega=10.0, omega0=10.0, coupling=1.0)
@@ -112,7 +141,7 @@ def _electroweak_rabi_shift():
     return rabi_shift(1, cfg, c), c
 
 
-def rabi_shift_closed_form(params: dict, rng: np.random.Generator) -> float:
+def rabi_shift_closed_form(run: VerifyRun, rng: np.random.Generator) -> float:
     """Relative gap between the n = 1 Rabi shift at the electroweak benchmark
     and its closed form Omega(n) (n+1) phi."""
     sol, c = _electroweak_rabi_shift()
@@ -120,7 +149,7 @@ def rabi_shift_closed_form(params: dict, rng: np.random.Generator) -> float:
     return abs(sol.delta_omega - closed) / closed
 
 
-def rabi_shift_magnitude(params: dict, rng: np.random.Generator) -> float:
+def rabi_shift_magnitude(run: VerifyRun, rng: np.random.Generator) -> float:
     """Decades between that shift and 1e-12 rad/s: below 1 means it lies in
     (1e-13, 1e-11) rad/s."""
     sol, _ = _electroweak_rabi_shift()
@@ -129,7 +158,7 @@ def rabi_shift_magnitude(params: dict, rng: np.random.Generator) -> float:
     return abs(math.log10(sol.delta_omega) + 12.0)
 
 
-def commutator_scaling(params: dict, rng: np.random.Generator) -> float:
+def commutator_scaling(run: VerifyRun, rng: np.random.Generator) -> float:
     """|slope - 2| of the effective-Hamiltonian commutator residual against
     phi, log-log over four halvings at ncut = 20."""
     cfg = InteractionConfig(omega=1e6, omega0=1e6 + 1e4, coupling=1.0)
@@ -142,7 +171,7 @@ def commutator_scaling(params: dict, rng: np.random.Generator) -> float:
     return abs(float(np.polyfit(np.log(phis), np.log(residuals), 1)[0]) - 2.0)
 
 
-def dispersive_resummation(params: dict, rng: np.random.Generator) -> float:
+def dispersive_resummation(run: VerifyRun, rng: np.random.Generator) -> float:
     """Largest amplitude gap between phi = 0 dispersive evolution and the
     coherent state at the decomposition's rotated amplitude beta.  An
     infidelity would be quadratic in that gap, and read 0 for a small one."""
@@ -157,15 +186,23 @@ def _fig1_dispersive() -> DispersiveConfig:
     return DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=1e3, ncut=40)
 
 
-def photon_added_normalizers(params: dict, rng: np.random.Generator) -> float:
-    """Worst error of k_1 = sqrt(2) and k_2 = sqrt(7), where
-    k_m = sqrt(L_m(-|alpha|^2) m!) at |alpha| = 1."""
-    k1 = math.sqrt(laguerre(1, -1.0))
-    k2 = math.sqrt(laguerre(2, -1.0) * 2.0)
-    return max(abs(k1 - math.sqrt(2.0)), abs(k2 - math.sqrt(7.0)))
+def photon_added_normalizers(run: VerifyRun, rng: np.random.Generator) -> float:
+    """Worst relative gap between k_m^2 = L_m(-|alpha|^2) m! and the Fock-basis
+    norm^2 of a^dag^m |alpha>, sum_n |c_n|^2 (n+1)...(n+m), for m = 1, 2 and
+    alpha = 0.5, 1, 2 at ncut = 40."""
+    ncut = 40
+    n = np.arange(ncut + 1.0)
+    rising = {1: n + 1.0, 2: (n + 1.0) * (n + 2.0)}
+    worst = 0.0
+    for alpha in (0.5, 1.0, 2.0):
+        weights = np.abs(coherent_state(alpha, ncut).amps) ** 2
+        for m, factors in rising.items():
+            closed = laguerre(m, -alpha**2) * math.factorial(m)
+            worst = max(worst, abs(float(np.sum(weights * factors)) - closed) / closed)
+    return worst
 
 
-def photon_added_amplitude(params: dict, rng: np.random.Generator) -> float:
+def photon_added_amplitude(run: VerifyRun, rng: np.random.Generator) -> float:
     """Relative error of |pacs1| N against 2 phi mu t k_1 at fig1."""
     d = _fig1_dispersive()
     dec = photon_added_decomposition(d, "g")
@@ -173,7 +210,7 @@ def photon_added_amplitude(params: dict, rng: np.random.Generator) -> float:
     return abs(abs(dec.pacs1_amp) * dec.normalization - expected) / expected
 
 
-def photon_added_overlap(params: dict, rng: np.random.Generator) -> float:
+def photon_added_overlap(run: VerifyRun, rng: np.random.Generator) -> float:
     """Overlap defect of the first-order decomposition against the exact
     state at fig1, in units of s^2 <n^4> with s = 2 phi mu t, the order of
     the terms the decomposition drops."""
@@ -185,56 +222,31 @@ def photon_added_overlap(params: dict, rng: np.random.Generator) -> float:
     return (1.0 - overlap) / ((2.0 * d.phi * d.mu * d.t) ** 2 * n4)
 
 
-# cutoff of the |alpha = 1> states: the first amplitude it drops is 4e-10, which
-# moves the coherent map by 4e-11, far inside the pointwise tolerance, while
-# each further level adds recurrence work to every map
-_WIGNER_NCUT = 20
-
-
-def _grid(params: dict) -> GridSpec:
-    n = params["grid_points"]
-    return GridSpec(-4.0, 4.0, -4.0, 4.0, n, n)
-
-
-def _fock_states() -> list:
-    """|0>..|5>, each at its own cutoff."""
-    return [fock_state(n, max(n, 1)) for n in range(6)]
-
-
-def _fock_closed_forms(re_axis: np.ndarray, im_axis: np.ndarray) -> list[np.ndarray]:
-    r2 = np.abs(re_axis[None, :] + 1j * im_axis[:, None]) ** 2
-    return [TWO_OVER_PI * (-1.0) ** n * laguerre(n, 4.0 * r2) * np.exp(-2.0 * r2)
-            for n in range(6)]
-
-
-def _photon_added_state():
-    return photon_added_coherent_state(1.0, 1, _WIGNER_NCUT)
-
-
-def wigner_pointwise(params: dict, rng: np.random.Generator) -> float:
+def wigner_pointwise(run: VerifyRun, rng: np.random.Generator) -> float:
     """Worst pointwise error of the Wigner maps of |alpha = 1> and |0>..|5>
     against their closed forms, on the grid_points grid over [-4, 4]^2."""
-    maps = wigner_maps([coherent_state(1.0, _WIGNER_NCUT), *_fock_states()], _grid(params))
+    maps = run.wigner_maps[:7]
     re_axis, im_axis = maps[0].re_axis, maps[0].im_axis
     zz = re_axis[None, :] + 1j * im_axis[:, None]
+    r2 = np.abs(zz) ** 2
     exact = [TWO_OVER_PI * np.exp(-2.0 * np.abs(zz - 1.0) ** 2),
-             *_fock_closed_forms(re_axis, im_axis)]
+             *(TWO_OVER_PI * (-1.0) ** n * laguerre(n, 4.0 * r2) * np.exp(-2.0 * r2)
+               for n in range(6))]
     return max(float(np.max(np.abs(w.values - e))) for w, e in zip(maps, exact))
 
 
-def wigner_integral(params: dict, rng: np.random.Generator) -> float:
+def wigner_integral(run: VerifyRun, rng: np.random.Generator) -> float:
     """Worst |integral of W - 1| over the maps of |0>..|5> and of the one-
     photon-added coherent state.  The coherent map is left out: within the
     pointwise tolerance of its Gaussian at every grid point, its integral is
     within 1e-6 of the Gaussian's, which is 1."""
-    maps = wigner_maps([*_fock_states(), _photon_added_state()], _grid(params))
-    return max(abs(w.integral() - 1.0) for w in maps)
+    return max(abs(w.integral() - 1.0) for w in run.wigner_maps[1:])
 
 
-def wigner_negativity(params: dict, rng: np.random.Generator) -> float:
+def wigner_negativity(run: VerifyRun, rng: np.random.Generator) -> float:
     """Minimum of the one-photon-added coherent state's Wigner map: below 0
     means non-classical."""
-    return float(np.min(wigner_of_state(_photon_added_state(), _grid(params)).values))
+    return float(np.min(run.wigner_maps[7].values))
 
 
 # the fig2 and fig3 models, whose validity ratios are about 4e-4 at
@@ -243,7 +255,7 @@ _ZETA_LQ_MODEL = GupParams.from_gamma(0.5, 1.0, 1.0)
 _ZETA_RQ_MODEL = GupParams.from_gamma(5e3, 1.0, 1.0)
 
 
-def zeta_spot_values(params: dict, rng: np.random.Generator) -> float:
+def zeta_spot_values(run: VerifyRun, rng: np.random.Generator) -> float:
     """Worst relative deviation of zeta_lq (fig2) and zeta_rq (fig3) from 4e-4
     at n = 50, omega = 1e16 rad/s and detuning 1e4 rad/s."""
     cfg = InteractionConfig(omega=1e16, omega0=1e16 + 1e4, coupling=1.0)
@@ -252,7 +264,7 @@ def zeta_spot_values(params: dict, rng: np.random.Generator) -> float:
     return max(abs(lq - 4e-4), abs(rq - 4e-4)) / 4e-4
 
 
-def zeta_slice(params: dict, rng: np.random.Generator) -> float:
+def zeta_slice(run: VerifyRun, rng: np.random.Generator) -> float:
     """Largest of those two ratios over 21 detunings from 1e3 to 1e5 rad/s at
     omega = 1e16 rad/s."""
     omega0 = 1e16 + np.logspace(3, 5, 21)
@@ -260,7 +272,7 @@ def zeta_slice(params: dict, rng: np.random.Generator) -> float:
                      np.max(zeta_rq_at(50, 1e16, omega0, _ZETA_RQ_MODEL))))
 
 
-def perturbation_scaling(params: dict, rng: np.random.Generator) -> float:
+def perturbation_scaling(run: VerifyRun, rng: np.random.Generator) -> float:
     """|slope - 2| of the first-order amplitudes' relative error against the
     coupling, log-log over four halvings."""
     c = GupCoefficients(phi=1e-3, chi=0.0, beta=-5e-4, omega=50.0, xi_mag=2e-3)
@@ -278,14 +290,14 @@ _DYSON_COEFFS = GupCoefficients(phi=1e-4, chi=0.0, beta=-5e-5, omega=200.0)
 _DYSON_T = 0.05 / _DYSON_CFG.mu
 
 
-def dyson_fidelity(params: dict, rng: np.random.Generator) -> float:
+def dyson_fidelity(run: VerifyRun, rng: np.random.Generator) -> float:
     """Infidelity of effective-Hamiltonian evolution against exact
     interaction-picture evolution, in units of the squared dropped term."""
     check = dyson_consistency_check(_DYSON_CFG, _DYSON_COEFFS, ncut=18, t=_DYSON_T)
     return (1.0 - check.fidelity) / check.dropped_term_mag**2
 
 
-def block_propagator(params: dict, rng: np.random.Generator) -> float:
+def block_propagator(run: VerifyRun, rng: np.random.Generator) -> float:
     """Largest amplitude gap between the block-by-block propagator and a
     dense lab-frame evolution of the same state."""
     psi0 = np.concatenate([coherent_state(1.0, 18).amps, np.zeros(19, dtype=complex)])

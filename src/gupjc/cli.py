@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import CHECKS
+from .checks import CHECKS, VerifyRun
 from .constants import C_LIGHT, GAMMA_SI_DIVISOR, HBAR, PLANCK_LENGTH, PLANCK_MASS
 from .dispersive import (
     DispersiveConfig,
@@ -448,9 +448,10 @@ def cmd_zeta_maps(params: dict, out_dir: Path, seed: int) -> list[Path]:
 
 def cmd_verify(params: dict, out_dir: Path, seed: int) -> tuple[list[Path], int]:
     width = max(len(check.name) for check in CHECKS)
+    run = VerifyRun(params)
     rows = []
     for check in CHECKS:
-        measured, elapsed = check.run(params, seed)
+        measured, elapsed = check.run(run, seed)
         ok = measured < check.tolerance
         _print_line(f"{check.name:<{width}}  {'PASS' if ok else 'FAIL'}  measured "
                     f"{measured:.3e}, tolerance {check.tolerance:g}  ({elapsed:.3f} s)")

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DispersiveRegimeError, LinearityError
-from .fock import (
-    FockVector,
-    coherent_state,
-    evolve_on_grid,
-    laguerre,
-    photon_added_coherent_state,
-)
+from .fock import FockVector, _add_photons, coherent_state, evolve_on_grid, laguerre
 from .gup import GupCoefficients, InteractionConfig, lowering_operator_dressed, rwa_block
 
 # required ratio |detuning| / (coupling * sqrt(ncut))
@@ -217,8 +211,8 @@ def photon_added_decomposition(
     else:
         raise ValueError("initial_atom must be 'g' or 'e'")
     base = coherent_state(beta, d.ncut).amps
-    pacs1 = photon_added_coherent_state(beta, 1, d.ncut).amps
-    pacs2 = photon_added_coherent_state(beta, 2, d.ncut).amps
+    pacs1 = _add_photons(base, beta, 1).amps
+    pacs2 = _add_photons(base, beta, 2).amps
     norm = float(np.linalg.norm(u_base * base + u1 * pacs1 + u2 * pacs2))
     base_amp, pacs1_amp, pacs2_amp = complex(u_base) / norm, complex(u1) / norm, complex(u2) / norm
     state = FockVector(d.ncut, base_amp * base + pacs1_amp * pacs1 + pacs2_amp * pacs2)

@@ -131,13 +131,19 @@ def photon_added_coherent_state(
         raise ValueError("photon-addition order m must be non-negative")
     if m == 0:
         return coherent_state(alpha, ncut, tail_tol)
-    coh = coherent_state(alpha, ncut, tail_tol)
+    return _add_photons(coherent_state(alpha, ncut, tail_tol).amps, alpha, m)
+
+
+def _add_photons(coh: np.ndarray, alpha: complex, m: int) -> FockVector:
+    """a^dag^m |alpha> / k_{alpha,m} from the amplitudes ``coh`` of |alpha>,
+    with ``photon_added_coherent_state``'s check of the truncated norm."""
+    ncut = len(coh) - 1
     raised = np.zeros(ncut + 1, dtype=complex)
     for n in range(m, ncut + 1):
         factor = 1.0
         for j in range(n - m + 1, n + 1):
             factor *= j
-        raised[n] = coh.amps[n - m] * math.sqrt(factor)
+        raised[n] = coh[n - m] * math.sqrt(factor)
     norm_sq = float(np.sum(np.abs(raised) ** 2))
     expected = laguerre(m, -abs(alpha) ** 2) * math.factorial(m)
     rel_dev = abs(norm_sq - expected) / expected

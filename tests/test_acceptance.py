@@ -2,7 +2,8 @@
 verify's defaults on the 201x201 grid, against its tolerance and runtime
 budget (run with ``pytest -s`` to see one line per check), plus the two
 criteria that are not verify checks: the fig1 Wigner-difference magnitude
-and byte-identical replay of saved runs.
+and byte-identical replay of saved runs.  The per-check tests share one
+``VerifyRun``, and so one Wigner pass, as the checks of a ``verify`` run do.
 """
 
 import contextlib
@@ -12,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from gupjc.checks import CHECKS
+from gupjc.checks import CHECKS, VerifyRun
 from gupjc.cli import DEFAULT_SEED, DEFAULTS
 from gupjc.cli import main as cli_main
 from gupjc.dispersive import DispersiveConfig, photon_added_decomposition
@@ -23,9 +24,14 @@ from gupjc.wigner import GridSpec, wigner_difference, wigner_of_state
 VERIFY_PARAMS = dict(DEFAULTS["verify"], grid_points=201)
 
 
+@pytest.fixture(scope="module")
+def verify_run():
+    return VerifyRun(VERIFY_PARAMS)
+
+
 @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.name)
-def test_check(check):
-    measured, elapsed = check.run(VERIFY_PARAMS, DEFAULT_SEED)
+def test_check(check, verify_run):
+    measured, elapsed = check.run(verify_run, DEFAULT_SEED)
     ok = measured < check.tolerance
     print(f"[{check.name}] {'PASS' if ok else 'FAIL'}: measured {measured:.3e}, "
           f"tolerance {check.tolerance:g} ({elapsed:.3f}s / budget {check.budget_s:g}s)")

@@ -1,16 +1,34 @@
 """Checks of the verify registry against the code they replaced, kept here
 as oracles: the per-draw loop of ``coefficient-identity``, the one-time
 eigh propagator behind ``block-propagator``, ``dyson-fidelity`` and
-``perturbation-scaling``, and the block-by-block loop of
-``interaction_picture_propagate``."""
+``perturbation-scaling``, the block-by-block loop of
+``interaction_picture_propagate``, and the three Wigner checks evaluating
+their own maps.  Also: one Wigner pass per verify run, and a library bug
+that a check must catch."""
+
+import json
 
 import numpy as np
 import pytest
 
-from gupjc.checks import _DYSON_CFG, _DYSON_COEFFS, _DYSON_T, coefficient_identity
+from gupjc import checks, cli
+from gupjc.checks import (
+    _DYSON_CFG,
+    _DYSON_COEFFS,
+    _DYSON_T,
+    CHECKS,
+    VerifyRun,
+    coefficient_identity,
+)
 from gupjc.dispersive import interaction_picture_propagate
 from gupjc.errors import NonHermitianError
-from gupjc.fock import coherent_state, evolve_on_grid
+from gupjc.fock import (
+    coherent_state,
+    evolve_on_grid,
+    fock_state,
+    laguerre,
+    photon_added_coherent_state,
+)
 from gupjc.gup import (
     GupCoefficients,
     GupParams,
@@ -20,6 +38,7 @@ from gupjc.gup import (
     derive_coefficients,
     rwa_block,
 )
+from gupjc.wigner import TWO_OVER_PI, GridSpec, wigner_maps, wigner_of_state
 
 
 def per_draw_coefficient_identity(params, rng):
@@ -41,7 +60,7 @@ def per_draw_coefficient_identity(params, rng):
 @pytest.mark.parametrize("seed", [0, 1, 89, 1234, 2**32 - 1])
 def test_vectorized_check_equals_per_draw_loop(seed, draws):
     params = {"draws": draws}
-    vectorized = coefficient_identity(params, np.random.default_rng(seed))
+    vectorized = coefficient_identity(VerifyRun(params), np.random.default_rng(seed))
     assert type(vectorized) is float
     assert vectorized == per_draw_coefficient_identity(params, np.random.default_rng(seed))
 
@@ -55,7 +74,7 @@ class _LowDraws:
 
 
 def test_no_resolved_draw_measures_zero():
-    assert coefficient_identity({"draws": 5}, _LowDraws()) == 0.0
+    assert coefficient_identity(VerifyRun({"draws": 5}), _LowDraws()) == 0.0
     assert per_draw_coefficient_identity({"draws": 5}, _LowDraws()) == 0.0
 
 
@@ -115,3 +134,81 @@ def test_stacked_evolution_refuses_a_non_hermitian_block():
     blocks[1, 0, 1] += 1e-9
     with pytest.raises(NonHermitianError):
         evolve_on_grid(blocks, [_DYSON_T], np.ones((3, 2)))
+
+
+def _per_check_grid(params):
+    n = params["grid_points"]
+    return GridSpec(-4.0, 4.0, -4.0, 4.0, n, n)
+
+
+def _per_check_fock_states():
+    return [fock_state(n, max(n, 1)) for n in range(6)]
+
+
+def per_check_wigner_pointwise(params):
+    """``wigner-pointwise`` with a wigner_maps call of its own."""
+    maps = wigner_maps([coherent_state(1.0, 20), *_per_check_fock_states()],
+                       _per_check_grid(params))
+    re_axis, im_axis = maps[0].re_axis, maps[0].im_axis
+    zz = re_axis[None, :] + 1j * im_axis[:, None]
+    r2 = np.abs(zz) ** 2
+    exact = [TWO_OVER_PI * np.exp(-2.0 * np.abs(zz - 1.0) ** 2),
+             *(TWO_OVER_PI * (-1.0) ** n * laguerre(n, 4.0 * r2) * np.exp(-2.0 * r2)
+               for n in range(6))]
+    return max(float(np.max(np.abs(w.values - e))) for w, e in zip(maps, exact))
+
+
+def per_check_wigner_integral(params):
+    """``wigner-integral`` with a wigner_maps call of its own."""
+    maps = wigner_maps([*_per_check_fock_states(), photon_added_coherent_state(1.0, 1, 20)],
+                       _per_check_grid(params))
+    return max(abs(w.integral() - 1.0) for w in maps)
+
+
+def per_check_wigner_negativity(params):
+    """``wigner-negativity`` with a map of its own."""
+    pacs = photon_added_coherent_state(1.0, 1, 20)
+    return float(np.min(wigner_of_state(pacs, _per_check_grid(params)).values))
+
+
+PER_CHECK_WIGNER = {
+    "wigner-pointwise": per_check_wigner_pointwise,
+    "wigner-integral": per_check_wigner_integral,
+    "wigner-negativity": per_check_wigner_negativity,
+}
+
+
+@pytest.mark.parametrize("grid_points", [31, 61])
+def test_shared_wigner_maps_equal_the_per_check_evaluations_bitwise(grid_points):
+    params = {"grid_points": grid_points}
+    run = VerifyRun(params)
+    for check in CHECKS:
+        if check.name in PER_CHECK_WIGNER:
+            measured, _ = check.run(run, 0)
+            assert measured == PER_CHECK_WIGNER[check.name](params), check.name
+
+
+_SMALL_VERIFY = ["verify", "--set", "draws=50", "--set", "grid_points=31"]
+
+
+def test_one_wigner_pass_per_verify_run(monkeypatch, tmp_path):
+    calls = []
+
+    def counting_wigner_maps(states, grid):
+        calls.append(len(states))
+        return wigner_maps(states, grid)
+
+    monkeypatch.setattr(checks, "wigner_maps", counting_wigner_maps)
+    assert cli.main([*_SMALL_VERIFY, "--out", str(tmp_path / "first")]) == 0
+    assert calls == [8]
+    # a second run in the same process evaluates its own maps
+    assert cli.main([*_SMALL_VERIFY, "--out", str(tmp_path / "second")]) == 0
+    assert calls == [8, 8]
+
+
+def test_an_off_by_one_laguerre_fails_the_normalizer_check(monkeypatch, tmp_path):
+    monkeypatch.setattr(checks, "laguerre", lambda m, x: laguerre(m + 1, x))
+    assert cli.main([*_SMALL_VERIFY, "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "verify_report.json").read_text())
+    verdicts = {row["name"]: row["ok"] for row in report["checks"]}
+    assert verdicts["photon-added-normalizers"] is False
