@@ -26,7 +26,13 @@ import numpy as np
 
 from .errors import DispersiveRegimeError, LinearityError
 from .fock import FockVector, _add_photons, coherent_state, evolve_on_grid, laguerre
-from .gup import GupCoefficients, InteractionConfig, lowering_operator_dressed, rwa_block
+from .gup import (
+    GupCoefficients,
+    InteractionConfig,
+    dressed_field_band,
+    lowering_operator_dressed,
+    rwa_block,
+)
 
 # required ratio |detuning| / (coupling * sqrt(ncut))
 DISPERSIVE_RATIO_MIN = 10.0
@@ -136,20 +142,23 @@ def commutator_check(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> f
     effective Hamiltonian it compares against, it requires the dispersive
     regime.
 
-    The products go through einsum's own loops rather than BLAS: each operand
-    is a single band, and at this size threaded BLAS spends far longer
+    A = |e><g| (x) F with F the (ncut+1)^2 field band, so the commutator is
+    |e><e| (x) F F^dag - |g><g| (x) F^dag F, and only the two field products
+    are formed.  They go through einsum's own loops rather than BLAS: each
+    operand is one band, and a threaded BLAS call at this size spends longer
     handing work between its threads than on the arithmetic.
     """
     if ncut < 3:
         raise ValueError("ncut must be at least 3")
-    op_a = lowering_operator_dressed(c, ncut)
-    op_adag = op_a.conj().T
-    product = "ij,jk->ik"
-    commutator = (cfg.coupling**2 / cfg.detuning) * (
-        np.einsum(product, op_a, op_adag) - np.einsum(product, op_adag, op_a)
-    )
     reference = build_effective_hamiltonian(cfg, c, ncut)
+    field = dressed_field_band(c, ncut)
+    field_dag = field.conj().T
+    product = "ij,jk->ik"
     dim = ncut + 1
+    commutator = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    commutator[:dim, :dim] = -np.einsum(product, field_dag, field)
+    commutator[dim:, dim:] = np.einsum(product, field, field_dag)
+    commutator *= cfg.coupling**2 / cfg.detuning
     interior = np.concatenate([np.arange(0, ncut - 1), dim + np.arange(0, ncut - 1)])
     diff = (commutator - reference)[np.ix_(interior, interior)]
     return float(np.max(np.abs(diff)))

@@ -79,31 +79,42 @@ def fock_state(n: int, ncut: int) -> FockVector:
 def coherent_state(alpha: complex, ncut: int, tail_tol: float = 1e-12) -> FockVector:
     """Coherent state truncated at ncut and renormalized.
 
-    Amplitudes follow exp(-|alpha|^2/2) * alpha^n / sqrt(n!).  Raises
-    TruncationError when the discarded tail probability reaches ``tail_tol``,
-    and ValueError for |alpha| beyond about 38.6, where exp(-|alpha|^2/2)
-    underflows to 0 and no cutoff can help.
+    Amplitudes follow exp(-|alpha|^2/2) * alpha^n / sqrt(n!), by the
+    recurrence c_{n+1} = c_n alpha / sqrt(n+1).  For |alpha| between about
+    37.6 and 38.6 the start value exp(-|alpha|^2/2) is subnormal, and the
+    recurrence runs 2^64 higher, from a start taken from its logarithm.
+    Raises TruncationError when the discarded tail probability reaches
+    ``tail_tol``, and ValueError for |alpha| beyond about 38.6, where
+    exp(-|alpha|^2/2) underflows to 0 and no cutoff can help.
     """
     if ncut < 1:
         raise ValueError("ncut must be at least 1")
     alpha = complex(alpha)
     amps = np.empty(ncut + 1, dtype=complex)
-    amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    log_start = -0.5 * abs(alpha) ** 2
+    amps[0] = math.exp(log_start)
     if amps[0] == 0.0:
         raise ValueError(
             f"|alpha| = {abs(alpha):.6g}: the vacuum amplitude exp(-|alpha|^2/2) "
             "underflows to 0 in double precision"
         )
+    # a subnormal start has lost bits that the recurrence would carry into
+    # every amplitude and into the kept weight: start 2^64 higher, from the
+    # logarithm, and scale the weight back exactly
+    shift = 64 if amps[0] < np.finfo(float).tiny else 0
+    if shift:
+        amps[0] = math.exp(log_start + shift * math.log(2.0))
     for n in range(ncut):
         amps[n + 1] = amps[n] * alpha / math.sqrt(n + 1)
-    kept = float(np.sum(np.abs(amps) ** 2))
+    weight = float(np.sum(np.abs(amps) ** 2))
+    kept = math.ldexp(weight, -2 * shift)
     tail = max(1.0 - kept, 0.0)
     if tail >= tail_tol:
         raise TruncationError(
             f"coherent-state tail weight {tail:.3e} >= {tail_tol:.1e}; "
             f"increase ncut beyond {ncut} for |alpha| = {abs(alpha):.3g}"
         )
-    return FockVector(ncut, amps / math.sqrt(kept), tail_weight=tail)
+    return FockVector(ncut, amps / math.sqrt(weight), tail_weight=tail)
 
 
 def laguerre(m: int, x: float) -> float:
@@ -138,12 +149,13 @@ def _add_photons(coh: np.ndarray, alpha: complex, m: int) -> FockVector:
     """a^dag^m |alpha> / k_{alpha,m} from the amplitudes ``coh`` of |alpha>,
     with ``photon_added_coherent_state``'s check of the truncated norm."""
     ncut = len(coh) - 1
+    # the rising factorials (n-m+1)...n for n = m..ncut, multiplied up in
+    # ascending order: exact integers in double up to 2^53
+    rising = np.ones(max(ncut + 1 - m, 0))
+    for j in range(1, m + 1):
+        rising *= np.arange(j, ncut + 1 - m + j, dtype=float)
     raised = np.zeros(ncut + 1, dtype=complex)
-    for n in range(m, ncut + 1):
-        factor = 1.0
-        for j in range(n - m + 1, n + 1):
-            factor *= j
-        raised[n] = coh[n - m] * math.sqrt(factor)
+    raised[m:] = coh[: rising.size] * np.sqrt(rising)
     norm_sq = float(np.sum(np.abs(raised) ** 2))
     expected = laguerre(m, -abs(alpha) ** 2) * math.factorial(m)
     rel_dev = abs(norm_sq - expected) / expected

@@ -182,10 +182,15 @@ def _rwa_coupling_element(n, c: GupCoefficients):
     return np.sqrt(m) * (1.0 - m * c.phi)
 
 
+def dressed_field_band(c: GupCoefficients, ncut: int) -> np.ndarray:
+    """The field factor a (1 - N phi) of the dressed coupling operator, a
+    single band on the (ncut+1)^2 Fock block."""
+    return np.diag(_rwa_coupling_element(np.arange(ncut), c), k=1).astype(complex)
+
+
 def lowering_operator_dressed(c: GupCoefficients, ncut: int) -> np.ndarray:
     """The dressed coupling operator sigma+ a (1 - N phi) on atom+field."""
-    field = np.diag(_rwa_coupling_element(np.arange(ncut), c), k=1).astype(complex)
-    return tensor_with_atom(SIGMA_PLUS, field)
+    return tensor_with_atom(SIGMA_PLUS, dressed_field_band(c, ncut))
 
 
 def rwa_block(n: int, cfg: InteractionConfig, c: GupCoefficients) -> np.ndarray:

@@ -25,11 +25,22 @@ adds its own accumulation.  The recurrence along a diagonal runs to the
 largest m whose coefficient is nonzero in some state, each state stops
 accumulating at its own last nonzero coefficient, and a diagonal with no
 nonzero coefficient is skipped; the terms left out are exact zeros, so every
-map keeps the bits it has when evaluated alone.  A pass costs at most
-O(ncut^2) vector operations over the distinct radii plus O(ncut) over the
-points, and a Fock state |n> adds one diagonal of n + 1 steps.  The memory
-is O(states * points).  The difference of two maps is one pass over the
-coefficients of rho_psi - rho_ref, at the cost of one map.  The start value
+map keeps the bits it has when evaluated alone.
+
+Each step of m advances a block of diagonals in one numpy call per
+operation: their w rows form one slab, and each (diagonal, state) pair is a
+lane that accumulates c_m w_m.  A block holds up to
+max(1, BLOCK_ELEMENTS // radii) lanes, so a pass over R distinct radii makes
+O(ncut^2 R / BLOCK_ELEMENTS + ncut) numpy calls for the recurrence, O(ncut)
+when R is small, plus O(ncut) calls over the points for the phases.  The
+per-call overhead, not the arithmetic, is what a few radii pay for, and the
+block removes it; on a large grid every operation is long already, and the
+block is one diagonal, stepped on 1-D rows with scalar factors.  Every
+elementwise operation is the one a lone diagonal makes, in the same order of
+m, so blocking changes no bit.  A Fock state |n> adds one diagonal of n + 1
+steps.  The memory is O(states * points) plus O(BLOCK_ELEMENTS) per block
+array.  The difference of two maps is one pass over the coefficients of
+rho_psi - rho_ref, at the cost of one map.  The start value
 e^{-2|z|^2} underflows past |z| = MAX_ABS_Z (about 18.8), where evaluation
 is refused.
 
@@ -51,6 +62,18 @@ TWO_OVER_PI = 2.0 / math.pi
 
 # largest |z| whose Gaussian factor e^{-2|z|^2} is a normal double
 MAX_ABS_Z = math.sqrt(-math.log(np.finfo(float).tiny) / 2.0)
+
+# Element budget of a block: a block takes diagonals while its lanes
+# (diagonal, state) number at most max(1, BLOCK_ELEMENTS // radii), so its
+# w rows and lane sums hold O(BLOCK_ELEMENTS) elements; a diagonal is always
+# taken whole.  Measured in-process on a 2-vCPU Xeon: fig1's 9-point
+# reference peak steps all 41 diagonals at once (8.2 ms -> 2.4 ms a call);
+# verify's 61x61 grid (661 radii) steps 12 lanes, where budgets of 2048 and
+# 4096 were 7% and 4% slower than one diagonal a step and 8192 was even;
+# fig1's 201x201 grid (6772 radii) keeps one diagonal a step below
+# 2 x 6772, as larger blocks gained nothing there (33-38 ms a pass at one
+# diagonal a step, 34-45 ms at four, 43-48 ms at eight).
+BLOCK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -143,7 +166,9 @@ def _wigner_terms(
     term needs.  A term accumulates w_m c_m only up to its last nonzero
     coefficient on the diagonal and skips a diagonal whose coefficients are
     all zero: the sums it leaves out are exact zeros, so each term keeps the
-    bits of a pass of its own.
+    bits of a pass of its own.  The recurrence steps a block of diagonals
+    at a time (``_block_sums``); the phases are applied one diagonal at a
+    time, in ascending k.
     """
     pairs = []
     for psi, reference in terms:
@@ -166,74 +191,171 @@ def _wigner_terms(
         )
     x = 4.0 * r * r
     unit = np.exp(1j * np.angle(zs))
+    turn = np.ones(zs.size, dtype=complex)  # e^{ik arg z}
+    turn_k = 0
+    totals = np.zeros((len(pairs), zs.size))
+    at = np.empty((len(pairs), 2, zs.size))
+    # work arrays shared by every block of the pass: three slabs of w rows
+    # and two of lane sums; a block holds at most ``budget`` lanes, or the
+    # lanes of one diagonal
+    budget = max(1, BLOCK_ELEMENTS // max(r.size, 1))
+    slabs = [np.empty((budget, r.size)) for _ in range(3)]
+    sums = [np.empty((max(budget, len(pairs)), 2, r.size)) for _ in range(2)]
+    for block in _blocks(pairs, x, r, slabs[0]):
+        block_sums = _block_sums(block, x, slabs, sums)
+        first = 0
+        for k, lanes in block:
+            while turn_k < k:
+                turn *= unit
+                turn_k += 1
+            count = len(lanes)
+            # Re(e^{ik arg z} sums), counted twice off the main diagonal; inv
+            # is in range, so mode="clip" clips nothing and spares take the
+            # copy of ``out`` that mode="raise" makes
+            gathered = np.take(block_sums[first: first + count], inv, axis=2,
+                               out=at[:count], mode="clip")
+            first += count
+            at_re, at_im = gathered.transpose(1, 0, 2)
+            at_re *= turn.real
+            at_im *= turn.imag
+            at_re -= at_im
+            if k:
+                at_re *= 2.0
+            for (_, i, _), values in zip(lanes, at_re):
+                totals[i] += values
+    totals *= TWO_OVER_PI
+    return totals
+
+
+def _diagonal_lanes(pairs, k: int, signs: np.ndarray) -> list:
+    """(last nonzero m, term index, coefficients) of each term that has a
+    nonzero coefficient (-1)^m (a_m a*_{m+k} - b_m b*_{m+k}) on diagonal k,
+    the longest first; b is the reference state's, or 0."""
+    lanes = []
+    for i, (amps, ref_amps) in enumerate(pairs):
+        n = amps.size - k
+        if n <= 0:
+            continue
+        coeffs = amps[:n] * np.conj(amps[k:])
+        if ref_amps is not None:
+            coeffs -= ref_amps[:n] * np.conj(ref_amps[k:])
+        coeffs *= signs[:n]
+        nonzero = coeffs.nonzero()[0]
+        if nonzero.size:
+            lanes.append((int(nonzero[-1]), i, coeffs))
+    lanes.sort(key=lambda lane: -lane[0])
+    return lanes
+
+
+def _blocks(pairs, x: np.ndarray, r: np.ndarray, starts: np.ndarray):
+    """Blocks of diagonals [(k, lanes), ...] in ascending k, each holding at
+    most len(starts) lanes or else one diagonal, with |w^k_0| of the block's
+    j-th diagonal in starts[j]; diagonals without a lane are left out."""
     dim = max((amps.size for amps, _ in pairs), default=0)
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     start = np.exp(-0.5 * x)  # |w^k_0|
-    turn = np.ones(zs.size, dtype=complex)  # e^{ik arg z}
-    totals = np.zeros((len(pairs), zs.size))
-    w_prev, w, w_next = (np.empty(r.size) for _ in range(3))
-    acc = np.empty((len(pairs), 2, r.size))
-    scratch = np.empty_like(acc)
-    at = np.empty((len(pairs), 2, zs.size))
+    block, size = [], 0
     for k in range(dim):
         if k:
             start *= 2.0 / math.sqrt(k)
             start *= r
-            turn *= unit
-        # (last nonzero m, term index, coefficients) of each term that has a
-        # nonzero coefficient on this diagonal, the longest first
-        active = []
-        for i, (amps, ref_amps) in enumerate(pairs):
-            n = amps.size - k
-            if n <= 0:
-                continue
-            coeffs = amps[:n] * np.conj(amps[k:])
-            if ref_amps is not None:
-                coeffs -= ref_amps[:n] * np.conj(ref_amps[k:])
-            coeffs *= signs[:n]
-            nonzero = coeffs.nonzero()[0]
-            if nonzero.size:
-                active.append((int(nonzero[-1]), i, coeffs))
-        if not active:
+        lanes = _diagonal_lanes(pairs, k, signs)
+        if not lanes:
             continue
-        active.sort(key=lambda item: -item[0])
-        # c[m, j] holds (Re, Im) of the j-th active term's c_m, up to its last
-        c = np.empty((active[0][0] + 1, len(active), 2, 1))
-        for j, (last, _, coeffs) in enumerate(active):
-            c[: last + 1, j, 0, 0] = coeffs.real[: last + 1]
-            c[: last + 1, j, 1, 0] = coeffs.imag[: last + 1]
-        count = len(active)
-        c_now, acc_now, scratch_now = c, acc[:count], scratch[:count]
-        w[:] = start
-        w_prev[:] = 0.0
-        np.multiply(c[0], w, out=acc_now)
-        for m in range(active[0][0]):
-            # w_{m+1} = ((2m+1+k - x) w_m - sqrt(m(m+k)) w_{m-1}) / sqrt((m+1)(m+1+k))
-            np.subtract(2 * m + 1 + k, x, out=w_next)
+        if block and size + len(lanes) > len(starts):
+            yield block
+            block, size = [], 0
+        starts[len(block)] = start
+        block.append((k, lanes))
+        size += len(lanes)
+    if block:
+        yield block
+
+
+def _block_sums(block, x: np.ndarray, slabs: list, sums: list) -> np.ndarray:
+    """(Re, Im) of sum_m c_m w^k_m at each radius for every lane of a block
+    from ``_blocks``, shape (lanes, 2, radii), the lanes in block order.
+
+    The block's w rows form one slab, and the rows and the lanes are sorted
+    by run length, so that each step of m works on a prefix of both.  A
+    block of one diagonal steps 1-D rows with scalar factors.  The three
+    ``slabs`` (rows, radii) and the two ``sums`` (lanes, 2, radii) are work
+    space, with the block's start rows in slabs[0]; the result is a view of
+    one of ``sums``.
+    """
+    single = len(block) == 1
+    if single:
+        (k, lanes), = block
+        order = range(len(lanes))
+    else:
+        runs = [lanes[0][0] for _, lanes in block]
+        rows = sorted(range(len(block)), key=lambda g: -runs[g])
+        row_of = {g: p for p, g in enumerate(rows)}
+        lanes = [(last, row_of[g], coeffs)
+                 for g, (_, diagonal) in enumerate(block) for last, _, coeffs in diagonal]
+        order = sorted(range(len(lanes)), key=lambda j: -lanes[j][0])
+        lanes = [lanes[j] for j in order]
+        row_runs = [runs[g] for g in rows]
+    lasts = [last for last, _, _ in lanes]
+    depth = lasts[0]
+    # c[m, j] holds (Re, Im) of the j-th lane's c_m, up to its last
+    c = np.empty((depth + 1, len(lanes), 2, 1))
+    for j, (last, _, coeffs) in enumerate(lanes):
+        c[: last + 1, j, 0, 0] = coeffs.real[: last + 1]
+        c[: last + 1, j, 1, 0] = coeffs.imag[: last + 1]
+    acc, scratch = sums[0][: len(lanes)], sums[1][: len(lanes)]
+    # the factors of w_{m+1} = ((2m+1+k - x) w_m - sqrt(m(m+k)) w_{m-1})
+    # / sqrt((m+1)(m+1+k)), one column per row; each product under a root
+    # is an exact integer, so numpy's roots are math.sqrt's
+    if single:
+        root = [math.sqrt(m * (m + k)) for m in range(depth + 1)]
+        grow = [2 * m + 1 + k for m in range(depth)]
+        scale = [1.0 / v for v in root[1:]]
+        w, w_prev, w_next = slabs[0][0], slabs[1][0], slabs[2][0]
+        np.multiply(c[0], w, out=acc)
+    else:
+        m = np.arange(depth + 1.0)[:, None, None]
+        k = np.array([block[g][0] for g in rows], dtype=float)[:, None]
+        root = np.sqrt(m * (m + k))
+        grow, scale = 2.0 * m[:-1] + 1.0 + k, 1.0 / root[1:]
+        w, w_prev, w_next = (slab[: len(rows)] for slab in slabs)
+        if rows != sorted(rows):
+            w[:] = w[rows]
+        lane_rows = np.array([row for _, row, _ in lanes], dtype=np.intp)
+        lane_w = np.take(w, lane_rows, axis=0)
+        np.multiply(c[0], lane_w[:, None, :], out=acc)
+    w_prev[...] = 0.0
+    # the steps lo..hi-1 run the lanes, and the rows, whose last m exceeds lo
+    ends = sorted(set(lasts) - {0})
+    count = len(lanes)
+    grow_now, back_now, scale_now = grow, root, scale
+    for lo, hi in zip([0] + ends, ends):
+        while lasts[count - 1] <= lo:
+            count -= 1
+        c_now, acc_now, scratch_now = c[:, :count], acc[:count], scratch[:count]
+        if not single:
+            row_count = sum(run > lo for run in row_runs)
+            w_prev, w, w_next = w_prev[:row_count], w[:row_count], w_next[:row_count]
+            grow_now, back_now, scale_now = (
+                grow[:, :row_count], root[:, :row_count], scale[:, :row_count])
+            lane_rows_now, lane_w_now = lane_rows[:count], lane_w[:count]
+            lane_w_3d = lane_w_now[:, None, :]
+        for step in range(lo, hi):
+            np.subtract(grow_now[step], x, out=w_next)
             w_next *= w
-            w_prev *= math.sqrt(m * (m + k))
+            w_prev *= back_now[step]
             w_next -= w_prev
-            w_next *= 1.0 / math.sqrt((m + 1) * (m + 1 + k))
+            w_next *= scale_now[step]
             w_prev, w, w_next = w, w_next, w_prev
-            while active[count - 1][0] <= m:
-                count -= 1
-                c_now, acc_now, scratch_now = c[:, :count], acc[:count], scratch[:count]
-            np.multiply(c_now[m + 1], w, out=scratch_now)
+            if single:
+                np.multiply(c_now[step + 1], w, out=scratch_now)
+            else:
+                np.take(w, lane_rows_now, axis=0, out=lane_w_now, mode="clip")
+                np.multiply(c_now[step + 1], lane_w_3d, out=scratch_now)
             acc_now += scratch_now
-        # Re(e^{ik arg z} acc), counted twice off the main diagonal; inv is
-        # in range, so mode="clip" clips nothing and spares take the copy of
-        # ``out`` that mode="raise" makes
-        gathered = np.take(acc[: len(active)], inv, axis=2, out=at[: len(active)], mode="clip")
-        at_re, at_im = gathered.transpose(1, 0, 2)
-        at_re *= turn.real
-        at_im *= turn.imag
-        at_re -= at_im
-        if k:
-            at_re *= 2.0
-        for (_, i, _), values in zip(active, at_re):
-            totals[i] += values
-    totals *= TWO_OVER_PI
-    return totals
+    if single or order == sorted(order):
+        return acc
+    return np.take(acc, np.argsort(order), axis=0, out=scratch, mode="clip")
 
 
 def _checked_amps(psi: FockVector) -> np.ndarray:
@@ -303,8 +425,8 @@ def write_grid(grid: WignerGrid, csv_path, json_path) -> None:
         opener = "[\n  "
         for y, row in zip(ys, grid.values):
             vs = list(map(repr, row.tolist()))
-            fc.write("".join([f"{x},{y},{v}\r\n" for x, v in zip(xs, vs)]))
             if vs:
+                fc.write("\r\n".join(map(f",{y},".join, zip(xs, vs))) + "\r\n")
                 fj.write(opener + ",\n  ".join(vs))
                 opener = ",\n  "
         fj.write(("[]" if opener == "[\n  " else "\n ]") + "\n}\n")

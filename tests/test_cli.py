@@ -136,6 +136,20 @@ def test_wigner_diff_small_grid(tmp_path):
     assert len(grid["values_row_major"]) == 41 * 41
 
 
+def test_wigner_diff_replay_is_byte_identical(tmp_path):
+    first = tmp_path / "w1"
+    assert run_cli([
+        "wigner-diff", "--out", str(first), "--preset", "fig1",
+        "--set", "grid_points=31", "--set", "grid_extent=3.0", "--set", 'initial_atom="e"',
+    ]) == 0
+    second = tmp_path / "w2"
+    assert run_cli(["wigner-diff", "--out", str(second),
+                    "--config", str(first / "run_config.json")]) == 0
+    data = databytes(first)
+    assert {"delta_w.csv", "delta_w.json", "wigner_summary.json"} <= set(data)
+    assert data == databytes(second)
+
+
 def test_wigner_diff_self_reference_is_zero(tmp_path):
     out = tmp_path / "wig0"
     assert run_cli([

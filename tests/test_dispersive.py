@@ -120,6 +120,31 @@ def test_commutator_hermitian():
     assert hermiticity_residual(comm) < 1e-12 * abs(cfg.mu)
 
 
+def commutator_check_full(cfg, c, ncut):
+    """The residual from [A, A^dag] formed on the whole 2(ncut+1)^2 atom+field
+    space, with two einsum products of the dressed operator A."""
+    op_a = lowering_operator_dressed(c, ncut)
+    op_adag = op_a.conj().T
+    product = "ij,jk->ik"
+    commutator = (cfg.coupling**2 / cfg.detuning) * (
+        np.einsum(product, op_a, op_adag) - np.einsum(product, op_adag, op_a)
+    )
+    reference = build_effective_hamiltonian(cfg, c, ncut)
+    dim = ncut + 1
+    interior = np.concatenate([np.arange(0, ncut - 1), dim + np.arange(0, ncut - 1)])
+    return float(np.max(np.abs((commutator - reference)[np.ix_(interior, interior)])))
+
+
+@pytest.mark.parametrize("ncut", [3, 20, 40])
+def test_commutator_from_the_field_band_equals_the_full_products_bitwise(ncut):
+    # the four phi of the commutator-scaling check, no GUP, and a large phi
+    cfg = InteractionConfig(omega=1e6, omega0=1e6 + 1e4, coupling=1.0)
+    for phi in (1e-5, 5e-6, 2.5e-6, 1.25e-6, 0.0, 3e-3):
+        c = GupCoefficients(phi=phi, chi=0.0, beta=-phi / 2.0, omega=cfg.omega)
+        fast, full = commutator_check(cfg, c, ncut), commutator_check_full(cfg, c, ncut)
+        assert np.float64(fast).view(np.uint64) == np.float64(full).view(np.uint64)
+
+
 def test_commutator_residual_quadratic_in_phi():
     cfg = _dispersive_cfg()
     phis = [1e-5, 5e-6, 2.5e-6]

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -93,13 +94,33 @@ def test_coherent_underflow_is_named_as_the_cause():
     # past |alpha| ~ 38.6 exp(-|alpha|^2/2) is 0 and no cutoff can help
     with pytest.raises(ValueError, match=r"\|alpha\| = 39: .* underflows to 0"):
         coherent_state(39.0, 4000)
-    # at 38.5 it is subnormal, and the state still matches its log-space form
+
+
+@pytest.mark.parametrize("alpha", [37.0, 38.0, 38.5, 38.55, 38.55j, -20.0 + 33.0j])
+def test_coherent_state_near_underflow_matches_its_log_space_form(alpha):
+    # from |alpha| ~ 37.6 exp(-|alpha|^2/2) is subnormal, and at 38.55 a
+    # recurrence started from it lost 0.8% of the kept weight
+    r = abs(alpha)
     n = np.arange(4001)
-    log_amps = -0.5 * 38.5**2 + n * math.log(38.5) - 0.5 * np.array(
+    log_amps = -0.5 * r**2 + n * math.log(r) - 0.5 * np.array(
         [math.lgamma(k + 1.0) for k in n])
-    reference = np.exp(log_amps)
+    reference = np.exp(log_amps) * np.exp(1j * cmath.phase(alpha) * n)
     reference /= np.linalg.norm(reference)
-    assert np.max(np.abs(coherent_state(38.5, 4000).amps - reference)) < 1e-12
+    coh = coherent_state(alpha, 4000)
+    assert coh.tail_weight < 1e-12
+    assert np.max(np.abs(coh.amps - reference)) < 1e-12
+
+
+def test_coherent_state_with_a_normal_start_keeps_the_recurrence_bits():
+    for alpha in (1.0, 0.3 - 1.1j, 37.5):
+        ncut = 4000 if abs(alpha) > 30 else 40
+        amps = np.empty(ncut + 1, dtype=complex)
+        amps[0] = math.exp(-0.5 * abs(alpha) ** 2)
+        for k in range(ncut):
+            amps[k + 1] = amps[k] * alpha / math.sqrt(k + 1)
+        amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+        assert np.array_equal(coherent_state(alpha, ncut).amps.view(np.uint64),
+                              amps.view(np.uint64))
 
 
 def test_coherent_reports_tail_weight():
@@ -135,6 +156,28 @@ def test_photon_added_unit_norm_various_alpha():
         for m in (1, 2, 3):
             pacs = photon_added_coherent_state(alpha, m, 50)
             assert pacs.norm() == pytest.approx(1.0, abs=1e-8)
+
+
+def add_photons_by_loop(coh, m):
+    """a^dag^m |alpha> with each rising factorial multiplied up in a loop."""
+    ncut = len(coh) - 1
+    raised = np.zeros(ncut + 1, dtype=complex)
+    for n in range(m, ncut + 1):
+        factor = 1.0
+        for j in range(n - m + 1, n + 1):
+            factor *= j
+        raised[n] = coh[n - m] * math.sqrt(factor)
+    return raised
+
+
+@pytest.mark.parametrize("alpha", [1.3, -0.8 + 1.1j])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_photon_added_amplitudes_equal_the_loop_bitwise(alpha, m):
+    coh = coherent_state(alpha, 40).amps
+    raised = add_photons_by_loop(coh, m)
+    expected = raised / math.sqrt(float(np.sum(np.abs(raised) ** 2)))
+    pacs = photon_added_coherent_state(alpha, m, 40)
+    assert np.array_equal(pacs.amps.view(np.uint64), expected.view(np.uint64))
 
 
 def test_photon_added_truncation_error():
