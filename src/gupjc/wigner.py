@@ -199,8 +199,8 @@ def _wigner_terms(
     # and two of lane sums; a block holds at most ``budget`` lanes, or the
     # lanes of one diagonal
     budget = max(1, BLOCK_ELEMENTS // max(r.size, 1))
-    slabs = [np.empty((budget, r.size)) for _ in range(3)]
-    sums = [np.empty((max(budget, len(pairs)), 2, r.size)) for _ in range(2)]
+    slabs = [_aligned_empty((budget, r.size)) for _ in range(3)]
+    sums = [_aligned_empty((max(budget, len(pairs)), 2, r.size)) for _ in range(2)]
     for block in _blocks(pairs, x, r, slabs[0]):
         block_sums = _block_sums(block, x, slabs, sums)
         first = 0
@@ -356,6 +356,20 @@ def _block_sums(block, x: np.ndarray, slabs: list, sums: list) -> np.ndarray:
     if single or order == sorted(order):
         return acc
     return np.take(acc, np.argsort(order), axis=0, out=scratch, mode="clip")
+
+
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """An uninitialized float array whose data starts on a 64-byte boundary.
+
+    Every step reads and writes the recurrence's work rows whole.  numpy
+    aligns data to 16 bytes only, and a row that starts inside a cache line
+    made fig1's 201x201 pass 3% slower than one that starts on a line (2-vCPU
+    Xeon, in-process medians of 60 interleaved calls); no value changes.
+    """
+    size = math.prod(shape) * 8
+    raw = np.empty(size + 64, dtype=np.uint8)
+    first = -raw.ctypes.data % 64
+    return raw[first: first + size].view(float).reshape(shape)
 
 
 def _checked_amps(psi: FockVector) -> np.ndarray:
