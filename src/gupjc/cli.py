@@ -21,6 +21,7 @@ part of that contract.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -249,7 +250,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir: Path, config: dict, outputs: list[Path], wall_time: float) -> Path:
+@contextlib.contextmanager
+def stage(stages: dict, name: str):
+    """Record the wall seconds of the ``with`` block as stages[name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = time.perf_counter() - start
+
+
+def write_manifest(out_dir: Path, config: dict, outputs: list[Path], wall_time: float,
+                   stages: dict) -> Path:
     manifest = {
         "manifest_schema": 1,
         "command": config["command"],
@@ -268,6 +280,7 @@ def write_manifest(out_dir: Path, config: dict, outputs: list[Path], wall_time: 
         },
         "outputs": {p.name: _sha256(p) for p in outputs},
         "wall_time_s": wall_time,
+        "stages": stages,
         "written_utc": datetime.now(timezone.utc).isoformat(),
     }
     path = out_dir / "manifest.json"
@@ -294,7 +307,7 @@ def _dispersive_inputs(params: dict) -> DispersiveConfig:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_rabi(params: dict, out_dir: Path, seed: int) -> list[Path]:
+def cmd_rabi(params: dict, out_dir: Path, seed: int, stages: dict) -> list[Path]:
     omega = params["omega"]
     omega0 = params["omega0"] if params["omega0"] is not None else omega
     cfg = InteractionConfig(omega=omega, omega0=omega0, coupling=params["coupling"])
@@ -324,7 +337,7 @@ def cmd_rabi(params: dict, out_dir: Path, seed: int) -> list[Path]:
     return [table_path, series_path]
 
 
-def cmd_dispersive(params: dict, out_dir: Path, seed: int) -> list[Path]:
+def cmd_dispersive(params: dict, out_dir: Path, seed: int, stages: dict) -> list[Path]:
     d = _dispersive_inputs(params)
     atom = params["initial_atom"]
 
@@ -375,36 +388,39 @@ def cmd_dispersive(params: dict, out_dir: Path, seed: int) -> list[Path]:
     return [state_path, dec_path, fid_path]
 
 
-def cmd_wigner_diff(params: dict, out_dir: Path, seed: int) -> list[Path]:
-    d = _dispersive_inputs(params)
-    dec = photon_added_decomposition(d, params["initial_atom"])
+def cmd_wigner_diff(params: dict, out_dir: Path, seed: int, stages: dict) -> list[Path]:
+    with stage(stages, "state_s"):
+        d = _dispersive_inputs(params)
+        dec = photon_added_decomposition(d, params["initial_atom"])
 
-    extent = params["grid_extent"]
-    grid = GridSpec(-extent, extent, -extent, extent, int(params["grid_points"]),
-                    int(params["grid_points"]))
-    diff = wigner_difference(dec.state, dec.beta, grid)
+    with stage(stages, "wigner_s"):
+        extent = params["grid_extent"]
+        grid = GridSpec(-extent, extent, -extent, extent, int(params["grid_points"]),
+                        int(params["grid_points"]))
+        diff = wigner_difference(dec.state, dec.beta, grid)
 
     csv_path = out_dir / "delta_w.csv"
     json_path = out_dir / "delta_w.json"
-    write_grid(diff.grid, csv_path, json_path)
     summary_path = out_dir / "wigner_summary.json"
-    write_json(
-        summary_path,
-        {
-            "max_abs_delta_w": diff.max_abs,
-            "location": [diff.location.real, diff.location.imag],
-            "ref_peak": diff.ref_peak,
-            "precision_ratio": wigner_precision_ratio(diff.max_abs, diff.ref_peak),
-            "phi": d.phi,
-            "mu": d.mu,
-            "t": d.t,
-            "expansion_parameter": d.linear_expansion_parameter,
-        },
-    )
+    with stage(stages, "write_s"):
+        write_grid(diff.grid, csv_path, json_path)
+        write_json(
+            summary_path,
+            {
+                "max_abs_delta_w": diff.max_abs,
+                "location": [diff.location.real, diff.location.imag],
+                "ref_peak": diff.ref_peak,
+                "precision_ratio": wigner_precision_ratio(diff.max_abs, diff.ref_peak),
+                "phi": d.phi,
+                "mu": d.mu,
+                "t": d.t,
+                "expansion_parameter": d.linear_expansion_parameter,
+            },
+        )
     return [csv_path, json_path, summary_path]
 
 
-def cmd_zeta_maps(params: dict, out_dir: Path, seed: int) -> list[Path]:
+def cmd_zeta_maps(params: dict, out_dir: Path, seed: int, stages: dict) -> list[Path]:
     p = GupParams.from_gamma(params["gamma"], params["delta"], params["epsilon"])
     spec = ZetaMapSpec(
         n=int(params["n"]),
@@ -446,7 +462,7 @@ def cmd_zeta_maps(params: dict, out_dir: Path, seed: int) -> list[Path]:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(params: dict, out_dir: Path, seed: int) -> tuple[list[Path], int]:
+def cmd_verify(params: dict, out_dir: Path, seed: int, stages: dict) -> tuple[list[Path], int]:
     width = max(len(check.name) for check in CHECKS)
     run = VerifyRun(params)
     rows = []
@@ -478,14 +494,16 @@ def run_command(command: str, args) -> int:
     out_dir = Path(args.out) if args.out else Path("runs") / command
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    result = COMMANDS[command](config["params"], out_dir, config["seed"])
+    # wall seconds of the command's stages, for the manifest
+    stages: dict[str, float] = {}
+    result = COMMANDS[command](config["params"], out_dir, config["seed"], stages)
     outputs, code = result if isinstance(result, tuple) else (result, 0)
     # written only once the command has returned, so a failed run leaves no
     # configuration that claims to reproduce it
     config_path = out_dir / "run_config.json"
     write_json(config_path, config)
     wall = time.perf_counter() - start
-    write_manifest(out_dir, config, [config_path, *outputs], wall)
+    write_manifest(out_dir, config, [config_path, *outputs], wall, stages)
     for path in outputs:
         _print_line(str(path))
     return code

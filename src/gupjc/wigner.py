@@ -46,6 +46,12 @@ is refused.
 
 Normalization: integral of W over the plane is 1 with z in dimensionless
 quadrature units.
+
+``write_grid`` writes a map as CSV and JSON with every float as repr()
+writes it.  The strings come from ``_floatrepr.float_reprs``, a numpy port of
+Ryu's shortest round-trip digits that equals repr() on every finite double,
+formed one block of whole rows (about CHUNK values) at a time; each block is
+written to both files before the next is formatted.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._floatrepr import CHUNK, float_reprs
 from .fock import FockVector, coherent_state
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -322,7 +329,10 @@ def _block_sums(block, x: np.ndarray, slabs: list, sums: list) -> np.ndarray:
         if rows != sorted(rows):
             w[:] = w[rows]
         lane_rows = np.array([row for _, row, _ in lanes], dtype=np.intp)
-        lane_w = np.take(w, lane_rows, axis=0)
+        # when the j-th lane reads the j-th row (one lane a diagonal, as in a
+        # one-state pass), the lanes step on the w rows themselves
+        direct = np.array_equal(lane_rows, np.arange(len(rows)))
+        lane_w = w if direct else np.take(w, lane_rows, axis=0)
         np.multiply(c[0], lane_w[:, None, :], out=acc)
     w_prev[...] = 0.0
     # the steps lo..hi-1 run the lanes, and the rows, whose last m exceeds lo
@@ -338,8 +348,9 @@ def _block_sums(block, x: np.ndarray, slabs: list, sums: list) -> np.ndarray:
             w_prev, w, w_next = w_prev[:row_count], w[:row_count], w_next[:row_count]
             grow_now, back_now, scale_now = (
                 grow[:, :row_count], root[:, :row_count], scale[:, :row_count])
-            lane_rows_now, lane_w_now = lane_rows[:count], lane_w[:count]
-            lane_w_3d = lane_w_now[:, None, :]
+            if not direct:
+                lane_rows_now, lane_w_now = lane_rows[:count], lane_w[:count]
+                lane_w_3d = lane_w_now[:, None, :]
         for step in range(lo, hi):
             np.subtract(grow_now[step], x, out=w_next)
             w_next *= w
@@ -349,6 +360,8 @@ def _block_sums(block, x: np.ndarray, slabs: list, sums: list) -> np.ndarray:
             w_prev, w, w_next = w, w_next, w_prev
             if single:
                 np.multiply(c_now[step + 1], w, out=scratch_now)
+            elif direct:
+                np.multiply(c_now[step + 1], w[:, None, :], out=scratch_now)
             else:
                 np.take(w, lane_rows_now, axis=0, out=lane_w_now, mode="clip")
                 np.multiply(c_now[step + 1], lane_w_3d, out=scratch_now)
@@ -425,25 +438,40 @@ def write_grid(grid: WignerGrid, csv_path, json_path) -> None:
 
     The CSV bytes are those of ``csv.writer`` (excel dialect) fed repr()
     strings; the JSON bytes are those of ``json.dump(payload, indent=1,
-    sort_keys=True)`` plus a newline.  Both files are written one grid row at
-    a time, and each value is formatted once for the two of them.
+    sort_keys=True)`` plus a newline.  The repr() strings come from
+    ``float_reprs``, which forms them in numpy, one block of about CHUNK
+    values (whole grid rows) at a time; each block is written to both files
+    before the next is formatted, so neither a list of the whole grid's
+    strings nor its characters are ever held.
     """
     _check_finite(grid)
-    xs = list(map(repr, grid.re_axis.tolist()))
-    ys = list(map(repr, grid.im_axis.tolist()))
+    xs = float_reprs(grid.re_axis)
+    ys = float_reprs(grid.im_axis)
+    width = len(xs)
+    rows_per_block = max(1, CHUNK // max(width, 1))
     with open(csv_path, "w", newline="") as fc, open(json_path, "w") as fj:
         fc.write("x,y,w\r\n")
         fj.write(f'{{\n "im_axis": {_json_array(ys)},\n "re_axis": {_json_array(xs)},\n'
                  ' "values_row_major": ')
         # json.dump(indent=1) lays out the concatenated rows as one array
         opener = "[\n  "
-        for y, row in zip(ys, grid.values):
-            vs = list(map(repr, row.tolist()))
-            if vs:
-                fc.write("\r\n".join(map(f",{y},".join, zip(xs, vs))) + "\r\n")
-                fj.write(opener + ",\n  ".join(vs))
-                opener = ",\n  "
+        for first in range(0, len(ys) if width else 0, rows_per_block):
+            rows = slice(first, first + rows_per_block)
+            # one block's strings live only for the call that writes them
+            _write_rows(fc, fj, xs, ys[rows], float_reprs(grid.values[rows]), opener)
+            opener = ",\n  "
         fj.write(("[]" if opener == "[\n  " else "\n ]") + "\n}\n")
+
+
+def _write_rows(fc, fj, xs: list[str], ys: list[str], values: list[str], opener: str) -> None:
+    """Write whole grid rows of preformatted values to the CSV and the JSON
+    file, the first JSON value after ``opener``."""
+    width = len(xs)
+    for start, y in zip(range(0, len(values), width), ys):
+        vs = values[start: start + width]
+        fc.write("\r\n".join(map(f",{y},".join, zip(xs, vs))) + "\r\n")
+        fj.write(opener + ",\n  ".join(vs))
+        opener = ",\n  "
 
 
 def _json_array(items: list[str]) -> str:

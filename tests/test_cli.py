@@ -312,6 +312,19 @@ def test_manifest_contents(tmp_path):
     assert "rabi_table.csv" in manifest["outputs"]
     assert manifest["wall_time_s"] > 0
     assert manifest["versions"]["gupjc"]
+    assert manifest["stages"] == {}
+
+
+def test_wigner_diff_manifest_records_its_stages(tmp_path):
+    out = tmp_path / "w"
+    assert run_cli(["wigner-diff", "--preset", "fig1", "--set", "grid_points=11",
+                    "--out", str(out)]) == 0
+    with open(out / "manifest.json") as fh:
+        manifest = json.load(fh)
+    stages = manifest["stages"]
+    assert sorted(stages) == ["state_s", "wigner_s", "write_s"]
+    assert all(0.0 < seconds < manifest["wall_time_s"] for seconds in stages.values())
+    assert sum(stages.values()) <= manifest["wall_time_s"]
 
 
 @pytest.mark.parametrize("command, setting, name", [

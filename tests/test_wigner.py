@@ -537,11 +537,31 @@ def _json_dump_oracle(grid, path):
         fh.write("\n")
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (4, 5), (2, 0), "benchmark"])
+# every layout repr() uses: positional, small positional, integral, exponent
+# with two and three digits, signed zeros, subnormals and the extremes
+LAYOUT_FORMS = [0.0, -0.0, 1.0, -2.5, 0.001, -0.0001234, 1e-05, 123456.789, 1e15,
+                9999999999999998.0, 1e16, -1.5e-300, 5e-324, 1.7976931348623157e308,
+                12.0, 0.1, 2.2250738585072014e-308, -3.3e+100, 1e22, 0.5]
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1), (3, 2), (4, 5), (2, 0), "benchmark", "fig1",
+    # a row wider than one formatting chunk, and a row count that is not a
+    # multiple of the rows written per block
+    (2, wigner.CHUNK + 5), (wigner.CHUNK // 1000 * 2 + 1, 1000),
+    "layout forms",
+])
 def test_grid_writers_match_csv_and_json_oracles(tmp_path, shape):
     if shape == "benchmark":
         field, reference = _benchmark_state()
         grid = wigner_difference(field, reference, small_grid(n=41)).grid
+    elif shape == "fig1":
+        field, reference = _benchmark_state()
+        grid = wigner_difference(field, reference, GridSpec(-4.0, 4.0, -4.0, 4.0, 201, 201)).grid
+    elif shape == "layout forms":
+        values = np.array(LAYOUT_FORMS).reshape(4, 5)
+        grid = WignerGrid(np.array([-1e-05, 0.0, 1e16, 3.0, -7e-300]),
+                          np.array([0.25, -1e-4, 1e200, 2.0]), values)
     else:
         n_im, n_re = shape
         values = np.random.default_rng(7).normal(size=shape) * np.logspace(-300, 300, n_re)
