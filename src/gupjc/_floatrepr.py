@@ -2,7 +2,8 @@
 
 ``float_reprs(values)`` returns ``[repr(x) for x in values.ravel().tolist()]``
 for finite float64 input, computed on whole arrays instead of one Python call
-per value.  The digits are Ryu's (Adams, "Ryu: fast float-to-string
+per value; ``float_cells(values)`` returns the same characters as a numpy
+matrix.  The digits are Ryu's (Adams, "Ryu: fast float-to-string
 conversion", PLDI 2018, the d2d step of its reference d2s.c): the shortest
 decimal that reads back to the same double and, among those, the one nearest
 to it, with ties to even.  That is the digit string CPython's repr() takes
@@ -26,9 +27,13 @@ the number of rounds it passes, and the trailing-zero flags that settle
 exact ties follow from the count.  The per-exponent constants (multiplier
 limbs, shift, decimal exponent) come from exact Python-int powers of 5,
 built on the first call and cached, so importing the module costs nothing.
-The strings are cut from a character matrix with one row per position,
-whose unused cells are deleted from its bytes.  Values go through in passes
-of CHUNK, which bounds the work arrays.
+The layout fills a uint8 matrix of character cells, one row per value and
+WIDTH cells a row, with every part of the layout at a fixed column and 0 in
+the cells a value leaves unused.  ``float_cells`` returns those cells, so
+that a writer composes whole lines around them in numpy and deletes the 0
+cells with one ``bytes.translate`` over its buffer; ``float_reprs`` is the
+str view of the same cells.  Values go through in passes of at most CHUNK,
+which bounds the work arrays.
 
 Two numpy rules the code keeps: an int64 and a uint64 array never meet in
 one operation (numpy would promote the pair to float64 and drop digits), and
@@ -42,12 +47,17 @@ import functools
 import numpy as np
 
 # Values formatted per pass.  A pass makes about 150 numpy calls whatever its
-# size, and its work arrays and strings grow with it.  Measured in-process on
+# size, and its work arrays and cells grow with it.  Measured in-process on
 # fig1's 201x201 map (40 401 values, 2-vCPU Xeon, medians of interleaved
 # calls): 2048 values a pass took 30-35 ms, 3072 25-32 ms, 4096 25-30 ms,
 # and 6144 or 8192 were no faster; the resident memory the first grid write
 # adds was 0.51, 0.59, 0.67, 0.82 and 1.02 MB (0.38 MB of it numpy code).
 CHUNK = 4096
+
+# Character cells of a value: sign, "0." and three zeros before a small value,
+# an 18-character body, and "e", the exponent's sign and three digits.  A
+# repr() of a double fills at most 24 of them.
+WIDTH = 29
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -113,13 +123,26 @@ def _tables() -> dict:
 def float_reprs(values) -> list[str]:
     """[repr(x) for x in values.ravel().tolist()] for finite float64 values."""
     flat = np.asarray(values, dtype=np.float64).ravel()
-    if not np.isfinite(flat).all():
-        raise ValueError("float_reprs formats finite values only")
     strings: list[str] = []
     for start in range(0, flat.size, CHUNK):
-        # each step's work arrays are freed before the next step starts
-        strings += _layout(*_shortest(flat[start: start + CHUNK])).split("\n")
+        cells = float_cells(flat[start: start + CHUNK])
+        lines = np.full((len(cells), WIDTH + 1), ord("\n"), dtype=np.uint8)
+        lines[:, :WIDTH] = cells
+        strings += lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
     return strings
+
+
+def float_cells(values) -> np.ndarray:
+    """The repr() of each finite float64 value as ASCII cells, shape (n, WIDTH).
+
+    Row i holds the characters of repr(values.flat[i]) in order, with 0 in
+    the cells it leaves unused.  The values go through in one pass, so a
+    caller bounds their number (CHUNK).
+    """
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    if not np.isfinite(flat).all():
+        raise ValueError("only finite values can be formatted")
+    return _layout(*_shortest(flat))
 
 
 def _shortest(x: np.ndarray) -> tuple:
@@ -231,20 +254,20 @@ def _mul_shift(mm: np.ndarray, mm_shift: np.ndarray, limbs: np.ndarray, shift: n
     return results
 
 
-def _layout(digits: np.ndarray, e10: np.ndarray, negative: np.ndarray) -> str:
-    """CPython's 'r' layout of +-digits * 10^e10, the strings joined by "\\n".
+def _layout(digits: np.ndarray, e10: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """CPython's 'r' layout of +-digits * 10^e10 as (n, WIDTH) character cells.
 
-    The characters go into a (30, n) matrix, one row a position: sign, "0."
+    The characters go into a (WIDTH, n) matrix, one row a position: sign, "0."
     and up to three zeros before a small value, an 18-character body of the
-    digits with a "." inserted, "e" with the exponent's sign and digits, and a
-    separator.  A 0 marks an unused position and is deleted from the bytes.
+    digits with a "." inserted, and "e" with the exponent's sign and digits.
+    A 0 marks an unused position.  The cells are returned with one row a value.
     """
     n = digits.size
     count = np.searchsorted(_POW10[1:18], digits, side="right") + 1
     decpt = e10 + count
     exponent = (decpt <= -4) | (decpt > 16)
     small = ~exponent & (decpt <= 0)
-    chars = np.zeros((30, n), dtype=np.uint8)
+    chars = np.zeros((WIDTH, n), dtype=np.uint8)
     chars[0] = negative * ord("-")
     chars[1] = small * ord("0")
     chars[2] = small * ord(".")
@@ -285,5 +308,5 @@ def _layout(digits: np.ndarray, e10: np.ndarray, negative: np.ndarray) -> str:
     chars[26] = (exponent & (size >= 100)) * (size // 100 + ord("0"))
     chars[27] = exponent * (size // 10 % 10 + ord("0"))
     chars[28] = exponent * (size % 10 + ord("0"))
-    chars[29, :-1] = ord("\n")
-    return chars.T.tobytes().translate(None, b"\0").decode("ascii")
+    # one transposed copy here lets a writer copy the cells row by row
+    return np.ascontiguousarray(chars.T)

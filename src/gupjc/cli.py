@@ -49,7 +49,13 @@ from .errors import GupJcError
 from .fock import evolve_on_grid, laguerre
 from .gup import GupParams, InteractionConfig, derive_coefficients, rwa_block
 from .rwa_validity import ZetaMapSpec, zeta_map
-from .wigner import GridSpec, wigner_difference, wigner_precision_ratio, write_grid
+from .wigner import (
+    MAX_ABS_Z,
+    GridSpec,
+    wigner_difference,
+    wigner_precision_ratio,
+    write_grid,
+)
 
 PRESETS: dict[str, dict] = {
     # electroweak-scale GUP, coherent |alpha|=1, dispersive rate 1e5 rad/s
@@ -199,12 +205,39 @@ def _check_params(params: dict) -> None:
         value = params[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
             raise ValueError(f"{key} must be a finite number > 0, got {value!r}")
+    # a grid's largest |z| is its corner, which the Wigner kernel refuses past
+    # MAX_ABS_Z; refuse it here, by the kernel's own test, before any state
+    extent = params.get("grid_extent")
+    corner = _grid_corner(extent) if extent is not None else 0.0
+    if not corner <= MAX_ABS_Z:
+        raise ValueError(
+            f"grid_extent must be at most {_largest_grid_extent()!r}, got {extent!r}: the grid "
+            f"corner |z| = {corner:.4g} exceeds the Wigner evaluation limit "
+            f"|z| <= {MAX_ABS_Z:.4g}, where e^(-2|z|^2) underflows"
+        )
     if "initial_atom" in params and params["initial_atom"] not in ("g", "e"):
         raise ValueError(f"initial_atom must be 'g' or 'e', got {params['initial_atom']!r}")
     # mu = 0 leaves the state unchanged, so every GUP difference would be zero;
     # a negative mu is valid: the atom sits below resonance
     if "mu" in params and params["mu"] == 0:
         raise ValueError(f"mu must be nonzero, got {params['mu']!r}")
+
+
+def _grid_corner(extent: float) -> float:
+    """|z| of the grid corner extent * (1 + i) as the Wigner kernel computes it:
+    numpy's complex abs, which rounds unlike Python's abs(complex) on about
+    half of such corners."""
+    return float(np.abs(complex(extent, extent)))
+
+
+def _largest_grid_extent() -> float:
+    """The largest grid_extent whose grid corner the Wigner kernel evaluates."""
+    extent = MAX_ABS_Z / math.sqrt(2.0)
+    while _grid_corner(extent) > MAX_ABS_Z:
+        extent = math.nextafter(extent, 0.0)
+    while _grid_corner(math.nextafter(extent, math.inf)) <= MAX_ABS_Z:
+        extent = math.nextafter(extent, math.inf)
+    return extent
 
 
 def _fmt(value) -> str:
@@ -468,6 +501,7 @@ def cmd_verify(params: dict, out_dir: Path, seed: int, stages: dict) -> tuple[li
     rows = []
     for check in CHECKS:
         measured, elapsed = check.run(run, seed)
+        stages[check.name] = elapsed
         ok = measured < check.tolerance
         _print_line(f"{check.name:<{width}}  {'PASS' if ok else 'FAIL'}  measured "
                     f"{measured:.3e}, tolerance {check.tolerance:g}  ({elapsed:.3f} s)")
@@ -475,7 +509,8 @@ def cmd_verify(params: dict, out_dir: Path, seed: int, stages: dict) -> tuple[li
                      "tolerance": check.tolerance})
     all_passed = all(row["ok"] for row in rows)
     report_path = out_dir / "verify_report.json"
-    # elapsed times stay out of the report, which replays byte for byte
+    # elapsed times go to the manifest's stages and stay out of the report,
+    # which replays byte for byte
     write_json(report_path, {"checks": rows, "all_passed": all_passed})
     return [report_path], 0 if all_passed else 1
 

@@ -48,10 +48,14 @@ Normalization: integral of W over the plane is 1 with z in dimensionless
 quadrature units.
 
 ``write_grid`` writes a map as CSV and JSON with every float as repr()
-writes it.  The strings come from ``_floatrepr.float_reprs``, a numpy port of
-Ryu's shortest round-trip digits that equals repr() on every finite double,
-formed one block of whole rows (about CHUNK values) at a time; each block is
-written to both files before the next is formatted.
+writes it.  The characters come from ``_floatrepr.float_cells``, a numpy
+port of Ryu's shortest round-trip digits that equals repr() on every finite
+double, as a uint8 matrix of cells, one row a value, formed one block of
+whole rows (about CHUNK values) at a time.  The block's CSV lines and JSON
+items are composed around those cells in two more uint8 matrices, and one
+``bytes.translate`` per file and block deletes the unused cells, so no
+Python string is made per value; each block is written to both files, in
+binary mode, before the next is formatted.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._floatrepr import CHUNK, float_reprs
+from ._floatrepr import CHUNK, WIDTH, float_cells
 from .fock import FockVector, coherent_state
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -81,6 +85,9 @@ MAX_ABS_Z = math.sqrt(-math.log(np.finfo(float).tiny) / 2.0)
 # 2 x 6772, as larger blocks gained nothing there (33-38 ms a pass at one
 # diagonal a step, 34-45 ms at four, 43-48 ms at eight).
 BLOCK_ELEMENTS = 8192
+
+# json.dump(indent=1) puts an array's items one a line, indented by two
+_JSON_SEPARATOR = b",\n  "
 
 
 @dataclass(frozen=True)
@@ -437,43 +444,67 @@ def write_grid(grid: WignerGrid, csv_path, json_path) -> None:
     """Write (x, y, w) CSV rows, y-major, and JSON axes plus row-major values.
 
     The CSV bytes are those of ``csv.writer`` (excel dialect) fed repr()
-    strings; the JSON bytes are those of ``json.dump(payload, indent=1,
-    sort_keys=True)`` plus a newline.  The repr() strings come from
-    ``float_reprs``, which forms them in numpy, one block of about CHUNK
-    values (whole grid rows) at a time; each block is written to both files
-    before the next is formatted, so neither a list of the whole grid's
-    strings nor its characters are ever held.
+    strings.  The JSON bytes are those of ``json.dump(payload, indent=1,
+    sort_keys=True)`` plus a newline, as ``json.dump`` writes them on POSIX:
+    the file is written in binary mode, so its lines always end in "\\n".
+
+    Every character comes from ``float_cells``, whose rows hold one value's
+    repr() with 0 in the unused cells.  The values go one block of whole
+    grid rows (about CHUNK values) at a time.  A block's CSV lines are
+    composed in one uint8 matrix as [x cells ","][y cells ","][w cells]
+    ["\\r\\n"] and its JSON items in another as [w cells][",\\n  "].  The x
+    cells and the separators are written into the matrices once and serve
+    every block.  One ``bytes.translate`` per file and block deletes the 0
+    cells, and each block is written to both files before the next is
+    formatted.  So no Python string is made per value, and the grid's
+    characters are never held at once.
     """
     _check_finite(grid)
-    xs = float_reprs(grid.re_axis)
-    ys = float_reprs(grid.im_axis)
-    width = len(xs)
+    x_cells = float_cells(grid.re_axis)
+    y_cells = float_cells(grid.im_axis)
+    n_im, width = grid.values.shape
     rows_per_block = max(1, CHUNK // max(width, 1))
-    with open(csv_path, "w", newline="") as fc, open(json_path, "w") as fj:
-        fc.write("x,y,w\r\n")
-        fj.write(f'{{\n "im_axis": {_json_array(ys)},\n "re_axis": {_json_array(xs)},\n'
-                 ' "values_row_major": ')
+    block_rows = min(rows_per_block, n_im)
+    # the CSV lines keep only the cell columns an axis uses, as translate's
+    # time grows with the cells it scans
+    x_csv, y_csv = (cells[:, cells.any(axis=0)] for cells in (x_cells, y_cells))
+    y_at = x_csv.shape[1] + 1
+    w_at = y_at + y_csv.shape[1] + 1
+    csv_lines = np.zeros((block_rows, width, w_at + WIDTH + 2), dtype=np.uint8)
+    csv_lines[:, :, : y_at - 1] = x_csv
+    csv_lines[:, :, y_at - 1] = csv_lines[:, :, w_at - 1] = ord(",")
+    csv_lines[:, :, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    json_lines = np.zeros((max(block_rows * width, n_im, width), WIDTH + len(_JSON_SEPARATOR)),
+                          dtype=np.uint8)
+    json_lines[:, WIDTH:] = np.frombuffer(_JSON_SEPARATOR, dtype=np.uint8)
+    with open(csv_path, "wb") as fc, open(json_path, "wb") as fj:
+        fc.write(b"x,y,w\r\n")
+        fj.write(b'{\n "im_axis": ' + _json_array(y_cells, json_lines)
+                 + b',\n "re_axis": ' + _json_array(x_cells, json_lines)
+                 + b',\n "values_row_major": ')
         # json.dump(indent=1) lays out the concatenated rows as one array
-        opener = "[\n  "
-        for first in range(0, len(ys) if width else 0, rows_per_block):
-            rows = slice(first, first + rows_per_block)
-            # one block's strings live only for the call that writes them
-            _write_rows(fc, fj, xs, ys[rows], float_reprs(grid.values[rows]), opener)
-            opener = ",\n  "
-        fj.write(("[]" if opener == "[\n  " else "\n ]") + "\n}\n")
+        opener = b"[\n  "
+        for first in range(0, n_im if width else 0, rows_per_block):
+            rows = grid.values[first: first + rows_per_block]
+            cells = float_cells(rows)
+            lines = csv_lines[: len(rows)]
+            lines[:, :, y_at: w_at - 1] = y_csv[first: first + len(rows), None]
+            lines.reshape(len(cells), -1)[:, w_at: w_at + WIDTH] = cells
+            fc.write(lines.tobytes().translate(None, b"\0"))
+            fj.write(opener)
+            fj.write(_json_items(cells, json_lines))
+            opener = _JSON_SEPARATOR
+        fj.write((b"[]" if opener == b"[\n  " else b"\n ]") + b"\n}\n")
 
 
-def _write_rows(fc, fj, xs: list[str], ys: list[str], values: list[str], opener: str) -> None:
-    """Write whole grid rows of preformatted values to the CSV and the JSON
-    file, the first JSON value after ``opener``."""
-    width = len(xs)
-    for start, y in zip(range(0, len(values), width), ys):
-        vs = values[start: start + width]
-        fc.write("\r\n".join(map(f",{y},".join, zip(xs, vs))) + "\r\n")
-        fj.write(opener + ",\n  ".join(vs))
-        opener = ",\n  "
+def _json_items(cells: np.ndarray, json_lines: np.ndarray) -> memoryview:
+    """The values of ``cells`` joined by _JSON_SEPARATOR, composed in the first
+    rows of ``json_lines``, whose last columns hold that separator."""
+    lines = json_lines[: len(cells)]
+    lines[:, :WIDTH] = cells
+    return memoryview(lines.tobytes().translate(None, b"\0"))[: -len(_JSON_SEPARATOR)]
 
 
-def _json_array(items: list[str]) -> str:
-    """One array of preformatted floats, laid out as json.dump(indent=1)."""
-    return "[\n  " + ",\n  ".join(items) + "\n ]" if items else "[]"
+def _json_array(cells: np.ndarray, json_lines: np.ndarray) -> bytes:
+    """One array of formatted floats, laid out as json.dump(indent=1)."""
+    return b"[\n  " + _json_items(cells, json_lines) + b"\n ]" if len(cells) else b"[]"

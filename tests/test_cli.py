@@ -6,13 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gupjc
 from gupjc.checks import CHECKS
 from gupjc.cli import DEFAULTS, PRESETS, build_parser, main, resolve_config
 from gupjc.dispersive import DispersiveConfig, evolve_dispersive_exact
+from gupjc.fock import fock_state
 from gupjc.gup import GupParams, derive_coefficients
+from gupjc.wigner import wigner_values_at
 
 
 def run_cli(args):
@@ -254,6 +257,14 @@ def test_verify_exit_code_and_report(tmp_path, capsys):
         assert row["tolerance"] == check.tolerance
         assert row["ok"] and row["measured"] < row["tolerance"]
         assert printed[check.name] == "PASS"
+    # each check's elapsed seconds go to the manifest, and the report, which
+    # leaves them out, replays byte for byte
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["stages"]) == sorted(check.name for check in CHECKS)
+    assert all(0.0 < seconds < manifest["wall_time_s"] for seconds in manifest["stages"].values())
+    replay = tmp_path / "replay"
+    assert run_cli(["verify", "--config", str(out / "run_config.json"), "--out", str(replay)]) == 0
+    assert databytes(replay) == databytes(out)
 
 
 def test_verify_reports_failing_checks(tmp_path, capsys):
@@ -390,6 +401,24 @@ def test_wigner_diff_past_underflow_limit_exits_cleanly(tmp_path, capsys):
     assert code == 2
     assert "|z| = 28.28" in captured.err and "underflows" in captured.err
     assert not (out / "delta_w.csv").exists()
+
+
+def test_grid_extent_is_refused_past_the_kernel_limit_by_name(tmp_path, capsys):
+    # the largest extent whose grid corner the kernel evaluates, and the next
+    # double, which it refuses; the CLI draws the same line before any state
+    largest = 13.30785875462563
+    past = math.nextafter(largest, math.inf)
+    wigner_values_at(fock_state(0, 1), np.array([complex(largest, largest)]))
+    with pytest.raises(ValueError, match="exceeds the Wigner evaluation limit"):
+        wigner_values_at(fock_state(0, 1), np.array([complex(past, past)]))
+    for extent, code in ((largest, 0), (past, 2)):
+        out = tmp_path / repr(extent)
+        assert run_cli(["wigner-diff", "--out", str(out), "--preset", "fig1",
+                        "--set", f"grid_extent={extent!r}", "--set", "grid_points=2"]) == code
+    err = capsys.readouterr().err
+    assert f"grid_extent must be at most {largest!r}, got {past!r}" in err
+    assert (tmp_path / repr(largest) / "delta_w.csv").exists()
+    assert not (tmp_path / repr(past)).exists()
 
 
 def test_failed_run_leaves_no_run_config(tmp_path, capsys):

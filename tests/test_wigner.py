@@ -549,7 +549,7 @@ LAYOUT_FORMS = [0.0, -0.0, 1.0, -2.5, 0.001, -0.0001234, 1e-05, 123456.789, 1e15
     # a row wider than one formatting chunk, and a row count that is not a
     # multiple of the rows written per block
     (2, wigner.CHUNK + 5), (wigner.CHUNK // 1000 * 2 + 1, 1000),
-    "layout forms",
+    "layout forms", "widest axes",
 ])
 def test_grid_writers_match_csv_and_json_oracles(tmp_path, shape):
     if shape == "benchmark":
@@ -562,6 +562,13 @@ def test_grid_writers_match_csv_and_json_oracles(tmp_path, shape):
         values = np.array(LAYOUT_FORMS).reshape(4, 5)
         grid = WignerGrid(np.array([-1e-05, 0.0, 1e16, 3.0, -7e-300]),
                           np.array([0.25, -1e-4, 1e200, 2.0]), values)
+    elif shape == "widest axes":
+        # axes whose reprs run from 3 to 24 characters, on a row count that
+        # leaves the last block partial
+        forms = np.array([1.0, -0.0, 5e-324, -2.2250738585072014e-308, -1.7976931348623157e+308])
+        n_im = 2 * (wigner.CHUNK // forms.size) + 3
+        values = np.resize(np.array(LAYOUT_FORMS), (n_im, forms.size))
+        grid = WignerGrid(forms, np.resize(forms[::-1], n_im), values)
     else:
         n_im, n_re = shape
         values = np.random.default_rng(7).normal(size=shape) * np.logspace(-300, 300, n_re)
