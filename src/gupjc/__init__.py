@@ -41,7 +41,6 @@ from .gup import (
     build_full_interaction_hamiltonian,
     build_rwa_hamiltonian,
     derive_coefficients,
-    length_scale_bounds,
     quadratic_coefficients,
     rwa_block,
 )
@@ -50,6 +49,7 @@ from .dynamics import (
     amplitude_angular_frequency,
     analytic_amplitudes,
     atomic_inversion,
+    exact_rabi_shift,
     rabi_shift,
     validate_against_numeric,
 )

@@ -44,7 +44,12 @@ from .dispersive import (
     evolve_dispersive_exact,
     photon_added_decomposition,
 )
-from .dynamics import amplitude_angular_frequency, atomic_inversion, rabi_shift
+from .dynamics import (
+    amplitude_angular_frequency,
+    atomic_inversion,
+    exact_rabi_shift,
+    rabi_shift,
+)
 from .errors import GupJcError
 from .fock import evolve_on_grid, laguerre
 from .gup import GupParams, InteractionConfig, derive_coefficients, rwa_block
@@ -347,12 +352,15 @@ def cmd_rabi(params: dict, out_dir: Path, seed: int, stages: dict) -> list[Path]
     p = GupParams.from_gamma(params["gamma"], params["delta"], params["epsilon"])
     c = derive_coefficients(p, omega)
 
+    ns = range(int(params["n_table_max"]) + 1)
+    exact = exact_rabi_shift(np.array(ns), cfg, c).tolist()
     table_rows = []
-    for n in range(int(params["n_table_max"]) + 1):
+    for n in ns:
         sol = rabi_shift(n, cfg, c)
-        table_rows.append([n, sol.omega_std, sol.omega_qg, sol.delta_omega])
+        table_rows.append([n, sol.omega_std, sol.omega_qg, sol.delta_omega, exact[n]])
     table_path = out_dir / "rabi_table.csv"
-    write_csv(table_path, ["n", "omega_std", "omega_qg", "delta_omega"], table_rows)
+    write_csv(table_path, ["n", "omega_std", "omega_qg", "delta_omega", "delta_omega_exact"],
+              table_rows)
 
     n = int(params["n"])
     w_half = amplitude_angular_frequency(n, cfg, c)

@@ -10,7 +10,3 @@ PLANCK_LENGTH = 1.616255e-35  # m
 # Conversion between the dimensionless GUP strength gamma0 and its SI value
 # gamma = gamma0 / (sqrt(M_Planck) * c), in J^(-1/2).
 GAMMA_SI_DIVISOR = math.sqrt(PLANCK_MASS) * C_LIGHT  # ~4.4e4 in SI units
-
-# Largest gamma0 compatible with the electroweak length scale (~1e-18 m),
-# the shortest distance probed by experiment so far.
-GAMMA0_ELECTROWEAK_BOUND = 1e8

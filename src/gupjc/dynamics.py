@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import evolve_on_grid
-from .gup import GupCoefficients, InteractionConfig, rwa_block
+from .gup import GupCoefficients, InteractionConfig, rwa_block, rwa_block_entries
 
 # "around resonance" for the numeric validator
 RESONANCE_TOL_FRACTION = 1e-3
@@ -124,6 +124,30 @@ def rabi_shift(n: int, cfg: InteractionConfig, c: GupCoefficients) -> RabiSoluti
         omega_std=omega_std,
         delta_omega=delta_omega,
     )
+
+
+def exact_rabi_shift(n, cfg: InteractionConfig, c: GupCoefficients):
+    """Exact shift 2 (g0 - hypot(d, g)) of the inversion frequency of
+    ``rwa_block(n)`` from its no-GUP resonant value 2 g0, rad/s.
+
+    Here g0 = coupling*sqrt(m), g = g0 (1 - m phi) and m = n + 1, with d from
+    the block.  Formed naively, g0 - hypot(d, g) subtracts two numbers of
+    order g0 and loses the leading digits of the small shift; the stable form
+
+        2 (g0^2 (2 m phi - m^2 phi^2) - d^2) / (g0 + hypot(d, g))
+
+    subtracts nothing of order g0^2 when m phi and d / g0 are small, and is
+    accurate to rounding.  ``n`` may be an integer or an integer array; a
+    positive coupling is required.
+    """
+    if cfg.coupling <= 0:
+        raise ValueError("the exact Rabi shift requires a positive coupling")
+    n = np.asarray(n, dtype=float)
+    d, g = rwa_block_entries(n, cfg, c)
+    m = n + 1.0
+    g0 = cfg.coupling * np.sqrt(m)
+    m_phi = m * c.phi
+    return 2.0 * (g0 * g0 * (2.0 * m_phi - m_phi * m_phi) - d * d) / (g0 + np.hypot(d, g))
 
 
 def validate_against_numeric(

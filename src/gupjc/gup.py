@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    GAMMA0_ELECTROWEAK_BOUND,
-    GAMMA_SI_DIVISOR,
-    HBAR,
-    PLANCK_LENGTH,
-)
+from .constants import GAMMA_SI_DIVISOR, HBAR
 from .fock import SIGMA_3, SIGMA_PLUS, build_annihilation, tensor_with_atom
 
 
@@ -109,12 +104,6 @@ class InteractionConfig:
         return self.coupling**2 / self.detuning
 
 
-@dataclass(frozen=True)
-class LengthScaleBounds:
-    length_scale: float  # metres
-    gamma_upper_ok: bool
-
-
 def quadratic_weight(delta, epsilon):
     """Quadratic-channel weight 3 delta^2 - 2 epsilon, the factor phi carries.
 
@@ -159,20 +148,6 @@ def derive_coefficients(p: GupParams, omega: float) -> GupCoefficients:
     )
 
 
-def length_scale_bounds(p: GupParams) -> LengthScaleBounds:
-    """Length scale gamma0^2 * l_Planck at which the deformation becomes O(1).
-
-    ``gamma_upper_ok`` reports whether gamma0 respects the electroweak bound
-    gamma0 <= 1e8 (length scales below ~1e-18 m are experimentally excluded).
-    """
-    if p.gamma0 <= 0:
-        raise ValueError("length scale requires gamma0 > 0")
-    return LengthScaleBounds(
-        length_scale=p.gamma0**2 * PLANCK_LENGTH,
-        gamma_upper_ok=p.gamma0 <= GAMMA0_ELECTROWEAK_BOUND,
-    )
-
-
 def _rwa_coupling_element(n, c: GupCoefficients):
     """Coupling between |e,n> and |g,n+1> per unit dipole rate: sqrt(n+1)*(1 - (n+1)*phi).
 
@@ -193,6 +168,14 @@ def lowering_operator_dressed(c: GupCoefficients, ncut: int) -> np.ndarray:
     return tensor_with_atom(SIGMA_PLUS, dressed_field_band(c, ncut))
 
 
+def rwa_block_entries(n, cfg: InteractionConfig, c: GupCoefficients):
+    """(d, g) of ``rwa_block(n)``, rad/s; ``n`` may be an integer or an
+    integer array."""
+    g = cfg.coupling * _rwa_coupling_element(n, c)
+    d = 0.5 * (cfg.detuning + 8.0 * (n + 1) * c.chi * cfg.omega)
+    return d, g
+
+
 def rwa_block(n: int, cfg: InteractionConfig, c: GupCoefficients) -> np.ndarray:
     """Rotating-wave Hamiltonian on {|e,n>, |g,n+1>} minus its mean energy (rad/s).
 
@@ -202,8 +185,7 @@ def rwa_block(n: int, cfg: InteractionConfig, c: GupCoefficients) -> np.ndarray:
     on each block, so it only adds a global phase there and no optical-scale
     energy is ever formed.
     """
-    g = cfg.coupling * _rwa_coupling_element(n, c)
-    d = 0.5 * (cfg.detuning + 8.0 * (n + 1) * c.chi * cfg.omega)
+    d, g = rwa_block_entries(n, cfg, c)
     return np.array([[d, g], [g, -d]])
 
 

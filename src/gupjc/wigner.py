@@ -27,20 +27,14 @@ accumulating at its own last nonzero coefficient, and a diagonal with no
 nonzero coefficient is skipped; the terms left out are exact zeros, so every
 map keeps the bits it has when evaluated alone.
 
-Each step of m advances a block of diagonals in one numpy call per
-operation: their w rows form one slab, and each (diagonal, state) pair is a
-lane that accumulates c_m w_m.  A block holds up to
-max(1, BLOCK_ELEMENTS // radii) lanes, so a pass over R distinct radii makes
-O(ncut^2 R / BLOCK_ELEMENTS + ncut) numpy calls for the recurrence, O(ncut)
-when R is small, plus O(ncut) calls over the points for the phases.  The
-per-call overhead, not the arithmetic, is what a few radii pay for, and the
-block removes it; on a large grid every operation is long already, and the
-block is one diagonal, stepped on 1-D rows with scalar factors.  Every
-elementwise operation is the one a lone diagonal makes, in the same order of
-m, so blocking changes no bit.  A Fock state |n> adds one diagonal of n + 1
-steps.  The memory is O(states * points) plus O(BLOCK_ELEMENTS) per block
-array.  The difference of two maps is one pass over the coefficients of
-rho_psi - rho_ref, at the cost of one map.  The start value
+The diagonals are stepped one at a time, in ascending k, on three 1-D w rows
+with scalar factors, and each (diagonal, state) pair with a nonzero
+coefficient is a lane that accumulates c_m w_m; the lanes of a diagonal
+share each step.  A pass over R distinct radii makes O(ncut^2) numpy calls
+of length R for the recurrence plus O(ncut) calls over the points for the
+phases.  A Fock state |n> adds one diagonal of n + 1 steps.  The memory is
+O(states * points).  The difference of two maps is one pass over the
+coefficients of rho_psi - rho_ref, at the cost of one map.  The start value
 e^{-2|z|^2} underflows past |z| = MAX_ABS_Z (about 18.8), where evaluation
 is refused.
 
@@ -73,18 +67,6 @@ TWO_OVER_PI = 2.0 / math.pi
 
 # largest |z| whose Gaussian factor e^{-2|z|^2} is a normal double
 MAX_ABS_Z = math.sqrt(-math.log(np.finfo(float).tiny) / 2.0)
-
-# Element budget of a block: a block takes diagonals while its lanes
-# (diagonal, state) number at most max(1, BLOCK_ELEMENTS // radii), so its
-# w rows and lane sums hold O(BLOCK_ELEMENTS) elements; a diagonal is always
-# taken whole.  Measured in-process on a 2-vCPU Xeon: fig1's 9-point
-# reference peak steps all 41 diagonals at once (8.2 ms -> 2.4 ms a call);
-# verify's 61x61 grid (661 radii) steps 12 lanes, where budgets of 2048 and
-# 4096 were 7% and 4% slower than one diagonal a step and 8192 was even;
-# fig1's 201x201 grid (6772 radii) keeps one diagonal a step below
-# 2 x 6772, as larger blocks gained nothing there (33-38 ms a pass at one
-# diagonal a step, 34-45 ms at four, 43-48 ms at eight).
-BLOCK_ELEMENTS = 8192
 
 # json.dump(indent=1) puts an array's items one a line, indented by two
 _JSON_SEPARATOR = b",\n  "
@@ -180,9 +162,8 @@ def _wigner_terms(
     term needs.  A term accumulates w_m c_m only up to its last nonzero
     coefficient on the diagonal and skips a diagonal whose coefficients are
     all zero: the sums it leaves out are exact zeros, so each term keeps the
-    bits of a pass of its own.  The recurrence steps a block of diagonals
-    at a time (``_block_sums``); the phases are applied one diagonal at a
-    time, in ascending k.
+    bits of a pass of its own.  The diagonals are stepped one at a time, in
+    ascending k (``_diagonal_sums``), and each applies its phase once.
     """
     pairs = []
     for psi, reference in terms:
@@ -209,34 +190,28 @@ def _wigner_terms(
     turn_k = 0
     totals = np.zeros((len(pairs), zs.size))
     at = np.empty((len(pairs), 2, zs.size))
-    # work arrays shared by every block of the pass: three slabs of w rows
-    # and two of lane sums; a block holds at most ``budget`` lanes, or the
-    # lanes of one diagonal
-    budget = max(1, BLOCK_ELEMENTS // max(r.size, 1))
-    slabs = [_aligned_empty((budget, r.size)) for _ in range(3)]
-    sums = [_aligned_empty((max(budget, len(pairs)), 2, r.size)) for _ in range(2)]
-    for block in _blocks(pairs, x, r, slabs[0]):
-        block_sums = _block_sums(block, x, slabs, sums)
-        first = 0
-        for k, lanes in block:
-            while turn_k < k:
-                turn *= unit
-                turn_k += 1
-            count = len(lanes)
-            # Re(e^{ik arg z} sums), counted twice off the main diagonal; inv
-            # is in range, so mode="clip" clips nothing and spares take the
-            # copy of ``out`` that mode="raise" makes
-            gathered = np.take(block_sums[first: first + count], inv, axis=2,
-                               out=at[:count], mode="clip")
-            first += count
-            at_re, at_im = gathered.transpose(1, 0, 2)
-            at_re *= turn.real
-            at_im *= turn.imag
-            at_re -= at_im
-            if k:
-                at_re *= 2.0
-            for (_, i, _), values in zip(lanes, at_re):
-                totals[i] += values
+    # work space shared by every diagonal of the pass: three w rows and two
+    # arrays of lane sums
+    rows = [_aligned_empty((r.size,)) for _ in range(3)]
+    sums = [_aligned_empty((len(pairs), 2, r.size)) for _ in range(2)]
+    for k, lanes in _diagonals(pairs, x, r, rows[0]):
+        while turn_k < k:
+            turn *= unit
+            turn_k += 1
+        count = len(lanes)
+        # Re(e^{ik arg z} sums), counted twice off the main diagonal; inv is
+        # in range, so mode="clip" clips nothing and spares take the copy of
+        # ``out`` that mode="raise" makes
+        gathered = np.take(_diagonal_sums(k, lanes, x, rows, sums), inv, axis=2,
+                           out=at[:count], mode="clip")
+        at_re, at_im = gathered.transpose(1, 0, 2)
+        at_re *= turn.real
+        at_im *= turn.imag
+        at_re -= at_im
+        if k:
+            at_re *= 2.0
+        for (_, i, _), values in zip(lanes, at_re):
+            totals[i] += values
     totals *= TWO_OVER_PI
     return totals
 
@@ -261,55 +236,31 @@ def _diagonal_lanes(pairs, k: int, signs: np.ndarray) -> list:
     return lanes
 
 
-def _blocks(pairs, x: np.ndarray, r: np.ndarray, starts: np.ndarray):
-    """Blocks of diagonals [(k, lanes), ...] in ascending k, each holding at
-    most len(starts) lanes or else one diagonal, with |w^k_0| of the block's
-    j-th diagonal in starts[j]; diagonals without a lane are left out."""
+def _diagonals(pairs, x: np.ndarray, r: np.ndarray, start: np.ndarray):
+    """The diagonals (k, lanes) that have a lane, in ascending k, each with
+    its |w^k_0| written to ``start`` before it is yielded."""
     dim = max((amps.size for amps, _ in pairs), default=0)
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    start = np.exp(-0.5 * x)  # |w^k_0|
-    block, size = [], 0
+    w0 = np.exp(-0.5 * x)  # |w^k_0|
     for k in range(dim):
         if k:
-            start *= 2.0 / math.sqrt(k)
-            start *= r
+            w0 *= 2.0 / math.sqrt(k)
+            w0 *= r
         lanes = _diagonal_lanes(pairs, k, signs)
-        if not lanes:
-            continue
-        if block and size + len(lanes) > len(starts):
-            yield block
-            block, size = [], 0
-        starts[len(block)] = start
-        block.append((k, lanes))
-        size += len(lanes)
-    if block:
-        yield block
+        if lanes:
+            start[:] = w0
+            yield k, lanes
 
 
-def _block_sums(block, x: np.ndarray, slabs: list, sums: list) -> np.ndarray:
-    """(Re, Im) of sum_m c_m w^k_m at each radius for every lane of a block
-    from ``_blocks``, shape (lanes, 2, radii), the lanes in block order.
+def _diagonal_sums(k: int, lanes: list, x: np.ndarray, rows: list, sums: list) -> np.ndarray:
+    """(Re, Im) of sum_m c_m w^k_m at each radius for every lane of diagonal
+    k, shape (lanes, 2, radii), the lanes in ``_diagonal_lanes`` order.
 
-    The block's w rows form one slab, and the rows and the lanes are sorted
-    by run length, so that each step of m works on a prefix of both.  A
-    block of one diagonal steps 1-D rows with scalar factors.  The three
-    ``slabs`` (rows, radii) and the two ``sums`` (lanes, 2, radii) are work
-    space, with the block's start rows in slabs[0]; the result is a view of
-    one of ``sums``.
+    The three ``rows`` (radii,) and the two ``sums`` (terms, 2, radii) are
+    work space, with |w^k_0| in rows[0]; the result is a view of sums[0].
+    The lanes run longest first, so each step of m works on a prefix of
+    them.
     """
-    single = len(block) == 1
-    if single:
-        (k, lanes), = block
-        order = range(len(lanes))
-    else:
-        runs = [lanes[0][0] for _, lanes in block]
-        rows = sorted(range(len(block)), key=lambda g: -runs[g])
-        row_of = {g: p for p, g in enumerate(rows)}
-        lanes = [(last, row_of[g], coeffs)
-                 for g, (_, diagonal) in enumerate(block) for last, _, coeffs in diagonal]
-        order = sorted(range(len(lanes)), key=lambda j: -lanes[j][0])
-        lanes = [lanes[j] for j in order]
-        row_runs = [runs[g] for g in rows]
     lasts = [last for last, _, _ in lanes]
     depth = lasts[0]
     # c[m, j] holds (Re, Im) of the j-th lane's c_m, up to its last
@@ -319,72 +270,40 @@ def _block_sums(block, x: np.ndarray, slabs: list, sums: list) -> np.ndarray:
         c[: last + 1, j, 1, 0] = coeffs.imag[: last + 1]
     acc, scratch = sums[0][: len(lanes)], sums[1][: len(lanes)]
     # the factors of w_{m+1} = ((2m+1+k - x) w_m - sqrt(m(m+k)) w_{m-1})
-    # / sqrt((m+1)(m+1+k)), one column per row; each product under a root
-    # is an exact integer, so numpy's roots are math.sqrt's
-    if single:
-        root = [math.sqrt(m * (m + k)) for m in range(depth + 1)]
-        grow = [2 * m + 1 + k for m in range(depth)]
-        scale = [1.0 / v for v in root[1:]]
-        w, w_prev, w_next = slabs[0][0], slabs[1][0], slabs[2][0]
-        np.multiply(c[0], w, out=acc)
-    else:
-        m = np.arange(depth + 1.0)[:, None, None]
-        k = np.array([block[g][0] for g in rows], dtype=float)[:, None]
-        root = np.sqrt(m * (m + k))
-        grow, scale = 2.0 * m[:-1] + 1.0 + k, 1.0 / root[1:]
-        w, w_prev, w_next = (slab[: len(rows)] for slab in slabs)
-        if rows != sorted(rows):
-            w[:] = w[rows]
-        lane_rows = np.array([row for _, row, _ in lanes], dtype=np.intp)
-        # when the j-th lane reads the j-th row (one lane a diagonal, as in a
-        # one-state pass), the lanes step on the w rows themselves
-        direct = np.array_equal(lane_rows, np.arange(len(rows)))
-        lane_w = w if direct else np.take(w, lane_rows, axis=0)
-        np.multiply(c[0], lane_w[:, None, :], out=acc)
+    # / sqrt((m+1)(m+1+k))
+    root = [math.sqrt(m * (m + k)) for m in range(depth + 1)]
+    grow = [2 * m + 1 + k for m in range(depth)]
+    scale = [1.0 / v for v in root[1:]]
+    w, w_prev, w_next = rows
+    np.multiply(c[0], w, out=acc)
     w_prev[...] = 0.0
-    # the steps lo..hi-1 run the lanes, and the rows, whose last m exceeds lo
+    # the steps lo..hi-1 run the lanes whose last m exceeds lo
     ends = sorted(set(lasts) - {0})
     count = len(lanes)
-    grow_now, back_now, scale_now = grow, root, scale
     for lo, hi in zip([0] + ends, ends):
         while lasts[count - 1] <= lo:
             count -= 1
         c_now, acc_now, scratch_now = c[:, :count], acc[:count], scratch[:count]
-        if not single:
-            row_count = sum(run > lo for run in row_runs)
-            w_prev, w, w_next = w_prev[:row_count], w[:row_count], w_next[:row_count]
-            grow_now, back_now, scale_now = (
-                grow[:, :row_count], root[:, :row_count], scale[:, :row_count])
-            if not direct:
-                lane_rows_now, lane_w_now = lane_rows[:count], lane_w[:count]
-                lane_w_3d = lane_w_now[:, None, :]
         for step in range(lo, hi):
-            np.subtract(grow_now[step], x, out=w_next)
+            np.subtract(grow[step], x, out=w_next)
             w_next *= w
-            w_prev *= back_now[step]
+            w_prev *= root[step]
             w_next -= w_prev
-            w_next *= scale_now[step]
+            w_next *= scale[step]
             w_prev, w, w_next = w, w_next, w_prev
-            if single:
-                np.multiply(c_now[step + 1], w, out=scratch_now)
-            elif direct:
-                np.multiply(c_now[step + 1], w[:, None, :], out=scratch_now)
-            else:
-                np.take(w, lane_rows_now, axis=0, out=lane_w_now, mode="clip")
-                np.multiply(c_now[step + 1], lane_w_3d, out=scratch_now)
+            np.multiply(c_now[step + 1], w, out=scratch_now)
             acc_now += scratch_now
-    if single or order == sorted(order):
-        return acc
-    return np.take(acc, np.argsort(order), axis=0, out=scratch, mode="clip")
+    return acc
 
 
 def _aligned_empty(shape: tuple) -> np.ndarray:
     """An uninitialized float array whose data starts on a 64-byte boundary.
 
     Every step reads and writes the recurrence's work rows whole.  numpy
-    aligns data to 16 bytes only, and a row that starts inside a cache line
-    made fig1's 201x201 pass 3% slower than one that starts on a line (2-vCPU
-    Xeon, in-process medians of 60 interleaved calls); no value changes.
+    aligns data to 16 bytes only, and rows that start inside a cache line
+    made fig1's 201x201 pass 4-6% slower in the median than rows that start
+    on a line, and slower in 21 of 28 interleaved pairs (2-vCPU Xeon,
+    in-process, the best of 5 calls each); no value changes.
     """
     size = math.prod(shape) * 8
     raw = np.empty(size + 64, dtype=np.uint8)
@@ -405,13 +324,13 @@ def wigner_difference(
     grid: GridSpec = GridSpec(),
 ) -> WignerDifference:
     """Difference between the Wigner function of ``psi`` and that of a
-    coherent reference state of amplitude ``reference_alpha``.
+    coherent reference state of amplitude ``reference_alpha``, in one kernel
+    pass.
 
     ``ref_peak`` is the reference map's maximum over the grid.  The reference
     is a coherent state truncated with a tail below 1e-12, so its map is the
-    Gaussian (2/pi) e^{-2|z - alpha|^2}; that separable Gaussian peaks on the
-    grid at the point nearest alpha in each axis, and the 3x3 block of grid
-    points around it covers ties.
+    Gaussian (2/pi) e^{-2|z - alpha|^2}, and its grid maximum is that
+    Gaussian at the grid point nearest alpha.
     """
     re_axis, im_axis = grid.axes()
     zz = re_axis[None, :] + 1j * im_axis[:, None]
@@ -419,11 +338,7 @@ def wigner_difference(
     values = wigner_values_at(psi, zz.ravel(), reference=reference).reshape(zz.shape)
     delta = WignerGrid(re_axis, im_axis, values)
     max_abs, location = delta.max_abs_location()
-    alpha = complex(reference_alpha)
-    j = int(np.argmin(np.abs(re_axis - alpha.real)))
-    i = int(np.argmin(np.abs(im_axis - alpha.imag)))
-    near = zz[max(i - 1, 0): i + 2, max(j - 1, 0): j + 2]
-    ref_peak = float(np.max(wigner_values_at(reference, near.ravel())))
+    ref_peak = TWO_OVER_PI * math.exp(-2.0 * float(np.min(np.abs(zz - reference_alpha))) ** 2)
     return WignerDifference(grid=delta, max_abs=max_abs, location=location, ref_peak=ref_peak)
 
 

@@ -47,6 +47,10 @@ def test_rabi_default_benchmark(tmp_path):
     rows = read_rows(out / "rabi_table.csv")
     shift = float(rows[1]["delta_omega"])  # n = 1 row
     assert 1e-13 < shift < 1e-11
+    # the defaults have chi = 0, where the exact shift is the closed form
+    for row in rows:
+        assert float(row["delta_omega_exact"]) == pytest.approx(float(row["delta_omega"]),
+                                                               rel=1e-14)
     series = read_rows(out / "inversion.csv")
     assert len(series) == 50
     # numeric and leading-order inversion agree at these tiny GUP strengths

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gupjc.dynamics import (
@@ -10,10 +11,17 @@ from gupjc.dynamics import (
     amplitude_angular_frequency,
     analytic_amplitudes,
     atomic_inversion,
+    exact_rabi_shift,
     rabi_shift,
     validate_against_numeric,
 )
-from gupjc.gup import GupCoefficients, GupParams, InteractionConfig, derive_coefficients
+from gupjc.gup import (
+    GupCoefficients,
+    GupParams,
+    InteractionConfig,
+    derive_coefficients,
+    rwa_block,
+)
 
 
 def _resonant(coupling=1.0, omega=10.0):
@@ -124,6 +132,65 @@ def test_rabi_shift_linear_in_coupling():
     s1 = rabi_shift(1, InteractionConfig(1e16, 1e16, 1.0), c)
     s2 = rabi_shift(1, InteractionConfig(1e16, 1e16, 2.0), c)
     assert s2.delta_omega == pytest.approx(2.0 * s1.delta_omega, rel=1e-14)
+
+
+def _mp_exact_shift(n, cfg, c):
+    """2 (g0 - hypot(d, g)) of rwa_block(n), in 50-digit arithmetic from the
+    double inputs."""
+    with mpmath.workdps(50):
+        m = mpmath.mpf(n + 1)
+        g0 = mpmath.mpf(cfg.coupling) * mpmath.sqrt(m)
+        g = g0 * (1 - m * mpmath.mpf(c.phi))
+        d = (mpmath.mpf(cfg.omega0) - mpmath.mpf(cfg.omega)
+             + 8 * m * mpmath.mpf(c.chi) * mpmath.mpf(cfg.omega)) / 2
+        return 2 * (g0 - mpmath.sqrt(d * d + g * g))
+
+
+# gamma (SI) from 10 to 1e4 at the rabi defaults omega = 1e16 rad/s and
+# coupling 1 rad/s, in the pure-phi model (chi = 0, d = 0) and in one with
+# chi != 0, where d/g0 runs from about 1 at gamma = 10 to about 1e6 at 1e4
+@pytest.mark.parametrize("epsilon", [1.0, 0.5])
+@pytest.mark.parametrize("gamma", [10.0, 30.0, 1e2, 1e3, 1e4])
+def test_exact_rabi_shift_matches_mpmath_oracle(gamma, epsilon):
+    cfg = InteractionConfig(omega=1e16, omega0=1e16, coupling=1.0)
+    c = derive_coefficients(GupParams.from_gamma(gamma, 1.0, epsilon), cfg.omega)
+    n = np.arange(11)
+    shifts = exact_rabi_shift(n, cfg, c)
+    for k, shift in zip(n.tolist(), shifts.tolist()):
+        oracle = _mp_exact_shift(k, cfg, c)
+        assert abs(float((mpmath.mpf(shift) - oracle) / oracle)) < 1e-15
+        assert shift == exact_rabi_shift(k, cfg, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 50),
+    phi=st.floats(-1e-3, 1e-3),
+    chi_omega=st.floats(-1e-3, 1e-3),
+)
+def test_exact_rabi_shift_agrees_with_the_naive_form_where_it_resolves(n, phi, chi_omega):
+    # the naive form resolves the shift where (n+1) phi > 1e-8, and loses a
+    # few ulps of g0 to its subtraction
+    assume(abs((n + 1) * phi) > 1e-8)
+    cfg = _resonant(coupling=1.5, omega=1e3)
+    chi = chi_omega / cfg.omega
+    c = GupCoefficients(phi=phi, chi=chi, beta=(8.0 * chi - phi) / 2.0, omega=cfg.omega)
+    d, g = rwa_block(n, cfg, c)[0]
+    g0 = cfg.coupling * math.sqrt(n + 1)
+    naive = 2.0 * (g0 - math.hypot(d, g))
+    assert abs(exact_rabi_shift(n, cfg, c) - naive) <= 8.0 * np.finfo(float).eps * g0
+
+
+def test_exact_rabi_shift_equals_the_closed_form_without_chi():
+    # with d = 0 the exact shift is 2 g0 (n+1) phi, the closed form
+    cfg = _resonant(coupling=2.0, omega=1e6)
+    c = _phi_only(1e-6, omega=1e6)
+    for n in (0, 1, 7, 40):
+        assert exact_rabi_shift(n, cfg, c) == pytest.approx(rabi_shift(n, cfg, c).delta_omega,
+                                                            rel=1e-14)
+    assert exact_rabi_shift(3, cfg, _no_gup(omega=1e6)) == 0.0
+    with pytest.raises(ValueError, match="coupling"):
+        exact_rabi_shift(1, _resonant(coupling=0.0), c)
 
 
 def test_numeric_oracle_standard_jcm():

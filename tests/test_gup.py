@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gupjc.constants import GAMMA_SI_DIVISOR, HBAR, PLANCK_LENGTH
+from gupjc.constants import GAMMA_SI_DIVISOR, HBAR
 from gupjc.fock import SIGMA_3, build_annihilation, hermiticity_residual, tensor_with_atom
 from gupjc.gup import (
     GupCoefficients,
@@ -12,7 +12,6 @@ from gupjc.gup import (
     build_full_interaction_hamiltonian,
     build_rwa_hamiltonian,
     derive_coefficients,
-    length_scale_bounds,
     quadratic_coefficients,
     rwa_block,
 )
@@ -114,18 +113,6 @@ def test_coefficients_dimensionless_under_rescaling():
 def test_derive_rejects_nonpositive_omega():
     with pytest.raises(ValueError):
         derive_coefficients(GupParams(1.0, 1.0, 1.0), 0.0)
-
-
-def test_length_scale_bounds():
-    assert length_scale_bounds(GupParams(1.0, 0, 0)).length_scale == pytest.approx(
-        PLANCK_LENGTH, rel=1e-12
-    )
-    at_bound = length_scale_bounds(GupParams(1e8, 0, 0))
-    assert at_bound.length_scale == pytest.approx(1e16 * PLANCK_LENGTH, rel=1e-12)
-    assert at_bound.gamma_upper_ok
-    assert not length_scale_bounds(GupParams(1e9, 0, 0)).gamma_upper_ok
-    with pytest.raises(ValueError):
-        length_scale_bounds(GupParams(0.0, 0, 0))
 
 
 def _config(omega=1e6, detuning=0.0, coupling=2.0):

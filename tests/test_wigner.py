@@ -20,7 +20,6 @@ from gupjc.fock import (
 from gupjc.gup import GupParams, derive_coefficients
 from gupjc import wigner
 from gupjc.wigner import (
-    BLOCK_ELEMENTS,
     GridSpec,
     MAX_ABS_Z,
     WignerGrid,
@@ -274,10 +273,26 @@ def test_difference_of_state_with_itself_vanishes():
     (0.7 - 0.5j, 40, GridSpec(-1.0, 1.0, -1.0, 1.0, 11, 11)),
 ])
 def test_reference_peak_equals_full_grid_peak(alpha, ncut, spec):
-    # ref_peak is sampled on the 3x3 block around the grid point nearest alpha
+    # ref_peak is the closed-form Gaussian at the grid point nearest alpha;
+    # the kernel evaluates the truncated coherent state on the whole grid
     field = photon_added_coherent_state(0.5, 1, ncut)
     diff = wigner_difference(field, alpha, spec)
-    assert diff.ref_peak == wigner_of_state(coherent_state(alpha, ncut), spec).peak()
+    peak = wigner_of_state(coherent_state(alpha, ncut), spec).peak()
+    assert diff.ref_peak == pytest.approx(peak, rel=1e-12, abs=0.0)
+
+
+def test_difference_makes_one_kernel_pass(monkeypatch):
+    calls = []
+    kernel = wigner._wigner_terms
+
+    def counted(terms, zs):
+        calls.append(len(terms))
+        return kernel(terms, zs)
+
+    monkeypatch.setattr(wigner, "_wigner_terms", counted)
+    field, reference = _benchmark_state()
+    wigner_difference(field, reference, small_grid(n=21))
+    assert calls == [1]
 
 
 def test_precision_ratio():
@@ -459,10 +474,10 @@ def test_difference_term_in_a_batch_equals_the_one_pass_difference_bitwise():
         assert np.array_equal(row.view(np.uint64), single_state_kernel(psi, zs).view(np.uint64))
 
 
-def _blocked_terms():
-    """Terms for the blocked pass: the mixed batch, the fig1 difference term,
+def _batch_terms():
+    """Terms for a batched pass: the mixed batch, the fig1 difference term,
     and (|0> + i|2> - |3> + |5>/2)/|.|, whose diagonal runs grow with k
-    (k = 1 runs to m = 2, k = 2 to m = 3), so a block's rows are reordered."""
+    (k = 1 runs to m = 2, k = 2 to m = 3)."""
     field, reference = _benchmark_state()
     gappy = np.array([1.0, 0.0, 1j, -1.0, 0.0, 0.5])
     return ([(psi, None) for psi in _mixed_batch()]
@@ -472,38 +487,19 @@ def _blocked_terms():
 
 @pytest.mark.parametrize("points", ["one radius", "61x61", "201x201"])
 def test_blocked_pass_equals_the_single_state_kernel_bitwise(points):
-    # one radius steps every diagonal in one block, the 61x61 grid a dozen
-    # lanes per block, and fig1's 201x201 grid one diagonal per block
     if points == "one radius":
         zs = np.full(2, 0.3 - 0.7j)
     else:
         n = int(points.split("x")[0])
         re_axis, im_axis = GridSpec(-4.0, 4.0, -4.0, 4.0, n, n).axes()
         zs = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
-    lanes_per_block = max(1, BLOCK_ELEMENTS // np.unique(np.abs(zs)).size)
-    assert (lanes_per_block > 40) == (points == "one radius")
-    assert (lanes_per_block == 1) == (points == "201x201")
-    terms = _blocked_terms()
+    terms = _batch_terms()
     if points == "201x201":
         terms = terms[6:]
     values = _wigner_terms(terms, zs)
     for (psi, reference), row in zip(terms, values):
         oracle = single_state_kernel(psi, zs, reference)
         assert np.array_equal(row.view(np.uint64), oracle.view(np.uint64))
-
-
-@pytest.mark.parametrize("alone", [False, True])
-@pytest.mark.parametrize("budget", [1, 5, 64, 1 << 20])
-def test_every_block_budget_gives_the_same_bits(monkeypatch, budget, alone):
-    # alone, the last term's own diagonal runs set the order of the rows
-    terms = _blocked_terms()[-1:] if alone else _blocked_terms()
-    rng = np.random.default_rng(3)
-    zs = rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40)
-    zs[:8] = zs[8:16] * np.exp(0.7j)  # radii shared between points
-    expected = _wigner_terms(terms, zs)
-    monkeypatch.setattr(wigner, "BLOCK_ELEMENTS", budget)
-    values = _wigner_terms(terms, zs)
-    assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
 
 
 def test_batch_refuses_a_bad_term_and_takes_an_empty_one():
