@@ -60,6 +60,7 @@ from .dispersive import (
     commutator_check,
     dyson_consistency_check,
     evolve_dispersive_exact,
+    evolve_dispersive_series,
     photon_added_decomposition,
 )
 from .wigner import (

@@ -19,6 +19,7 @@ there on a 2-vCPU Xeon, and at least 0.5 s.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass
@@ -56,10 +57,14 @@ from .gup import (
 from .rwa_validity import perturbation_cross_check, zeta_lq, zeta_lq_at, zeta_rq, zeta_rq_at
 from .wigner import TWO_OVER_PI, GridSpec, WignerGrid, wigner_maps
 
-# cutoff of the |alpha = 1> states: the first amplitude it drops is 4e-10, which
-# moves the coherent map by 4e-11, far inside the pointwise tolerance, while
-# each further level adds recurrence work to every map
+# cutoff of the |alpha| = 1 states: the first amplitude it drops is 4e-10,
+# which moves the coherent map by 4e-11, far inside the pointwise tolerance,
+# while each further level adds recurrence work to every map
 _WIGNER_NCUT = 20
+
+# the coherent fixture's amplitude: a complex alpha makes its map depend on
+# the conjugate in rho_{m,n} = c_m c*_n, which real amplitudes cannot show
+_WIGNER_ALPHA = cmath.exp(1j * math.pi / 3.0)
 
 
 @dataclass
@@ -70,10 +75,11 @@ class VerifyRun:
 
     @cached_property
     def wigner_maps(self) -> list[WignerGrid]:
-        """Maps of |alpha = 1>, |0>..|5> and the one-photon-added coherent
-        state, in that order, on the grid_points grid over [-4, 4]^2."""
+        """Maps of |alpha = e^{i pi/3}>, |0>..|5> and the one-photon-added
+        coherent state at alpha = 1, in that order, on the grid_points grid
+        over [-4, 4]^2."""
         n = self.params["grid_points"]
-        states = [coherent_state(1.0, _WIGNER_NCUT),
+        states = [coherent_state(_WIGNER_ALPHA, _WIGNER_NCUT),
                   *(fock_state(k, max(k, 1)) for k in range(6)),
                   photon_added_coherent_state(1.0, 1, _WIGNER_NCUT)]
         return wigner_maps(states, GridSpec(-4.0, 4.0, -4.0, 4.0, n, n))
@@ -193,8 +199,8 @@ def dispersive_resummation(run: VerifyRun, rng: np.random.Generator) -> float:
     return float(np.max(np.abs(state.amps - target.amps)))
 
 
-def _fig1_dispersive() -> DispersiveConfig:
-    c = derive_coefficients(GupParams.from_gamma(1e3, 1.0, 1.0), 1e15)
+def _fig1_dispersive(gamma: float = 1e3) -> DispersiveConfig:
+    c = derive_coefficients(GupParams.from_gamma(gamma, 1.0, 1.0), 1e15)
     return DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=1e3, ncut=40)
 
 
@@ -223,25 +229,36 @@ def photon_added_amplitude(run: VerifyRun, rng: np.random.Generator) -> float:
 
 
 def photon_added_overlap(run: VerifyRun, rng: np.random.Generator) -> float:
-    """Overlap defect of the first-order decomposition against the exact
-    state at fig1, in units of s^2 <n^4> with s = 2 phi mu t, the order of
-    the terms the decomposition drops."""
-    d = _fig1_dispersive()
-    exact = evolve_dispersive_exact(d, "g")
-    approx = photon_added_decomposition(d, "g").state
-    overlap = abs(np.vdot(exact.amps, approx.amps)) ** 2
-    n4 = 15.0  # coherent <n^4> at |alpha| = 1
-    return (1.0 - overlap) / ((2.0 * d.phi * d.mu * d.t) ** 2 * n4)
+    """|slope - 4| of the overlap defect 1 - |<exact|approx>|^2 of the
+    first-order decomposition against s = 2 phi mu t, log-log over
+    gamma = 5e3, 1e4, 2e4 at fig1's other settings.
+
+    The decomposition drops terms of order s^2, so the defect is quartic in
+    s; a decomposition that dropped a first-order term would give a slope of
+    2.  At fig1's own gamma the defect rounds to 0, so the check runs where
+    it reads 7.6e-11 to 4.9e-6, with the expansion parameter below 0.02.
+    """
+    s_values, defects = [], []
+    for gamma in (5e3, 1e4, 2e4):
+        d = _fig1_dispersive(gamma)
+        exact = evolve_dispersive_exact(d, "g")
+        approx = photon_added_decomposition(d, "g").state
+        defects.append(1.0 - abs(np.vdot(exact.amps, approx.amps)) ** 2)
+        s_values.append(2.0 * d.phi * d.mu * d.t)
+    if not min(defects) > 0.0:
+        return math.inf
+    return abs(float(np.polyfit(np.log(s_values), np.log(defects), 1)[0]) - 4.0)
 
 
 def wigner_pointwise(run: VerifyRun, rng: np.random.Generator) -> float:
-    """Worst pointwise error of the Wigner maps of |alpha = 1> and |0>..|5>
-    against their closed forms, on the grid_points grid over [-4, 4]^2."""
+    """Worst pointwise error of the Wigner maps of |alpha = e^{i pi/3}> and
+    |0>..|5> against their closed forms, on the grid_points grid over
+    [-4, 4]^2."""
     maps = run.wigner_maps[:7]
     re_axis, im_axis = maps[0].re_axis, maps[0].im_axis
     zz = re_axis[None, :] + 1j * im_axis[:, None]
     r2 = np.abs(zz) ** 2
-    exact = [TWO_OVER_PI * np.exp(-2.0 * np.abs(zz - 1.0) ** 2),
+    exact = [TWO_OVER_PI * np.exp(-2.0 * np.abs(zz - _WIGNER_ALPHA) ** 2),
              *(TWO_OVER_PI * (-1.0) ** n * laguerre(n, 4.0 * r2) * np.exp(-2.0 * r2)
                for n in range(6))]
     return max(float(np.max(np.abs(w.values - e))) for w, e in zip(maps, exact))
@@ -330,7 +347,7 @@ CHECKS: tuple[Check, ...] = (
     Check("dispersive-resummation", 1e-10, 0.5, dispersive_resummation),
     Check("photon-added-normalizers", 1e-10, 0.5, photon_added_normalizers),
     Check("photon-added-amplitude", 1e-8, 0.5, photon_added_amplitude),
-    Check("photon-added-overlap", 10.0, 0.5, photon_added_overlap),
+    Check("photon-added-overlap", 0.05, 0.5, photon_added_overlap),
     Check("wigner-pointwise", 1e-8, 0.5, wigner_pointwise),
     Check("wigner-integral", 1e-3, 0.5, wigner_integral),
     Check("wigner-negativity", 0.0, 0.5, wigner_negativity),

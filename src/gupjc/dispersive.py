@@ -165,18 +165,30 @@ def commutator_check(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> f
 
 
 def evolve_dispersive_exact(d: DispersiveConfig, initial_atom: str = "g") -> FockVector:
-    """Exact dispersive evolution of |atom> |alpha>: per-level phases, no expansion.
+    """Exact dispersive evolution of |atom> |alpha> to ``d.t``: per-level
+    phases, no expansion.
 
     H_eff is diagonal, so the atom stays in ``initial_atom``; the result is
     the field state of that level.
     """
+    return FockVector(d.ncut, evolve_dispersive_series(d, [d.t], initial_atom)[0])
+
+
+def evolve_dispersive_series(
+    d: DispersiveConfig, times, initial_atom: str = "g"
+) -> np.ndarray:
+    """Field amplitudes of ``evolve_dispersive_exact`` at each of ``times``
+    in place of ``d.t``, shape (len(times), ncut+1).
+
+    |alpha> is built once for the whole series, and each row has the bits of
+    a call at its time alone.
+    """
     coh = coherent_state(d.alpha, d.ncut)
     g_diag, e_diag = _effective_diagonals(d.mu, d.phi, d.ncut)
-    if initial_atom == "g":
-        return FockVector(d.ncut, coh.amps * np.exp(-1j * g_diag * d.t))
-    if initial_atom == "e":
-        return FockVector(d.ncut, coh.amps * np.exp(-1j * e_diag * d.t))
-    raise ValueError("initial_atom must be 'g' or 'e'")
+    if initial_atom not in ("g", "e"):
+        raise ValueError("initial_atom must be 'g' or 'e'")
+    diag = g_diag if initial_atom == "g" else e_diag
+    return coh.amps * np.exp(-1j * diag * np.asarray(times, dtype=float)[:, None])
 
 
 def photon_added_decomposition(

@@ -1,15 +1,20 @@
 """Wigner quasi-probability functions on the truncated Fock space.
 
-For a pure state with amplitudes c_n the Wigner function is the
+The Wigner function of a Hermitian operator rho on the Fock space is the
 Cahill-Glauber sum over the Fock-basis operators |m><n|,
 
-    W(z) = (2/pi) Re sum_{k>=0} (2 - delta_k0) sum_m (-1)^m c_m c*_{m+k} w^k_m(z),
+    W(z) = (2/pi) Re sum_{k>=0} (2 - delta_k0) sum_m (-1)^m rho_{m,m+k} w^k_m(z),
 
     w^k_m(z) = e^{-x/2} (2z)^k sqrt(m!/(m+k)!) L^k_m(x),   x = 4|z|^2,
 
-which is exact on the truncated state: no padding of the Fock space is
-needed (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  Along each diagonal
-k the w^k_m follow the normalized forward Laguerre recurrence
+which is exact on the truncated space: no padding of the Fock space is
+needed (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  The sum is linear
+in rho and reads only its diagonals k >= 0.  ``_density`` is the one place
+where amplitudes become coefficients: rho_{m,n} = c_m c*_n for a pure state,
+or the difference of two such matrices, rho_psi - rho_ref, for a change of
+the map.  The evaluator ``_wigner_terms`` takes a list of such operators.
+Along each diagonal k the w^k_m follow the normalized forward Laguerre
+recurrence
 
     w_{m+1} = ((2m+1+k-x) w_m - sqrt(m(m+k)) w_{m-1}) / sqrt((m+1)(m+1+k)),
 
@@ -19,21 +24,22 @@ factorial is formed and every w is a bounded matrix element.  The recurrence
 runs on the real factor w / e^{ik arg z}, which depends on |z| alone, so it
 runs once per distinct radius and its sums are gathered back to the points;
 the phase is applied once per diagonal.  The w^k_m do not depend on the
-state, so one pass serves every state evaluated on the same points: the
-point plan and each diagonal's recurrence are shared, and each state only
-adds its own accumulation.  The recurrence along a diagonal runs to the
-largest m whose coefficient is nonzero in some state, each state stops
+operator, so one pass serves every operator evaluated on the same points:
+the point plan and each diagonal's recurrence are shared, and each operator
+only adds its own accumulation.  The recurrence along a diagonal runs to the
+largest m whose coefficient is nonzero in some operator, each operator stops
 accumulating at its own last nonzero coefficient, and a diagonal with no
 nonzero coefficient is skipped; the terms left out are exact zeros, so every
 map keeps the bits it has when evaluated alone.
 
 The diagonals are stepped one at a time, in ascending k, on three 1-D w rows
-with scalar factors, and each (diagonal, state) pair with a nonzero
-coefficient is a lane that accumulates c_m w_m; the lanes of a diagonal
-share each step.  A pass over R distinct radii makes O(ncut^2) numpy calls
-of length R for the recurrence plus O(ncut) calls over the points for the
-phases.  A Fock state |n> adds one diagonal of n + 1 steps.  The memory is
-O(states * points).  The difference of two maps is one pass over the
+with scalar factors, and each (diagonal, operator) pair with a nonzero
+coefficient is a lane that accumulates (-1)^m rho_{m,m+k} w_m; the lanes of
+a diagonal share each step.  A pass over R distinct radii makes O(ncut^2)
+numpy calls of length R for the recurrence plus O(ncut) calls over the
+points for the phases.  A Fock state |n> adds one diagonal of n + 1 steps.
+The memory is O(operators * points) for the sums plus the (ncut+1)^2
+entries of each operator.  The difference of two maps is one pass over the
 coefficients of rho_psi - rho_ref, at the cost of one map.  The start value
 e^{-2|z|^2} underflows past |z| = MAX_ABS_Z (about 18.8), where evaluation
 is refused.
@@ -131,7 +137,7 @@ def wigner_values_at(
     so the result is formed from the small difference of the two density
     matrices, not as the difference of two large totals.
     """
-    return _wigner_terms([(psi, reference)], zs)[0]
+    return _wigner_terms([_density(psi, reference)], zs)[0]
 
 
 def wigner_maps(states: Sequence[FockVector], grid: GridSpec = GridSpec()) -> list[WignerGrid]:
@@ -142,7 +148,7 @@ def wigner_maps(states: Sequence[FockVector], grid: GridSpec = GridSpec()) -> li
     """
     re_axis, im_axis = grid.axes()
     zz = re_axis[None, :] + 1j * im_axis[:, None]
-    values = _wigner_terms([(psi, None) for psi in states], zz.ravel())
+    values = _wigner_terms([_density(psi) for psi in states], zz.ravel())
     return [WignerGrid(re_axis, im_axis, v.reshape(zz.shape)) for v in values]
 
 
@@ -151,30 +157,43 @@ def wigner_of_state(psi: FockVector, grid: GridSpec = GridSpec()) -> WignerGrid:
     return wigner_maps([psi], grid)[0]
 
 
-def _wigner_terms(
-    terms: Sequence[tuple[FockVector, FockVector | None]], zs: np.ndarray
-) -> np.ndarray:
-    """Values at ``zs`` of each term (psi, reference), shape (len(terms), points).
+def _density(psi: FockVector, reference: FockVector | None = None) -> np.ndarray:
+    """rho[m, n] = c_m c*_n of the pure state ``psi``, or with a ``reference``
+    state of the same cutoff rho_psi - rho_ref, as an (ncut+1)^2 array.
 
-    A term is W_psi, or with a reference state of the same cutoff
-    W_psi - W_reference.  Every term shares the point plan and, along each
-    diagonal k, one forward recurrence that runs as far as the largest m any
-    term needs.  A term accumulates w_m c_m only up to its last nonzero
+    This is the one place where amplitudes become the Fock coefficients that
+    ``_wigner_terms`` sums.  Diagonal k of the outer product has the bits of
+    the slice product a[:n] * conj(a[k:]).
+    """
+    for state in (psi, reference):
+        # written as not (... <= ...) so that a NaN norm is refused too
+        if state is not None and not abs(state.norm() - 1.0) <= 1e-10:
+            raise ValueError("state must be normalized for a Wigner evaluation")
+    rho = np.multiply.outer(psi.amps, np.conj(psi.amps))
+    if reference is not None:
+        if reference.ncut != psi.ncut:
+            raise ValueError(
+                f"reference cutoff {reference.ncut} differs from the state cutoff {psi.ncut}"
+            )
+        rho -= np.multiply.outer(reference.amps, np.conj(reference.amps))
+    return rho
+
+
+def _wigner_terms(ops: Sequence[np.ndarray], zs: np.ndarray) -> np.ndarray:
+    """Values at ``zs`` of each operator's Cahill-Glauber sum, shape
+    (len(ops), points).
+
+    An operator is a Hermitian (ncut+1)^2 complex array in the Fock basis,
+    such as a density matrix or a difference of two from ``_density``, and
+    only its diagonals k >= 0 are read: the sum is linear in the operator.
+    Every term shares the point plan and, along each diagonal k, one forward
+    recurrence that runs as far as the largest m any term needs.  A term
+    accumulates w_m (-1)^m rho_{m,m+k} only up to its last nonzero
     coefficient on the diagonal and skips a diagonal whose coefficients are
     all zero: the sums it leaves out are exact zeros, so each term keeps the
     bits of a pass of its own.  The diagonals are stepped one at a time, in
     ascending k (``_diagonal_sums``), and each applies its phase once.
     """
-    pairs = []
-    for psi, reference in terms:
-        amps, ref_amps = _checked_amps(psi), None
-        if reference is not None:
-            if reference.ncut != psi.ncut:
-                raise ValueError(
-                    f"reference cutoff {reference.ncut} differs from the state cutoff {psi.ncut}"
-                )
-            ref_amps = _checked_amps(reference)
-        pairs.append((amps, ref_amps))
     zs = np.asarray(zs, dtype=complex).ravel()
     # the real factors depend on |z| alone: one recurrence per distinct
     # radius, gathered back to the points through inv
@@ -188,13 +207,13 @@ def _wigner_terms(
     unit = np.exp(1j * np.angle(zs))
     turn = np.ones(zs.size, dtype=complex)  # e^{ik arg z}
     turn_k = 0
-    totals = np.zeros((len(pairs), zs.size))
-    at = np.empty((len(pairs), 2, zs.size))
+    totals = np.zeros((len(ops), zs.size))
+    at = np.empty((len(ops), 2, zs.size))
     # work space shared by every diagonal of the pass: three w rows and two
     # arrays of lane sums
     rows = [_aligned_empty((r.size,)) for _ in range(3)]
-    sums = [_aligned_empty((len(pairs), 2, r.size)) for _ in range(2)]
-    for k, lanes in _diagonals(pairs, x, r, rows[0]):
+    sums = [_aligned_empty((len(ops), 2, r.size)) for _ in range(2)]
+    for k, lanes in _diagonals(ops, x, r, rows[0]):
         while turn_k < k:
             turn *= unit
             turn_k += 1
@@ -216,37 +235,31 @@ def _wigner_terms(
     return totals
 
 
-def _diagonal_lanes(pairs, k: int, signs: np.ndarray) -> list:
-    """(last nonzero m, term index, coefficients) of each term that has a
-    nonzero coefficient (-1)^m (a_m a*_{m+k} - b_m b*_{m+k}) on diagonal k,
-    the longest first; b is the reference state's, or 0."""
+def _diagonal_lanes(ops, k: int, signs: np.ndarray) -> list:
+    """(last nonzero m, term index, coefficients) of each operator that has a
+    nonzero coefficient (-1)^m rho_{m,m+k} on diagonal k, the longest first."""
     lanes = []
-    for i, (amps, ref_amps) in enumerate(pairs):
-        n = amps.size - k
-        if n <= 0:
-            continue
-        coeffs = amps[:n] * np.conj(amps[k:])
-        if ref_amps is not None:
-            coeffs -= ref_amps[:n] * np.conj(ref_amps[k:])
-        coeffs *= signs[:n]
-        nonzero = coeffs.nonzero()[0]
-        if nonzero.size:
-            lanes.append((int(nonzero[-1]), i, coeffs))
+    for i, op in enumerate(ops):
+        if k < len(op):
+            coeffs = np.diagonal(op, k) * signs[: len(op) - k]
+            nonzero = coeffs.nonzero()[0]
+            if nonzero.size:
+                lanes.append((int(nonzero[-1]), i, coeffs))
     lanes.sort(key=lambda lane: -lane[0])
     return lanes
 
 
-def _diagonals(pairs, x: np.ndarray, r: np.ndarray, start: np.ndarray):
+def _diagonals(ops, x: np.ndarray, r: np.ndarray, start: np.ndarray):
     """The diagonals (k, lanes) that have a lane, in ascending k, each with
     its |w^k_0| written to ``start`` before it is yielded."""
-    dim = max((amps.size for amps, _ in pairs), default=0)
+    dim = max((len(op) for op in ops), default=0)
     signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
     w0 = np.exp(-0.5 * x)  # |w^k_0|
     for k in range(dim):
         if k:
             w0 *= 2.0 / math.sqrt(k)
             w0 *= r
-        lanes = _diagonal_lanes(pairs, k, signs)
+        lanes = _diagonal_lanes(ops, k, signs)
         if lanes:
             start[:] = w0
             yield k, lanes
@@ -309,13 +322,6 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
     raw = np.empty(size + 64, dtype=np.uint8)
     first = -raw.ctypes.data % 64
     return raw[first: first + size].view(float).reshape(shape)
-
-
-def _checked_amps(psi: FockVector) -> np.ndarray:
-    # written as not (... <= ...) so that a NaN norm is refused too
-    if not abs(psi.norm() - 1.0) <= 1e-10:
-        raise ValueError("state must be normalized for a Wigner evaluation")
-    return psi.amps
 
 
 def wigner_difference(

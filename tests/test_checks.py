@@ -3,7 +3,7 @@ as oracles: the per-draw loop of ``coefficient-identity``, the one-time
 eigh propagator behind ``block-propagator``, ``dyson-fidelity`` and
 ``perturbation-scaling``, the block-by-block loop of
 ``interaction_picture_propagate``, and the three Wigner checks evaluating
-their own maps.  Also: one Wigner pass per verify run, and a library bug
+their own maps.  Also: one Wigner pass per verify run, and library bugs
 that a check must catch."""
 
 import json
@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from gupjc import checks, cli
+from gupjc import checks, cli, dispersive, wigner
 from gupjc.checks import (
     _DYSON_CFG,
     _DYSON_COEFFS,
@@ -23,6 +23,7 @@ from gupjc.checks import (
 from gupjc.dispersive import interaction_picture_propagate
 from gupjc.errors import NonHermitianError
 from gupjc.fock import (
+    FockVector,
     coherent_state,
     evolve_on_grid,
     fock_state,
@@ -147,12 +148,13 @@ def _per_check_fock_states():
 
 def per_check_wigner_pointwise(params):
     """``wigner-pointwise`` with a wigner_maps call of its own."""
-    maps = wigner_maps([coherent_state(1.0, 20), *_per_check_fock_states()],
+    alpha = checks._WIGNER_ALPHA
+    maps = wigner_maps([coherent_state(alpha, 20), *_per_check_fock_states()],
                        _per_check_grid(params))
     re_axis, im_axis = maps[0].re_axis, maps[0].im_axis
     zz = re_axis[None, :] + 1j * im_axis[:, None]
     r2 = np.abs(zz) ** 2
-    exact = [TWO_OVER_PI * np.exp(-2.0 * np.abs(zz - 1.0) ** 2),
+    exact = [TWO_OVER_PI * np.exp(-2.0 * np.abs(zz - alpha) ** 2),
              *(TWO_OVER_PI * (-1.0) ** n * laguerre(n, 4.0 * r2) * np.exp(-2.0 * r2)
                for n in range(6))]
     return max(float(np.max(np.abs(w.values - e))) for w, e in zip(maps, exact))
@@ -206,18 +208,47 @@ def test_one_wigner_pass_per_verify_run(monkeypatch, tmp_path):
     assert calls == [8, 8]
 
 
-def test_an_off_by_one_laguerre_fails_the_normalizer_check(monkeypatch, tmp_path):
-    monkeypatch.setattr(checks, "laguerre", lambda m, x: laguerre(m + 1, x))
+def _failed_checks(tmp_path):
+    """Names of the checks that a small verify run fails; the run must exit 1."""
     assert cli.main([*_SMALL_VERIFY, "--out", str(tmp_path)]) == 1
     report = json.loads((tmp_path / "verify_report.json").read_text())
-    verdicts = {row["name"]: row["ok"] for row in report["checks"]}
-    assert verdicts["photon-added-normalizers"] is False
+    return {row["name"] for row in report["checks"] if not row["ok"]}
+
+
+def test_an_off_by_one_laguerre_fails_the_normalizer_check(monkeypatch, tmp_path):
+    monkeypatch.setattr(checks, "laguerre", lambda m, x: laguerre(m + 1, x))
+    assert "photon-added-normalizers" in _failed_checks(tmp_path)
+
+
+def test_a_dropped_conjugate_fails_the_pointwise_check(monkeypatch, tmp_path):
+    # rho_{m,n} = c_m c_n instead of c_m c*_n: invisible on real amplitudes,
+    # about 0.8 off on the coherent fixture at alpha = e^{i pi/3}
+    def unconjugated(psi, reference=None):
+        rho = np.multiply.outer(psi.amps, psi.amps)
+        if reference is not None:
+            rho -= np.multiply.outer(reference.amps, reference.amps)
+        return rho
+
+    monkeypatch.setattr(wigner, "_density", unconjugated)
+    assert "wigner-pointwise" in _failed_checks(tmp_path)
+
+
+def test_a_dropped_two_photon_term_fails_the_overlap_check(monkeypatch, tmp_path):
+    # |beta> in place of the two-photon-added state leaves a defect of order
+    # s^2, whose slope in log s is 2, not 4
+    add_photons = dispersive._add_photons
+
+    def without_two(base, beta, m):
+        return FockVector(base.size - 1, base) if m == 2 else add_photons(base, beta, m)
+
+    monkeypatch.setattr(dispersive, "_add_photons", without_two)
+    assert "photon-added-overlap" in _failed_checks(tmp_path)
 
 
 # the checks that still read exactly 0 at the default seed, because they
 # restate the code they check or sit below double precision; a check leaves
 # this list when it learns to fail, and none may join it
-STILL_READING_ZERO = {"photon-added-amplitude", "photon-added-overlap"}
+STILL_READING_ZERO = {"photon-added-amplitude"}
 
 
 def test_only_the_listed_checks_read_zero_at_the_default_seed(tmp_path):

@@ -11,9 +11,11 @@ from gupjc.dispersive import (
     commutator_check,
     dyson_consistency_check,
     evolve_dispersive_exact,
+    evolve_dispersive_series,
     interaction_picture_propagate,
     photon_added_decomposition,
 )
+from gupjc import dispersive
 from gupjc.errors import DispersiveRegimeError, LinearityError
 from gupjc.fock import (
     coherent_state,
@@ -172,6 +174,37 @@ def test_exact_evolution_identity_at_t_zero():
     coh = coherent_state(d.alpha, d.ncut)
     assert np.allclose(state.amps, coh.amps)
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def per_time_exact_amps(d, atom):
+    """The exact field state as formed at one time, |alpha> built per call."""
+    coh = coherent_state(d.alpha, d.ncut)
+    n = np.arange(d.ncut + 1, dtype=float)
+    g = -d.mu * (n - 2.0 * n**2 * d.phi)
+    e = d.mu * (n - 2.0 * n**2 * d.phi + 1.0 - 2.0 * d.phi - 4.0 * n * d.phi)
+    return coh.amps * np.exp(-1j * (g if atom == "g" else e) * d.t)
+
+
+@pytest.mark.parametrize("atom", ["g", "e"])
+def test_exact_series_equals_per_time_states_bitwise(atom, monkeypatch):
+    _, d = bench_config()
+    ts = np.linspace(0.0, d.t, 21)[1:]
+    builds = []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return coherent_state(*args, **kwargs)
+
+    monkeypatch.setattr(dispersive, "coherent_state", counted)
+    series = evolve_dispersive_series(d, ts, atom)
+    assert len(builds) == 1 and series.shape == (20, d.ncut + 1)
+    monkeypatch.undo()
+    for t, row in zip(ts, series):
+        oracle = per_time_exact_amps(dataclasses.replace(d, t=float(t)), atom)
+        assert np.array_equal(row.view(np.uint64), oracle.view(np.uint64))
+    assert np.array_equal(evolve_dispersive_exact(d, atom).amps, series[-1])
+    with pytest.raises(ValueError, match="initial_atom"):
+        evolve_dispersive_series(d, ts, "x")
 
 
 def test_decomposition_pure_rotation_when_phi_zero():

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from gupjc import checks
 from gupjc.dispersive import DispersiveConfig, photon_added_decomposition
 from gupjc.fock import (
     FockVector,
@@ -23,6 +24,7 @@ from gupjc.wigner import (
     GridSpec,
     MAX_ABS_Z,
     WignerGrid,
+    _density,
     _wigner_terms,
     wigner_difference,
     wigner_maps,
@@ -285,9 +287,9 @@ def test_difference_makes_one_kernel_pass(monkeypatch):
     calls = []
     kernel = wigner._wigner_terms
 
-    def counted(terms, zs):
-        calls.append(len(terms))
-        return kernel(terms, zs)
+    def counted(ops, zs):
+        calls.append(len(ops))
+        return kernel(ops, zs)
 
     monkeypatch.setattr(wigner, "_wigner_terms", counted)
     field, reference = _benchmark_state()
@@ -303,10 +305,10 @@ def test_precision_ratio():
         wigner_precision_ratio(1e-4, 0.0)
 
 
-def _benchmark_state(t=1e3):
+def _benchmark_state(t=1e3, atom="g"):
     c = derive_coefficients(GupParams.from_gamma(1e3, 1.0, 1.0), 1e15)
     d = DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=t, ncut=40)
-    dec = photon_added_decomposition(d, "g")
+    dec = photon_added_decomposition(d, atom)
     return dec.state, dec.beta
 
 
@@ -464,7 +466,7 @@ def test_difference_term_in_a_batch_equals_the_one_pass_difference_bitwise():
     zs = rng.uniform(-3.0, 3.0, 50) + 1j * rng.uniform(-3.0, 3.0, 50)
     states = _mixed_batch()
     terms = [(psi, None) for psi in states] + [(field, ref_state), (ref_state, None)]
-    values = _wigner_terms(terms, zs)
+    values = _wigner_terms([_density(psi, ref) for psi, ref in terms], zs)
     assert values.shape == (len(terms), zs.size)
     delta = wigner_values_at(field, zs, reference=ref_state)
     assert np.array_equal(values[-2].view(np.uint64), delta.view(np.uint64))
@@ -475,8 +477,9 @@ def test_difference_term_in_a_batch_equals_the_one_pass_difference_bitwise():
 
 
 def _batch_terms():
-    """Terms for a batched pass: the mixed batch, the fig1 difference term,
-    and (|0> + i|2> - |3> + |5>/2)/|.|, whose diagonal runs grow with k
+    """(state, reference) pairs for a batched pass, each evaluated as
+    ``_density(state, reference)``: the mixed batch, the fig1 difference
+    term, and (|0> + i|2> - |3> + |5>/2)/|.|, whose diagonal runs grow with k
     (k = 1 runs to m = 2, k = 2 to m = 3)."""
     field, reference = _benchmark_state()
     gappy = np.array([1.0, 0.0, 1j, -1.0, 0.0, 0.5])
@@ -496,7 +499,7 @@ def test_blocked_pass_equals_the_single_state_kernel_bitwise(points):
     terms = _batch_terms()
     if points == "201x201":
         terms = terms[6:]
-    values = _wigner_terms(terms, zs)
+    values = _wigner_terms([_density(psi, ref) for psi, ref in terms], zs)
     for (psi, reference), row in zip(terms, values):
         oracle = single_state_kernel(psi, zs, reference)
         assert np.array_equal(row.view(np.uint64), oracle.view(np.uint64))
@@ -504,13 +507,63 @@ def test_blocked_pass_equals_the_single_state_kernel_bitwise(points):
 
 def test_batch_refuses_a_bad_term_and_takes_an_empty_one():
     zs = np.array([0.0j, 1.0 + 0.5j])
-    with pytest.raises(ValueError, match="cutoff"):
-        _wigner_terms([(fock_state(0, 2), None),
-                       (coherent_state(1.0, 30), coherent_state(1.0, 31))], zs)
+    with pytest.raises(ValueError, match="reference cutoff 31 differs from the state cutoff 30"):
+        _density(coherent_state(1.0, 30), coherent_state(1.0, 31))
     with pytest.raises(ValueError, match="normalized"):
         wigner_maps([fock_state(0, 2), FockVector(2, [math.nan, 0.0, 0.0])], small_grid(n=3))
     assert _wigner_terms([], zs).shape == (0, 2)
     assert wigner_maps([], small_grid(n=3)) == []
+
+
+def pairwise_coefficients(psi, reference, k):
+    """The coefficients that the kernel formed from amplitudes on diagonal k
+    before ``_density`` took over: (-1)^m (a_m a*_{m+k} - b_m b*_{m+k}),
+    with b the reference's amplitudes, or 0."""
+    amps = psi.amps
+    n = amps.size - k
+    coeffs = amps[:n] * np.conj(amps[k:])
+    if reference is not None:
+        coeffs -= reference.amps[:n] * np.conj(reference.amps[k:])
+    coeffs *= np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    return coeffs
+
+
+def _coefficient_cases():
+    """(state, reference) pairs: fig1's difference term with the atom in g and
+    in e, verify's eight Wigner fixture states, and the gappy batch state."""
+    for atom in ("g", "e"):
+        field, reference = _benchmark_state(atom=atom)
+        yield f"fig1 {atom}", field, coherent_state(reference, field.ncut)
+    fixtures = [coherent_state(checks._WIGNER_ALPHA, checks._WIGNER_NCUT),
+                *(fock_state(n, max(n, 1)) for n in range(6)),
+                photon_added_coherent_state(1.0, 1, checks._WIGNER_NCUT)]
+    for i, psi in enumerate(fixtures):
+        yield f"verify fixture {i}", psi, None
+    gappy, _ = _batch_terms()[-1]
+    yield "gappy", gappy, None
+
+
+@pytest.mark.parametrize("case", list(_coefficient_cases()), ids=lambda case: case[0])
+def test_density_diagonals_equal_the_pairwise_coefficients_bitwise(case):
+    _, psi, reference = case
+    rho = _density(psi, reference)
+    assert rho.shape == (psi.ncut + 1, psi.ncut + 1)
+    signs = np.where(np.arange(psi.ncut + 1) % 2 == 0, 1.0, -1.0)
+    for k in range(psi.ncut + 1):
+        coeffs = np.diagonal(rho, k) * signs[: psi.ncut + 1 - k]
+        oracle = pairwise_coefficients(psi, reference, k)
+        assert np.array_equal(coeffs.view(np.uint64), oracle.view(np.uint64)), k
+
+
+def test_a_mixed_operator_is_the_mean_of_its_fock_maps():
+    # the sum is linear in the operator: (|0><0| + |1><1|)/2 maps to the mean
+    # of the two Fock states' closed forms
+    re_axis, im_axis = small_grid().axes()
+    zz = re_axis[None, :] + 1j * im_axis[:, None]
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    values = _wigner_terms([rho], zz.ravel())[0].reshape(zz.shape)
+    mean = (fock_wigner_exact(0, zz) + fock_wigner_exact(1, zz)) / 2.0
+    assert np.max(np.abs(values - mean)) <= 1e-15
 
 
 def _csv_writer_oracle(grid, path):
