@@ -14,8 +14,9 @@ Commands reproduce the headline quantities as CSV/JSON artifacts:
 Every run resolves its configuration (defaults <- preset <- config file <-
 --set overrides), writes it back as ``run_config.json`` once the command
 has returned, and records a manifest.  Replaying a saved run_config.json reproduces every data artifact
-byte for byte; the manifest is metadata (it carries wall time) and is not
-part of that contract.
+byte for byte; the manifest is metadata (it carries wall time, stage times
+and a ``health`` block of numerical diagnostics) and is not part of that
+contract.
 """
 
 from __future__ import annotations
@@ -299,7 +300,7 @@ def stage(stages: dict, name: str):
 
 
 def write_manifest(out_dir: Path, config: dict, outputs: list[Path], wall_time: float,
-                   stages: dict) -> Path:
+                   stages: dict, health: dict) -> Path:
     manifest = {
         "manifest_schema": 1,
         "command": config["command"],
@@ -319,6 +320,7 @@ def write_manifest(out_dir: Path, config: dict, outputs: list[Path], wall_time: 
         "outputs": {p.name: _sha256(p) for p in outputs},
         "wall_time_s": wall_time,
         "stages": stages,
+        "health": health,
         "written_utc": datetime.now(timezone.utc).isoformat(),
     }
     path = out_dir / "manifest.json"
@@ -345,7 +347,8 @@ def _dispersive_inputs(params: dict) -> DispersiveConfig:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_rabi(params: dict, out_dir: Path, seed: int, stages: dict) -> list[Path]:
+def cmd_rabi(params: dict, out_dir: Path, seed: int, stages: dict,
+             health: dict) -> list[Path]:
     omega = params["omega"]
     omega0 = params["omega0"] if params["omega0"] is not None else omega
     cfg = InteractionConfig(omega=omega, omega0=omega0, coupling=params["coupling"])
@@ -378,7 +381,8 @@ def cmd_rabi(params: dict, out_dir: Path, seed: int, stages: dict) -> list[Path]
     return [table_path, series_path]
 
 
-def cmd_dispersive(params: dict, out_dir: Path, seed: int, stages: dict) -> list[Path]:
+def cmd_dispersive(params: dict, out_dir: Path, seed: int, stages: dict,
+                   health: dict) -> list[Path]:
     d = _dispersive_inputs(params)
     atom = params["initial_atom"]
 
@@ -430,7 +434,8 @@ def cmd_dispersive(params: dict, out_dir: Path, seed: int, stages: dict) -> list
     return [state_path, dec_path, fid_path]
 
 
-def cmd_wigner_diff(params: dict, out_dir: Path, seed: int, stages: dict) -> list[Path]:
+def cmd_wigner_diff(params: dict, out_dir: Path, seed: int, stages: dict,
+                    health: dict) -> list[Path]:
     with stage(stages, "state_s"):
         d = _dispersive_inputs(params)
         dec = photon_added_decomposition(d, params["initial_atom"])
@@ -439,7 +444,12 @@ def cmd_wigner_diff(params: dict, out_dir: Path, seed: int, stages: dict) -> lis
         extent = params["grid_extent"]
         grid = GridSpec(-extent, extent, -extent, extent, int(params["grid_points"]),
                         int(params["grid_points"]))
-        diff = wigner_difference(dec.state, dec.beta, grid)
+        diff = wigner_difference(dec.displaced, dec.beta, grid)
+    health.update(
+        expansion_parameter=d.linear_expansion_parameter,
+        coherent_tail_weight=dec.state.tail_weight,
+        displaced_norm_defect=abs(dec.displaced.norm() - 1.0),
+    )
 
     csv_path = out_dir / "delta_w.csv"
     json_path = out_dir / "delta_w.json"
@@ -462,7 +472,8 @@ def cmd_wigner_diff(params: dict, out_dir: Path, seed: int, stages: dict) -> lis
     return [csv_path, json_path, summary_path]
 
 
-def cmd_zeta_maps(params: dict, out_dir: Path, seed: int, stages: dict) -> list[Path]:
+def cmd_zeta_maps(params: dict, out_dir: Path, seed: int, stages: dict,
+                  health: dict) -> list[Path]:
     p = GupParams.from_gamma(params["gamma"], params["delta"], params["epsilon"])
     spec = ZetaMapSpec(
         n=int(params["n"]),
@@ -504,7 +515,8 @@ def cmd_zeta_maps(params: dict, out_dir: Path, seed: int, stages: dict) -> list[
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(params: dict, out_dir: Path, seed: int, stages: dict) -> tuple[list[Path], int]:
+def cmd_verify(params: dict, out_dir: Path, seed: int, stages: dict,
+               health: dict) -> tuple[list[Path], int]:
     width = max(len(check.name) for check in CHECKS)
     run = VerifyRun(params)
     rows = []
@@ -538,16 +550,18 @@ def run_command(command: str, args) -> int:
     out_dir = Path(args.out) if args.out else Path("runs") / command
     out_dir.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    # wall seconds of the command's stages, for the manifest
+    # wall seconds of the command's stages and the health of its numerics,
+    # for the manifest
     stages: dict[str, float] = {}
-    result = COMMANDS[command](config["params"], out_dir, config["seed"], stages)
+    health: dict[str, float] = {}
+    result = COMMANDS[command](config["params"], out_dir, config["seed"], stages, health)
     outputs, code = result if isinstance(result, tuple) else (result, 0)
     # written only once the command has returned, so a failed run leaves no
     # configuration that claims to reproduce it
     config_path = out_dir / "run_config.json"
     write_json(config_path, config)
     wall = time.perf_counter() - start
-    write_manifest(out_dir, config, [config_path, *outputs], wall, stages)
+    write_manifest(out_dir, config, [config_path, *outputs], wall, stages, health)
     for path in outputs:
         _print_line(str(path))
     return code

@@ -84,7 +84,18 @@ class PhotonAddedDecomposition:
     ``state`` is the unit-norm field base_amp*|coh> + pacs1_amp*|coh,1> +
     pacs2_amp*|coh,2>, where |coh,m> are unit-norm m-photon-added coherent
     states at the rotated amplitude ``beta``, and ``normalization`` is the
-    norm the raw first-order superposition had before dividing out.
+    norm the raw first-order superposition had before dividing out.  Its
+    ``tail_weight`` is the weight that |coh> at ``ncut`` discarded.
+
+    ``displaced`` is the same field in the frame displaced by ``beta``,
+    D(beta)^dag state, which lies on |0>, |1>, |2> exactly: since
+    a^dag^m |beta> = D(beta) (a^dag + beta*)^m |0>, the companions become
+
+        v1 = (beta* |0> + |1>) / k1,
+        v2 = (beta*^2 |0> + 2 beta* |1> + sqrt(2) |2>) / k2,
+
+    with k_m = sqrt(L_m(-|beta|^2) m!) in closed form, so no cutoff enters
+    it, and |coh> becomes |0>.
     """
 
     base_amp: complex
@@ -93,6 +104,7 @@ class PhotonAddedDecomposition:
     normalization: float
     beta: complex
     state: FockVector
+    displaced: FockVector
 
 
 @dataclass(frozen=True)
@@ -231,13 +243,21 @@ def photon_added_decomposition(
         beta = alpha * np.conj(rot)
     else:
         raise ValueError("initial_atom must be 'g' or 'e'")
-    base = coherent_state(beta, d.ncut).amps
+    coh = coherent_state(beta, d.ncut)
+    base = coh.amps
     pacs1 = _add_photons(base, beta, 1).amps
     pacs2 = _add_photons(base, beta, 2).amps
     norm = float(np.linalg.norm(u_base * base + u1 * pacs1 + u2 * pacs2))
     base_amp, pacs1_amp, pacs2_amp = complex(u_base) / norm, complex(u1) / norm, complex(u2) / norm
-    state = FockVector(d.ncut, base_amp * base + pacs1_amp * pacs1 + pacs2_amp * pacs2)
-    return PhotonAddedDecomposition(base_amp, pacs1_amp, pacs2_amp, norm, complex(beta), state)
+    state = FockVector(d.ncut, base_amp * base + pacs1_amp * pacs1 + pacs2_amp * pacs2,
+                       tail_weight=coh.tail_weight)
+    # D(beta)^dag a^dag^m |beta> = (a^dag + beta*)^m |0>
+    b = np.conj(beta)
+    displaced = FockVector(2, np.array([base_amp, 0.0, 0.0])
+                           + pacs1_amp * np.array([b, 1.0, 0.0]) / k1
+                           + pacs2_amp * np.array([b * b, 2.0 * b, math.sqrt(2.0)]) / k2)
+    return PhotonAddedDecomposition(base_amp, pacs1_amp, pacs2_amp, norm, complex(beta), state,
+                                    displaced)
 
 
 def interaction_picture_propagate(

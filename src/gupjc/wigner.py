@@ -44,6 +44,14 @@ coefficients of rho_psi - rho_ref, at the cost of one map.  The start value
 e^{-2|z|^2} underflows past |z| = MAX_ABS_Z (about 18.8), where evaluation
 is refused.
 
+``wigner_difference`` takes the field in the frame displaced by beta: a
+displacement only shifts a map, so the change against the coherent state
+|beta> = D(beta)|0> is the map of rho_displaced - |0><0| at z - beta.  For
+the first-order field, which lies on |0>, |1>, |2> in that frame, this is
+three diagonals of at most three steps, with no truncated coherent state.
+The shifted points share no radii, so that pass runs one block of grid rows
+at a time.
+
 Normalization: integral of W over the plane is 1 with z in dimensionless
 quadrature units.
 
@@ -67,7 +75,7 @@ from typing import Sequence
 import numpy as np
 
 from ._floatrepr import CHUNK, WIDTH, float_cells
-from .fock import FockVector, coherent_state
+from .fock import FockVector, fock_state
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -325,26 +333,47 @@ def _aligned_empty(shape: tuple) -> np.ndarray:
 
 
 def wigner_difference(
-    psi: FockVector,
-    reference_alpha: complex,
+    displaced: FockVector,
+    beta: complex,
     grid: GridSpec = GridSpec(),
 ) -> WignerDifference:
-    """Difference between the Wigner function of ``psi`` and that of a
-    coherent reference state of amplitude ``reference_alpha``, in one kernel
-    pass.
+    """W_psi - W_beta on the grid, for the field psi = D(beta) ``displaced``
+    against the coherent state |beta>.
 
-    ``ref_peak`` is the reference map's maximum over the grid.  The reference
-    is a coherent state truncated with a tail below 1e-12, so its map is the
-    Gaussian (2/pi) e^{-2|z - alpha|^2}, and its grid maximum is that
-    Gaussian at the grid point nearest alpha.
+    A displacement shifts a map, W of D(beta) rho D(beta)^dag at z is W_rho
+    at z - beta, and D(beta)|0> is |beta> exactly.  So the difference is the
+    map of rho_displaced - |0><0| at z - beta: no coherent state is
+    truncated, and for a displaced state on |0>, |1>, |2>, such as the
+    first-order field's, the pass has three diagonals of at most three steps.
+    The shifted points share no radii, so the kernel's work space grows with
+    the points; the grid goes through it one block of whole rows (about
+    CHUNK points) at a time, and each value has the bits of one pass over
+    the whole grid.
+
+    Where |z - beta| passes MAX_ABS_Z the kernel refuses to evaluate.  For a
+    displaced state on at most three levels the difference is 0 there: each
+    of its terms is e^{-2|z - beta|^2} times a polynomial of degree at most
+    4 in |z - beta|, and all nine stay below 1e-300 past that radius.
+
+    ``ref_peak`` is the maximum over the grid of the reference map, the
+    Gaussian (2/pi) e^{-2|z - beta|^2}: that Gaussian at the grid point
+    nearest beta.
     """
     re_axis, im_axis = grid.axes()
-    zz = re_axis[None, :] + 1j * im_axis[:, None]
-    reference = coherent_state(reference_alpha, psi.ncut)
-    values = wigner_values_at(psi, zz.ravel(), reference=reference).reshape(zz.shape)
-    delta = WignerGrid(re_axis, im_axis, values)
+    vacuum = fock_state(0, displaced.ncut)
+    values = np.zeros(im_axis.size * re_axis.size)
+    nearest = math.inf
+    rows_per_block = max(1, CHUNK // max(re_axis.size, 1))
+    for first in range(0, im_axis.size, rows_per_block):
+        u = (re_axis[None, :] + 1j * im_axis[first: first + rows_per_block, None] - beta).ravel()
+        radius = np.abs(u)
+        nearest = min(nearest, float(radius.min(initial=math.inf)))
+        inside = radius <= MAX_ABS_Z if displaced.ncut <= 2 else slice(None)
+        block = values[first * re_axis.size: first * re_axis.size + u.size]
+        block[inside] = wigner_values_at(displaced, u[inside], reference=vacuum)
+    delta = WignerGrid(re_axis, im_axis, values.reshape(im_axis.size, re_axis.size))
     max_abs, location = delta.max_abs_location()
-    ref_peak = TWO_OVER_PI * math.exp(-2.0 * float(np.min(np.abs(zz - reference_alpha))) ** 2)
+    ref_peak = TWO_OVER_PI * math.exp(-2.0 * nearest**2)
     return WignerDifference(grid=delta, max_abs=max_abs, location=location, ref_peak=ref_peak)
 
 

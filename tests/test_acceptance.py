@@ -46,7 +46,7 @@ def test_criterion_08_wigner_difference_magnitude():
     dec = photon_added_decomposition(d, "g")
     reference = dec.beta
     grid = GridSpec()
-    diff = wigner_difference(dec.state, reference, grid)
+    diff = wigner_difference(dec.displaced, reference, grid)
 
     # perturbation scale relative to the coherent peak: ~1e-5..1e-4, accepted
     # within one order of magnitude

@@ -328,6 +328,7 @@ def test_manifest_contents(tmp_path):
     assert manifest["wall_time_s"] > 0
     assert manifest["versions"]["gupjc"]
     assert manifest["stages"] == {}
+    assert manifest["health"] == {}
 
 
 def test_wigner_diff_manifest_records_its_stages(tmp_path):
@@ -340,6 +341,37 @@ def test_wigner_diff_manifest_records_its_stages(tmp_path):
     assert sorted(stages) == ["state_s", "wigner_s", "write_s"]
     assert all(0.0 < seconds < manifest["wall_time_s"] for seconds in stages.values())
     assert sum(stages.values()) <= manifest["wall_time_s"]
+
+
+def test_wigner_diff_manifest_records_its_numerical_health(tmp_path):
+    # |beta| = 1 leaves about e^-1/15! = 2.9e-13 beyond ncut 14
+    out = tmp_path / "w"
+    assert run_cli(["wigner-diff", "--preset", "fig1", "--set", "grid_points=11",
+                    "--set", "ncut=14", "--out", str(out)]) == 0
+    with open(out / "manifest.json") as fh:
+        health = json.load(fh)["health"]
+    with open(out / "wigner_summary.json") as fh:
+        summary = json.load(fh)
+    assert sorted(health) == ["coherent_tail_weight", "displaced_norm_defect",
+                              "expansion_parameter"]
+    assert health["expansion_parameter"] == summary["expansion_parameter"]
+    assert 1e-13 < health["coherent_tail_weight"] < 1e-12
+    assert 0.0 <= health["displaced_norm_defect"] < 1e-15
+
+
+def test_wigner_diff_map_does_not_depend_on_ncut(tmp_path):
+    # the map is evaluated in the displaced frame on three levels; ncut only
+    # truncates |beta> for the normalization, whose tail is below rounding
+    # from ncut 20 on at |alpha| = 1
+    data = []
+    for ncut in (20, 40):
+        out = tmp_path / f"ncut{ncut}"
+        assert run_cli(["wigner-diff", "--preset", "fig1", "--set", "grid_points=41",
+                        "--set", f"ncut={ncut}", "--out", str(out)]) == 0
+        data.append({name: raw for name, raw in databytes(out).items()
+                     if name != "run_config.json"})
+    assert set(data[0]) == {"delta_w.csv", "delta_w.json", "wigner_summary.json"}
+    assert data[0] == data[1]
 
 
 @pytest.mark.parametrize("command, setting, name", [

@@ -265,6 +265,42 @@ def test_decomposition_state_is_its_amplitudes_over_the_basis_at_beta(atom):
     assert np.array_equal(dec.state.amps, expected)
 
 
+@pytest.mark.parametrize("gamma", [1e3, 1e4])
+@pytest.mark.parametrize("atom", ["g", "e"])
+def test_displaced_field_rebuilds_the_state(atom, gamma):
+    # D(beta)|n> = (a^dag - beta*)^n |beta> / sqrt(n!), so the displaced field
+    # on |0>, |1>, |2> maps back onto the lab-frame state built from the
+    # truncated |beta>
+    _, d = bench_config()
+    phi = derive_coefficients(GupParams.from_gamma(gamma, 1.0, 1.0), BENCH["omega"]).phi
+    dec = photon_added_decomposition(dataclasses.replace(d, phi=phi), atom)
+    assert dec.displaced.ncut == 2
+
+    def raised(amps):
+        """(a^dag - beta*) amps on the truncated basis."""
+        out = -np.conj(dec.beta) * amps
+        out[1:] += np.sqrt(np.arange(1, d.ncut + 1)) * amps[:-1]
+        return out
+
+    coh = coherent_state(dec.beta, d.ncut).amps
+    one = raised(coh)
+    two = raised(one) / math.sqrt(2.0)
+    c0, c1, c2 = dec.displaced.amps
+    rebuilt = c0 * coh + c1 * one + c2 * two
+    assert np.max(np.abs(rebuilt - dec.state.amps)) <= 1e-15
+
+
+def test_decomposition_state_carries_the_coherent_tail():
+    # |beta| = 1 leaves about e^-1/15! = 2.9e-13 beyond ncut 14
+    _, d = bench_config()
+    tails = []
+    for ncut in (14, 40):
+        dec = photon_added_decomposition(dataclasses.replace(d, ncut=ncut), "g")
+        assert dec.state.tail_weight == coherent_state(dec.beta, ncut).tail_weight
+        tails.append(dec.state.tail_weight)
+    assert 1e-13 < tails[0] < 1e-12 and tails[1] < 1e-15
+
+
 @pytest.mark.parametrize("atom, sign", [("g", 1), ("e", -1)])
 def test_decomposition_beta_is_alpha_rotated_by_mu_t(atom, sign):
     # a complex alpha, so that beta must carry its phase too

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -256,8 +257,10 @@ def test_reference_cutoff_must_match():
 
 
 def test_difference_of_state_with_itself_vanishes():
-    diff = wigner_difference(coherent_state(1.0, 30), 1.0, small_grid(n=41))
-    assert diff.max_abs == 0.0
+    # the displaced vacuum is the reference |beta> itself
+    for ncut in (2, 30):
+        diff = wigner_difference(fock_state(0, ncut), 1.0 - 0.5j, small_grid(n=41))
+        assert diff.max_abs == 0.0
 
 
 @pytest.mark.parametrize("alpha, ncut, spec", [
@@ -276,7 +279,7 @@ def test_difference_of_state_with_itself_vanishes():
 ])
 def test_reference_peak_equals_full_grid_peak(alpha, ncut, spec):
     # ref_peak is the closed-form Gaussian at the grid point nearest alpha;
-    # the kernel evaluates the truncated coherent state on the whole grid
+    # the oracle evaluates the truncated coherent state on the whole grid
     field = photon_added_coherent_state(0.5, 1, ncut)
     diff = wigner_difference(field, alpha, spec)
     peak = wigner_of_state(coherent_state(alpha, ncut), spec).peak()
@@ -284,17 +287,24 @@ def test_reference_peak_equals_full_grid_peak(alpha, ncut, spec):
 
 
 def test_difference_makes_one_kernel_pass(monkeypatch):
+    # the grid goes through the kernel in blocks of rows: each call holds one
+    # operator, and the calls cover each shifted grid point exactly once
     calls = []
     kernel = wigner._wigner_terms
 
     def counted(ops, zs):
-        calls.append(len(ops))
+        calls.append((len(ops), zs))
         return kernel(ops, zs)
 
     monkeypatch.setattr(wigner, "_wigner_terms", counted)
-    field, reference = _benchmark_state()
-    wigner_difference(field, reference, small_grid(n=21))
-    assert calls == [1]
+    dec = _benchmark_decomposition()
+    spec = GridSpec()
+    wigner_difference(dec.displaced, dec.beta, spec)
+    assert len(calls) == math.ceil(spec.n_im / (wigner.CHUNK // spec.n_re)) > 1
+    assert all(count == 1 for count, _ in calls)
+    re_axis, im_axis = spec.axes()
+    shifted = (re_axis[None, :] + 1j * im_axis[:, None] - dec.beta).ravel()
+    assert np.array_equal(np.concatenate([zs for _, zs in calls]), shifted)
 
 
 def test_precision_ratio():
@@ -305,18 +315,24 @@ def test_precision_ratio():
         wigner_precision_ratio(1e-4, 0.0)
 
 
-def _benchmark_state(t=1e3, atom="g"):
+def _benchmark_decomposition(t=1e3, atom="g"):
+    """The first-order decomposition at the fig1 settings."""
     c = derive_coefficients(GupParams.from_gamma(1e3, 1.0, 1.0), 1e15)
     d = DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=t, ncut=40)
-    dec = photon_added_decomposition(d, atom)
+    return photon_added_decomposition(d, atom)
+
+
+def _benchmark_state(t=1e3, atom="g"):
+    """The lab-frame first-order field at the fig1 settings, and its beta."""
+    dec = _benchmark_decomposition(t, atom)
     return dec.state, dec.beta
 
 
 def test_difference_linear_in_time():
     vals = []
     for t in (1e3, 2e3):
-        field, reference = _benchmark_state(t)
-        vals.append(wigner_difference(field, reference, small_grid(n=61)).max_abs)
+        dec = _benchmark_decomposition(t)
+        vals.append(wigner_difference(dec.displaced, dec.beta, small_grid(n=61)).max_abs)
     assert vals[1] / vals[0] == pytest.approx(2.0, rel=0.1)
 
 
@@ -330,10 +346,10 @@ def test_difference_extrema_stable_under_refinement():
     # the signed lobes keep their positions within one coarse cell when the
     # grid is refined; the two lobes are nearly degenerate in |value|, so the
     # global argmax may hop between them and only the value is compared
-    field, reference = _benchmark_state()
+    dec = _benchmark_decomposition()
     coarse_spec = GridSpec(-4.0, 4.0, -4.0, 4.0, 101, 101)
-    coarse = wigner_difference(field, reference, coarse_spec)
-    fine = wigner_difference(field, reference, refined(coarse_spec))
+    coarse = wigner_difference(dec.displaced, dec.beta, coarse_spec)
+    fine = wigner_difference(dec.displaced, dec.beta, refined(coarse_spec))
     cell = 8.0 / 100.0
 
     def extremum(grid_values, axes, pick):
@@ -345,6 +361,122 @@ def test_difference_extrema_stable_under_refinement():
         loc_f = extremum(fine.grid.values, (fine.grid.im_axis, fine.grid.re_axis), pick)
         assert abs(loc_c - loc_f) <= cell * math.sqrt(2.0) + 1e-12
     assert fine.max_abs == pytest.approx(coarse.max_abs, rel=1e-2)
+
+
+def displaced_parity_mpmath(phi_amps, z, beta, dps=50, levels=200):
+    """(2/pi) [sum_n (-1)^n |<n|D(-u) phi>|^2 - e^{-2|u|^2}] at u = z - beta:
+    the map of |phi><phi| - |0><0| at u as a displaced parity, in ``dps``
+    digits, with u formed exactly.  D(-u)|m> = (a^dag + u*)^m |-u> / sqrt(m!)
+    is summed over ``levels`` Fock levels, so no Laguerre polynomial enters."""
+    with mpmath.workdps(dps):
+        u = mpmath.mpc(complex(z)) - mpmath.mpc(complex(beta))
+        coh = [mpmath.exp(-abs(u) ** 2 / 2)]
+        for n in range(1, levels):
+            coh.append(coh[-1] * (-u) / mpmath.sqrt(n))
+        basis = [coh]
+        for m in range(1, len(phi_amps)):
+            prev = basis[-1]
+            basis.append([(mpmath.conj(u) * prev[n] + (mpmath.sqrt(n) * prev[n - 1] if n else 0))
+                          / mpmath.sqrt(m) for n in range(levels)])
+        phi = [mpmath.mpc(complex(a)) for a in phi_amps]
+        amps = [mpmath.fsum(c * b[n] for c, b in zip(phi, basis)) for n in range(levels)]
+        parity = mpmath.fsum((-1) ** n * abs(a) ** 2 for n, a in enumerate(amps))
+        return 2 / mpmath.pi * (parity - mpmath.exp(-2 * abs(u) ** 2))
+
+
+# fig1 grid points: the extremum with the atom in g and in e, the corners,
+# the origin and three more
+ORACLE_POINTS = [(-0.92, 1.0), (0.04, -1.28), (-4.0, -4.0), (4.0, 4.0), (0.0, 0.0),
+                 (0.5, -0.5), (2.5, 1.5), (-2.0, 3.0)]
+
+
+@pytest.mark.parametrize("atom", ["g", "e"])
+def test_displaced_difference_matches_the_displaced_parity_oracle(atom):
+    dec = _benchmark_decomposition(atom=atom)
+    grid = wigner_difference(dec.displaced, dec.beta, GridSpec()).grid
+    for x, y in ORACLE_POINTS:
+        i, j = int(np.argmin(np.abs(grid.im_axis - y))), int(np.argmin(np.abs(grid.re_axis - x)))
+        z = complex(grid.re_axis[j], grid.im_axis[i])
+        oracle = displaced_parity_mpmath(dec.displaced.amps, z, dec.beta)
+        error = abs(grid.values[i, j] - oracle)
+        assert error <= 2e-16, (z, error)
+        if (x, y) == (-4.0, -4.0) and atom == "g":
+            # 6.9e-36 here; the lab-frame pass misses it by 18%
+            assert 1e-36 < abs(oracle) < 1e-35 and error <= 1e-12 * abs(oracle), error / abs(oracle)
+
+
+@pytest.mark.parametrize("atom", ["g", "e"])
+def test_displaced_difference_matches_the_lab_frame_pass(atom):
+    dec = _benchmark_decomposition(atom=atom)
+    values = wigner_difference(dec.displaced, dec.beta, GridSpec()).grid.values
+    re_axis, im_axis = GridSpec().axes()
+    zs = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
+    lab = wigner_values_at(dec.state, zs, reference=coherent_state(dec.beta, dec.state.ncut))
+    assert np.max(np.abs(values.ravel() - lab)) <= 2e-16
+
+
+ROWS_PER_BLOCK = wigner.CHUNK // 201
+
+
+@pytest.mark.parametrize("atom, spec", [
+    ("g", GridSpec()),
+    ("e", GridSpec()),
+    # a row count that is not a multiple of the rows per block
+    ("g", GridSpec(-3.0, 3.0, -2.0, 2.5, 201, 2 * ROWS_PER_BLOCK + 7)),
+    # a row wider than one block
+    ("e", GridSpec(-4.0, 4.0, -1.0, 1.0, wigner.CHUNK + 5, 3)),
+], ids=["fig1 g", "fig1 e", "partial block", "wide row"])
+def test_blocked_difference_equals_one_kernel_call_bitwise(atom, spec):
+    dec = _benchmark_decomposition(atom=atom)
+    re_axis, im_axis = spec.axes()
+    shifted = (re_axis[None, :] + 1j * im_axis[:, None] - dec.beta).ravel()
+    one_call = _wigner_terms([_density(dec.displaced, fock_state(0, 2))], shifted)[0]
+    values = wigner_difference(dec.displaced, dec.beta, spec).grid.values
+    assert values.shape == (spec.n_im, spec.n_re)
+    assert np.array_equal(values.ravel().view(np.uint64), one_call.view(np.uint64))
+
+
+def test_difference_peak_memory_on_the_fig1_grid():
+    # the blocks keep the per-point work space at one block's size
+    dec = _benchmark_decomposition()
+    wigner_difference(dec.displaced, dec.beta, GridSpec())
+    tracemalloc.start()
+    try:
+        wigner_difference(dec.displaced, dec.beta, GridSpec())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
+
+
+def test_points_past_the_limit_from_beta_read_zero():
+    # every point lies within MAX_ABS_Z of 0, but some corners lie past it
+    # from beta, where the kernel refuses them
+    dec = _benchmark_decomposition()
+    spec = GridSpec(-13.3, 13.3, -13.3, 13.3, 3, 3)
+    re_axis, im_axis = spec.axes()
+    shifted = (re_axis[None, :] + 1j * im_axis[:, None] - dec.beta).ravel()
+    far = np.abs(shifted) > MAX_ABS_Z
+    assert far.any() and not far.all()
+    with pytest.raises(ValueError, match="exceeds"):
+        _wigner_terms([_density(dec.displaced, fock_state(0, 2))], shifted)
+    values = wigner_difference(dec.displaced, dec.beta, spec).grid.values.ravel()
+    assert np.all(values[far] == 0.0)
+    inside = _wigner_terms([_density(dec.displaced, fock_state(0, 2))], shifted[~far])[0]
+    assert np.array_equal(values[~far], inside)
+    # the 0 stands for less than 1e-300: no term |m><m+k| with m + k <= 2
+    # reaches 1e-301 at or past MAX_ABS_Z
+    with mpmath.workdps(30):
+        for rho in (MAX_ABS_Z, 19.0, 25.0, 60.0):
+            x = 4 * mpmath.mpf(rho) ** 2
+            for m in range(3):
+                for k in range(3 - m):
+                    w = (mpmath.exp(-x / 2) * (2 * mpmath.mpf(rho)) ** k * mpmath.laguerre(m, k, x)
+                         * mpmath.sqrt(mpmath.factorial(m) / mpmath.factorial(m + k)))
+                    assert 2 * TWO_OVER_PI * abs(w) < 1e-301, (rho, m, k)
+    # a displaced state on more levels is refused there, as the kernel refuses
+    with pytest.raises(ValueError, match="exceeds"):
+        wigner_difference(coherent_state(0.5, 20), dec.beta, spec)
 
 
 def test_nan_state_or_point_is_refused():
@@ -602,11 +734,11 @@ LAYOUT_FORMS = [0.0, -0.0, 1.0, -2.5, 0.001, -0.0001234, 1e-05, 123456.789, 1e15
 ])
 def test_grid_writers_match_csv_and_json_oracles(tmp_path, shape):
     if shape == "benchmark":
-        field, reference = _benchmark_state()
-        grid = wigner_difference(field, reference, small_grid(n=41)).grid
+        dec = _benchmark_decomposition()
+        grid = wigner_difference(dec.displaced, dec.beta, small_grid(n=41)).grid
     elif shape == "fig1":
-        field, reference = _benchmark_state()
-        grid = wigner_difference(field, reference, GridSpec(-4.0, 4.0, -4.0, 4.0, 201, 201)).grid
+        dec = _benchmark_decomposition()
+        grid = wigner_difference(dec.displaced, dec.beta, GridSpec()).grid
     elif shape == "layout forms":
         values = np.array(LAYOUT_FORMS).reshape(4, 5)
         grid = WignerGrid(np.array([-1e-05, 0.0, 1e16, 3.0, -7e-300]),
