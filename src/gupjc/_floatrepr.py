@@ -1,19 +1,19 @@
 """Shortest round-trip decimal strings of float64 arrays, laid out as repr().
 
-``float_reprs(values)`` returns ``[repr(x) for x in values.ravel().tolist()]``
-for finite float64 input, computed on whole arrays instead of one Python call
-per value; ``float_cells(values)`` returns the same characters as a numpy
-matrix.  The digits are Ryu's (Adams, "Ryu: fast float-to-string
-conversion", PLDI 2018, the d2d step of its reference d2s.c): the shortest
-decimal that reads back to the same double and, among those, the one nearest
-to it, with ties to even.  That is the digit string CPython's repr() takes
-from David Gay's dtoa in mode 0.  The layout is CPython's ``'r'`` format:
-positional when the decimal point position decpt (value = 0.d1d2... x
-10^decpt) satisfies -4 < decpt <= 16, with ``.0`` after an integral value,
-else d1[.d2...]e+XX with at least two exponent digits; the sign of -0.0 is
-kept.  "Exactly repr()" covers every finite double, subnormals and the
-largest double included; the equality is tested against repr() itself.
-NaN and infinities are refused.
+``float_cells(values)`` returns the characters of ``[repr(x) for x in
+values.ravel().tolist()]`` for finite float64 input as a numpy matrix,
+computed on whole arrays instead of one Python call per value.  The digits
+are Ryu's (Adams, "Ryu: fast float-to-string conversion", PLDI 2018, the
+d2d step of its reference d2s.c): the shortest decimal that reads back to
+the same double and, among those, the one nearest to it, with ties to even.
+That is the digit string CPython's repr() takes from David Gay's dtoa in
+mode 0.  The layout is CPython's ``'r'`` format: positional when the
+decimal point position decpt (value = 0.d1d2... x 10^decpt) satisfies
+-4 < decpt <= 16, with ``.0`` after an integral value, else d1[.d2...]e+XX
+with at least two exponent digits; the sign of -0.0 is kept.  "Exactly
+repr()" covers every finite double, subnormals and the largest double
+included; the equality is tested against repr() itself.  NaN and infinities
+are refused.
 
 The d2d step runs on uint64 arrays.  Ryu multiplies the mantissa m and its
 rounding interval (4m, 4m + 2 and 4m - 2, or 4m - 1 at a power of two, all
@@ -24,16 +24,31 @@ removes one decimal digit at a time while the interval still holds a
 shorter decimal (vp // 10 > vm // 10).  That loop runs here on whole
 arrays: the test is monotone in the digits removed, so a value's count is
 the number of rounds it passes, and the trailing-zero flags that settle
-exact ties follow from the count.  The per-exponent constants (multiplier
-limbs, shift, decimal exponent) come from exact Python-int powers of 5,
-built on the first call and cached, so importing the module costs nothing.
+exact ties follow from the count.  Whether a product ends in q decimal
+zeros is a test for divisibility by 5^q when the binary exponent e2 >= 0
+and q <= 21; those tests run only on the values whose exponent has one,
+which no value of magnitude below 2^54 has.
+
 The layout fills a uint8 matrix of character cells, one row per value and
-WIDTH cells a row, with every part of the layout at a fixed column and 0 in
-the cells a value leaves unused.  ``float_cells`` returns those cells, so
-that a writer composes whole lines around them in numpy and deletes the 0
-cells with one ``bytes.translate`` over its buffer; ``float_reprs`` is the
-str view of the same cells.  Values go through in passes of at most CHUNK,
-which bounds the work arrays.
+WIDTH = 32 cells a row, read as four 8-byte words: the sign, "0." and three
+zeros before a small value, the first digit and "."; digits 1 to 8; digits
+9 to 16; "e", the exponent's sign and three digits.  Every part of the
+layout sits at a fixed column, and the cells a value leaves unused hold 0.
+Every row is first written in the exponent form.  Its digits come four at a
+time from a 10 000-entry table of ASCII digits, indexed by splits of the
+digits by 10^8 and 10^4 (scalar divisors, which numpy divides fast), and a
+byte mask per digit count cuts them after the last digit; the first word and
+the exponent word come from tables of their own.  Only the rows of
+positional values, ``np.flatnonzero(~exponent)``, are then laid out again,
+with the "." moved or the "0.000" prefix added; for a map whose values all
+take the exponent form, that subset is empty.  The tables hold bytes read as
+uint32 or uint64 words, so the cells do not depend on the byte order.  All
+tables, Ryu's per-exponent constants included, are built from exact Python
+ints and bytes on the first call and cached, so importing the module costs
+nothing.  A writer composes whole lines around the cells in numpy and
+deletes the 0 cells with one ``bytes.translate`` over its buffer; the tests
+read the cells as strings and compare them with repr().  Values go through
+in passes of at most CHUNK, which bounds the work arrays.
 
 Two numpy rules the code keeps: an int64 and a uint64 array never meet in
 one operation (numpy would promote the pair to float64 and drop digits), and
@@ -46,31 +61,34 @@ import functools
 
 import numpy as np
 
-# Values formatted per pass.  A pass makes about 150 numpy calls whatever its
-# size, and its work arrays and cells grow with it.  Measured in-process on
-# fig1's 201x201 map (40 401 values, 2-vCPU Xeon, medians of interleaved
-# calls): 2048 values a pass took 30-35 ms, 3072 25-32 ms, 4096 25-30 ms,
-# and 6144 or 8192 were no faster; the resident memory the first grid write
-# adds was 0.51, 0.59, 0.67, 0.82 and 1.02 MB (0.38 MB of it numpy code).
+# Values formatted per pass.  A pass makes over a hundred numpy calls
+# whatever its size, and its work arrays and cells grow with it.  Measured
+# in-process on fig1's 201x201 map (40 401 values, 2-vCPU Xeon, medians of
+# interleaved calls) with the layout of the time, before its digit tables:
+# 2048 values a pass took 30-35 ms, 3072 25-32 ms, 4096 25-30 ms, and 6144
+# or 8192 were no faster; the resident memory the first grid write adds was
+# 0.51, 0.59, 0.67, 0.82 and 1.02 MB (0.38 MB of it numpy code).
 CHUNK = 4096
 
-# Character cells of a value: sign, "0." and three zeros before a small value,
-# an 18-character body, and "e", the exponent's sign and three digits.  A
-# repr() of a double fills at most 24 of them.
-WIDTH = 29
+# Character cells of a value, four 8-byte words: sign, "0." and three zeros
+# before a small value, and an 18-character body in the first three; "e",
+# the exponent's sign and three digits in the last.  A repr() of a double
+# fills at most 24 of them.
+WIDTH = 32
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
 _TEN = _U64(10)
 _POW10 = np.array([10**p for p in range(20)], dtype=np.uint64)
-_POW10_32 = _POW10[:10].astype(np.uint32)
 _POW5_BITS = 125  # Ryu's DOUBLE_POW5_INV_BITCOUNT and DOUBLE_POW5_BITCOUNT
 _EXPONENT_BIAS = 1023 + 52 + 2  # Ryu takes 2 more bits for the interval bounds
 _FIELDS = 2047  # biased exponents of the finite doubles
-# the rows of the 18-character body: the 17 significant digits (padded with
-# zeros) with a "." inserted
-_ROWS = np.arange(18)[:, None]
+# the columns of the 18-character body: the 17 significant digits (padded
+# with zeros) with a "." inserted
+_COLUMNS = np.arange(18)
 _NO_DOT = 99
+_SMALL_PREFIX = np.frombuffer(b"0.000", dtype=np.uint8)
+_MIN_POWER = -324  # the decimal exponent of the smallest subnormal, 5e-324
 
 
 @functools.cache
@@ -116,20 +134,28 @@ def _tables() -> dict:
                 low_bits[field] = (1 << q) - 1
         shift[field] = j - 96
         limbs[:, field] = [(mul >> (32 * t)) & 0xFFFFFFFF for t in range(4)]
+    # The layout's tables hold cells as bytes, read as one uint32 or uint64,
+    # so that they do not depend on the byte order.  The digits of 0000 to
+    # 9999:
+    quads = np.array([f"{i:04d}" for i in range(10_000)], dtype="S4").view(np.uint32)
+    # the first word of an exponent form (sign, d0, "." unless d0 is the only
+    # digit), at (negative * 10 + d0) * 2 + (count > 1):
+    heads = np.array([sign.ljust(6, b"\0") + bytes([ord("0") + d0]) + dot
+                      for sign in (b"", b"-") for d0 in range(10) for dot in (b"\0", b".")],
+                     dtype="S8").view(np.uint64)
+    # at count, the bytes of d1 to d16 that count digits keep (count >= 1):
+    masks = np.array([(b"\xff" * max(count - 1, 0)).ljust(16, b"\0") for count in range(18)],
+                     dtype="S16").view(np.uint64).reshape(-1, 2)
+    # "e", the sign and the three digits of each decimal exponent, with 0
+    # for the hundreds digit below 100:
+    exponents = []
+    for power in range(_MIN_POWER, 309):
+        text = f"e{power:+04d}".encode()  # e-005, e+022, e-324
+        exponents.append(text[:2] + b"\0" + text[3:] if abs(power) < 100 else text)
+    exponents = np.array(exponents, dtype="S8").view(np.uint64)
     return {"limbs": limbs, "shift": shift, "e10": e10, "pow5": pow5_test,
-            "exact": exact, "low_bits": low_bits}
-
-
-def float_reprs(values) -> list[str]:
-    """[repr(x) for x in values.ravel().tolist()] for finite float64 values."""
-    flat = np.asarray(values, dtype=np.float64).ravel()
-    strings: list[str] = []
-    for start in range(0, flat.size, CHUNK):
-        cells = float_cells(flat[start: start + CHUNK])
-        lines = np.full((len(cells), WIDTH + 1), ord("\n"), dtype=np.uint8)
-        lines[:, :WIDTH] = cells
-        strings += lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
-    return strings
+            "exact": exact, "low_bits": low_bits, "quads": quads, "heads": heads,
+            "masks": masks, "exponents": exponents}
 
 
 def float_cells(values) -> np.ndarray:
@@ -166,14 +192,17 @@ def _shortest(x: np.ndarray) -> tuple:
                             tables["shift"][field])
 
     # whether the exact products 4m * 10^-e10 and its bounds are integers,
-    # that is, whether vr and vm drop only zeros below the kept digits
+    # that is, whether vr and vm drop only zeros below the kept digits; the
+    # 5^q tests run only on the values whose exponent field has one
     pow5 = tables["pow5"][field]
-    five = pow5 != 0
-    pow5[~five] = 1
-    mv_not5 = mv - mv // _U64(5) * _U64(5) != 0
-    vr_zeros = five & (mv % pow5 == 0)
-    vm_zeros = five & mv_not5 & accept & (mm % pow5 == 0)
-    vp -= (five & mv_not5 & ~accept & ((mv + _U64(2)) % pow5 == 0)).astype(np.uint64)
+    five = np.flatnonzero(pow5)
+    pow5, mv5, mm5, accept5 = pow5[five], mv[five], mm[five], accept[five]
+    mv_not5 = mv5 % _U64(5) != 0
+    vr_zeros = np.zeros(x.size, dtype=bool)
+    vm_zeros = np.zeros(x.size, dtype=bool)
+    vr_zeros[five] = mv5 % pow5 == 0
+    vm_zeros[five] = mv_not5 & accept5 & (mm5 % pow5 == 0)
+    vp[five] -= (mv_not5 & ~accept5 & ((mv5 + _U64(2)) % pow5 == 0)).astype(np.uint64)
     exact = tables["exact"][field]
     vr_zeros |= exact
     vm_zeros |= exact & accept & (mm_shift == 1)
@@ -192,10 +221,14 @@ def _shortest(x: np.ndarray) -> tuple:
         if not shorter.any():
             break
         removed += shorter
-    vm_zeros &= vm % _POW10[removed] == 0
+    # two divisions by per-value powers of ten: vm by 10^removed, vr by
+    # 10^(removed - 1), which keeps its last removed digit
+    scale = _POW10[removed]
+    vm_kept = vm // scale
+    vm_zeros &= vm_kept * scale == vm
     # a lower bound that is itself the shorter decimal goes on losing zeros
     extend = np.flatnonzero(vm_zeros)
-    tail = vm[extend] // _POW10[removed[extend]]
+    tail = vm_kept[extend]
     while tail.size:
         quot = tail // _TEN
         more = quot * _TEN == tail
@@ -203,14 +236,16 @@ def _shortest(x: np.ndarray) -> tuple:
             break
         removed[extend] += more
         tail = np.where(more, quot, tail)
-    scale = _POW10[removed]
-    last_scale = _POW10[np.maximum(removed - 1, 0)]
-    digits = vr // scale
-    last = np.where(removed > 0, vr // last_scale - digits * _TEN, _U64(0))
-    vr_zeros &= vr % last_scale == 0
+    vm_kept[extend] = tail
+    has_last = removed > 0
+    last_scale = _POW10[removed - has_last]
+    vr_kept = vr // last_scale
+    vr_zeros &= vr_kept * last_scale == vr
+    digits = np.where(has_last, vr_kept // _TEN, vr_kept)
+    last = np.where(has_last, vr_kept - digits * _TEN, _U64(0))
     # an exact ...50..0 rounds to even
     tie = vr_zeros & (last == 5) & ((digits & _U64(1)) == 0)
-    round_up = ((last >= 5) & ~tie) | ((digits == vm // scale) & ~(accept & vm_zeros))
+    round_up = ((last >= 5) & ~tie) | ((digits == vm_kept) & ~(accept & vm_zeros))
     digits += round_up.astype(np.uint64)
     digits[zero] = 0
     e10 = tables["e10"][field] + removed
@@ -257,56 +292,66 @@ def _mul_shift(mm: np.ndarray, mm_shift: np.ndarray, limbs: np.ndarray, shift: n
 def _layout(digits: np.ndarray, e10: np.ndarray, negative: np.ndarray) -> np.ndarray:
     """CPython's 'r' layout of +-digits * 10^e10 as (n, WIDTH) character cells.
 
-    The characters go into a (WIDTH, n) matrix, one row a position: sign, "0."
-    and up to three zeros before a small value, an 18-character body of the
-    digits with a "." inserted, and "e" with the exponent's sign and digits.
-    A 0 marks an unused position.  The cells are returned with one row a value.
+    Every row is first laid out in exponent form as four 8-byte words: the
+    sign, d0 and "."; d1 to d8; d9 to d16; the exponent.  The digits come
+    from the digit table four at a time and are cut after the last one.
+    Only the rows of positional values are then laid out again.
     """
+    tables = _tables()
     n = digits.size
     count = np.searchsorted(_POW10[1:18], digits, side="right") + 1
     decpt = e10 + count
     exponent = (decpt <= -4) | (decpt > 16)
-    small = ~exponent & (decpt <= 0)
-    chars = np.zeros((WIDTH, n), dtype=np.uint8)
-    chars[0] = negative * ord("-")
-    chars[1] = small * ord("0")
-    chars[2] = small * ord(".")
-    chars[3:6] = (_ROWS[:3] < np.where(small, -decpt, 0)) * ord("0")
-    # the digits, left-aligned in rows 1..17 of ``padded``: scaled up to 17
-    # digits, so that they run on in zeros, and split as 9 + 8 in uint32;
-    # the digit arithmetic is modulo 256, which keeps every digit exact
+    # the 17 digits of digits * 10^(17 - count), which runs on in zeros: the
+    # leading one, then two halves of eight, each split into two groups of four
     scaled = digits * _POW10[17 - count]
     high = scaled // _U64(10**8)
-    low = (scaled - high * _U64(10**8)).astype(np.uint32)
-    padded = np.zeros((19, n), dtype=np.uint8)
-    np.floor_divide(high.astype(np.uint32), _POW10_32[8::-1, None], out=padded[1:10],
-                    casting="unsafe")
-    np.floor_divide(low, _POW10_32[7::-1, None], out=padded[10:18], casting="unsafe")
-    padded[2:10] -= padded[1:9] * np.uint8(10)
-    padded[11:18] -= padded[10:17] * np.uint8(10)
-    padded[1:] += np.uint8(ord("0"))
-    # the "." follows digit 1 in the exponent form and digit decpt in the
-    # positional one; an integral value runs on in zeros up to decpt, then
-    # ".0", which takes digit decpt (a padding zero)
-    dot = np.where(exponent, np.where(count > 1, 1, _NO_DOT), np.where(small, _NO_DOT, decpt))
-    end = np.where(~exponent & (decpt >= count), decpt + 1, count)
-    # body row p shows digit p before the "." and digit p - 1 after it, and
-    # is kept while that digit's index is below ``end``
-    after = _ROWS > dot
-    body = padded[1:]
-    body -= after * (body - padded[:-1])
-    at_dot = _ROWS == dot
+    lead = high // _U64(10**8)
+    halves = np.stack([high - lead * _U64(10**8), scaled - high * _U64(10**8)])
+    upper = halves // _U64(10**4)
+    groups = np.empty((n, 4), dtype=np.intp)
+    groups[:, 0], groups[:, 2] = upper
+    groups[:, 1], groups[:, 3] = halves - upper * _U64(10**4)
+    digit_words = np.take(tables["quads"], groups).view(np.uint64)  # d1 to d8, d9 to d16
+    cells = np.empty((n, WIDTH), dtype=np.uint8)
+    words = cells.view(np.uint64)
+    # the sign, d0, and "." unless d0 is the only digit
+    head = (negative * _U64(10) + lead) * _U64(2) + (count > 1)
+    words[:, 0] = np.take(tables["heads"], head)
+    masks = np.take(tables["masks"], count, axis=0)
+    np.bitwise_and(digit_words[:, 0], masks[:, 0], out=words[:, 1])
+    np.bitwise_and(digit_words[:, 1], masks[:, 1], out=words[:, 2])
+    words[:, 3] = np.take(tables["exponents"], decpt - 1 - _MIN_POWER)
+    positional = np.flatnonzero(~exponent)
+    cells[positional, 1:] = _positional(lead[positional], digit_words[positional],
+                                        decpt[positional], count[positional])
+    return cells
+
+
+def _positional(lead: np.ndarray, digit_words: np.ndarray, decpt: np.ndarray,
+                count: np.ndarray) -> np.ndarray:
+    """Cells 1 to WIDTH - 1 of positional values, from their leading digits
+    and the two words of their other 16 digits.
+
+    The "." follows digit decpt, or a small value (decpt <= 0) starts with
+    "0." and -decpt zeros; an integral value runs on in zeros up to decpt,
+    then ".0", which takes digit decpt (a padding zero).
+    """
+    padded = np.zeros((len(lead), 19), dtype=np.uint8)  # 0, the 17 digits, a padding zero
+    padded[:, 1] = lead + _U64(ord("0"))
+    padded[:, 2:18] = digit_words.view(np.uint8)
+    padded[:, 18] = ord("0")
+    small = decpt <= 0
+    dot = np.where(small, _NO_DOT, decpt)[:, None]
+    end = np.where(decpt >= count, decpt + 1, count)[:, None]
+    # body column p shows digit p before the "." and digit p - 1 after it,
+    # and is kept while that digit's index is below ``end``
+    after = _COLUMNS > dot
+    at_dot = _COLUMNS == dot
+    body = np.where(after, padded[:, :-1], padded[:, 1:])
     body[at_dot] = ord(".")
-    keep = _ROWS < end
-    keep |= after & (_ROWS == end)
-    keep |= at_dot
-    chars[6:24] = body * keep
-    power = decpt - 1
-    size = np.where(power < 0, 1 - decpt, power)  # |power|
-    chars[24] = exponent * ord("e")
-    chars[25] = exponent * np.where(power < 0, ord("-"), ord("+"))
-    chars[26] = (exponent & (size >= 100)) * (size // 100 + ord("0"))
-    chars[27] = exponent * (size // 10 % 10 + ord("0"))
-    chars[28] = exponent * (size % 10 + ord("0"))
-    # one transposed copy here lets a writer copy the cells row by row
-    return np.ascontiguousarray(chars.T)
+    keep = (_COLUMNS < end) | (after & (_COLUMNS == end)) | at_dot
+    cells = np.zeros((len(lead), WIDTH - 1), dtype=np.uint8)
+    cells[:, :5] = _SMALL_PREFIX * (_COLUMNS[:5] < np.where(small, 2 - decpt, 0)[:, None])
+    cells[:, 5:23] = body * keep
+    return cells

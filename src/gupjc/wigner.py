@@ -59,11 +59,14 @@ quadrature units.
 writes it.  The characters come from ``_floatrepr.float_cells``, a numpy
 port of Ryu's shortest round-trip digits that equals repr() on every finite
 double, as a uint8 matrix of cells, one row a value, formed one block of
-whole rows (about CHUNK values) at a time.  The block's CSV lines and JSON
-items are composed around those cells in two more uint8 matrices, and one
-``bytes.translate`` per file and block deletes the unused cells, so no
-Python string is made per value; each block is written to both files, in
-binary mode, before the next is formatted.
+whole rows (about CHUNK values) at a time.  Each axis and block keeps only
+its live cell columns, those that hold a character in some row, so no
+column that is 0 in every row is copied or scanned.  The block's CSV lines
+and JSON items are composed around those cells in two more uint8 matrices,
+whose x cells and separators are written whenever the width of the live
+columns changes, and one ``bytes.translate`` per file and block deletes the
+remaining 0 cells, so no Python string is made per value; each block is
+written to both files, in binary mode, before the next is formatted.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._floatrepr import CHUNK, WIDTH, float_cells
+from ._floatrepr import CHUNK, float_cells
 from .fock import FockVector, fock_state
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -400,46 +403,46 @@ def write_grid(grid: WignerGrid, csv_path, json_path) -> None:
 
     Every character comes from ``float_cells``, whose rows hold one value's
     repr() with 0 in the unused cells.  The values go one block of whole
-    grid rows (about CHUNK values) at a time.  A block's CSV lines are
-    composed in one uint8 matrix as [x cells ","][y cells ","][w cells]
-    ["\\r\\n"] and its JSON items in another as [w cells][",\\n  "].  The x
-    cells and the separators are written into the matrices once and serve
-    every block.  One ``bytes.translate`` per file and block deletes the 0
-    cells, and each block is written to both files before the next is
+    grid rows (about CHUNK values) at a time.  Each axis and each block
+    keeps only its live cell columns, those that hold a character in some
+    row, so the width of a block's w cells may change from block to block.
+    A block's CSV lines are composed in one uint8 matrix as [x cells ","]
+    [y cells ","][w cells]["\\r\\n"] and its JSON items in another as
+    [w cells][",\\n  "].  The x cells and the separators are written into
+    the matrices again only when a block's w cells differ in width from the
+    previous block's.  One ``bytes.translate`` per file and block deletes the
+    0 cells, and each block is written to both files before the next is
     formatted.  So no Python string is made per value, and the grid's
     characters are never held at once.
     """
     _check_finite(grid)
-    x_cells = float_cells(grid.re_axis)
-    y_cells = float_cells(grid.im_axis)
+    x_cells = _live_cells(grid.re_axis)
+    y_cells = _live_cells(grid.im_axis)
     n_im, width = grid.values.shape
     rows_per_block = max(1, CHUNK // max(width, 1))
-    block_rows = min(rows_per_block, n_im)
-    # the CSV lines keep only the cell columns an axis uses, as translate's
-    # time grows with the cells it scans
-    x_csv, y_csv = (cells[:, cells.any(axis=0)] for cells in (x_cells, y_cells))
-    y_at = x_csv.shape[1] + 1
-    w_at = y_at + y_csv.shape[1] + 1
-    csv_lines = np.zeros((block_rows, width, w_at + WIDTH + 2), dtype=np.uint8)
-    csv_lines[:, :, : y_at - 1] = x_csv
-    csv_lines[:, :, y_at - 1] = csv_lines[:, :, w_at - 1] = ord(",")
-    csv_lines[:, :, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-    json_lines = np.zeros((max(block_rows * width, n_im, width), WIDTH + len(_JSON_SEPARATOR)),
-                          dtype=np.uint8)
-    json_lines[:, WIDTH:] = np.frombuffer(_JSON_SEPARATOR, dtype=np.uint8)
+    y_at = x_cells.shape[1] + 1
+    w_at = y_at + y_cells.shape[1] + 1
+    csv_lines = json_lines = np.empty((0, 0, 0), dtype=np.uint8)
     with open(csv_path, "wb") as fc, open(json_path, "wb") as fj:
         fc.write(b"x,y,w\r\n")
-        fj.write(b'{\n "im_axis": ' + _json_array(y_cells, json_lines)
-                 + b',\n "re_axis": ' + _json_array(x_cells, json_lines)
+        fj.write(b'{\n "im_axis": ' + _json_array(y_cells)
+                 + b',\n "re_axis": ' + _json_array(x_cells)
                  + b',\n "values_row_major": ')
         # json.dump(indent=1) lays out the concatenated rows as one array
         opener = b"[\n  "
         for first in range(0, n_im if width else 0, rows_per_block):
             rows = grid.values[first: first + rows_per_block]
-            cells = float_cells(rows)
+            cells = _live_cells(rows)
+            if csv_lines.shape[-1] != w_at + cells.shape[1] + 2:
+                csv_lines = np.empty((min(rows_per_block, n_im), width,
+                                      w_at + cells.shape[1] + 2), dtype=np.uint8)
+                csv_lines[:, :, : y_at - 1] = x_cells
+                csv_lines[:, :, y_at - 1] = csv_lines[:, :, w_at - 1] = ord(",")
+                csv_lines[:, :, -2:] = np.frombuffer(b"\r\n", dtype=np.uint8)
+                json_lines = _json_lines(len(csv_lines) * width, cells.shape[1])
             lines = csv_lines[: len(rows)]
-            lines[:, :, y_at: w_at - 1] = y_csv[first: first + len(rows), None]
-            lines.reshape(len(cells), -1)[:, w_at: w_at + WIDTH] = cells
+            lines[:, :, y_at: w_at - 1] = y_cells[first: first + len(rows), None]
+            lines.reshape(len(cells), -1)[:, w_at: -2] = cells
             fc.write(lines.tobytes().translate(None, b"\0"))
             fj.write(opener)
             fj.write(_json_items(cells, json_lines))
@@ -447,14 +450,33 @@ def write_grid(grid: WignerGrid, csv_path, json_path) -> None:
         fj.write((b"[]" if opener == b"[\n  " else b"\n ]") + b"\n}\n")
 
 
+def _live_cells(values: np.ndarray) -> np.ndarray:
+    """The ``float_cells`` of ``values`` without the columns that are 0 in
+    every row."""
+    cells = float_cells(values)
+    # each 8-byte column ORed down the rows, on a transposed copy, which
+    # numpy reduces far faster than the strided columns
+    words = np.ascontiguousarray(cells.view(np.uint64).T)
+    return cells[:, np.bitwise_or.reduce(words, axis=1).view(np.uint8) != 0]
+
+
+def _json_lines(rows: int, width: int) -> np.ndarray:
+    """A (rows, width + separator) matrix whose last columns hold _JSON_SEPARATOR."""
+    lines = np.empty((rows, width + len(_JSON_SEPARATOR)), dtype=np.uint8)
+    lines[:, width:] = np.frombuffer(_JSON_SEPARATOR, dtype=np.uint8)
+    return lines
+
+
 def _json_items(cells: np.ndarray, json_lines: np.ndarray) -> memoryview:
     """The values of ``cells`` joined by _JSON_SEPARATOR, composed in the first
     rows of ``json_lines``, whose last columns hold that separator."""
     lines = json_lines[: len(cells)]
-    lines[:, :WIDTH] = cells
+    lines[:, : cells.shape[1]] = cells
     return memoryview(lines.tobytes().translate(None, b"\0"))[: -len(_JSON_SEPARATOR)]
 
 
-def _json_array(cells: np.ndarray, json_lines: np.ndarray) -> bytes:
+def _json_array(cells: np.ndarray) -> bytes:
     """One array of formatted floats, laid out as json.dump(indent=1)."""
-    return b"[\n  " + _json_items(cells, json_lines) + b"\n ]" if len(cells) else b"[]"
+    if not len(cells):
+        return b"[]"
+    return b"[\n  " + _json_items(cells, _json_lines(*cells.shape)) + b"\n ]"

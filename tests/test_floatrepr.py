@@ -1,5 +1,6 @@
-"""float_reprs against repr() itself: random bit patterns, a hypothesis
-property, named edge sets, and mutants that each of them must catch."""
+"""float_cells against repr() itself, through its str view float_reprs:
+random bit patterns, a hypothesis property, named edge sets, and mutants
+that each of them must catch."""
 
 import inspect
 import math
@@ -13,7 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gupjc import _floatrepr
-from gupjc._floatrepr import CHUNK, float_reprs
+from gupjc._floatrepr import CHUNK, WIDTH, float_cells
+
+
+def float_reprs(values) -> list[str]:
+    """The str view of float_cells: [repr(x) for x in values.ravel().tolist()]
+    for finite float64 values, if the cells are right."""
+    flat = np.asarray(values, dtype=np.float64).ravel()
+    strings: list[str] = []
+    for start in range(0, flat.size, CHUNK):
+        cells = float_cells(flat[start: start + CHUNK])
+        lines = np.full((len(cells), WIDTH + 1), ord("\n"), dtype=np.uint8)
+        lines[:, :WIDTH] = cells
+        strings += lines.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    return strings
 
 
 def repr_oracle(values) -> list[str]:
@@ -103,8 +117,8 @@ def test_tables_wait_for_the_first_call():
     assert out.stdout.strip() == "0"
 
 
-# Each mutant is a plausible slip in the Ryu port; one of the sets above must
-# catch it.
+# Each mutant is a plausible slip in the Ryu port or the layout; one of the
+# sets above must catch it.
 MUTANTS = {
     "no round-half-even": (
         "round_up = ((last >= 5) & ~tie) |", "round_up = (last >= 5) |"),
@@ -114,6 +128,10 @@ MUTANTS = {
         "mm_shift = np.ones_like(mantissa)"),
     "layout switch at 1e15": (
         "exponent = (decpt <= -4) | (decpt > 16)", "exponent = (decpt <= -4) | (decpt > 15)"),
+    "digit table bytes reversed": ('f"{i:04d}" for i', 'f"{i:04d}"[::-1] for i'),
+    "no positional rewrite": ("cells[positional, 1:] = _positional(", "_positional("),
+    "5^q tests on the complement": (
+        "five = np.flatnonzero(pow5)", "five = np.flatnonzero(pow5 == 0)"),
 }
 
 

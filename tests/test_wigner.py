@@ -730,7 +730,7 @@ LAYOUT_FORMS = [0.0, -0.0, 1.0, -2.5, 0.001, -0.0001234, 1e-05, 123456.789, 1e15
     # a row wider than one formatting chunk, and a row count that is not a
     # multiple of the rows written per block
     (2, wigner.CHUNK + 5), (wigner.CHUNK // 1000 * 2 + 1, 1000),
-    "layout forms", "widest axes",
+    "layout forms", "widest axes", "block widths",
 ])
 def test_grid_writers_match_csv_and_json_oracles(tmp_path, shape):
     if shape == "benchmark":
@@ -750,6 +750,22 @@ def test_grid_writers_match_csv_and_json_oracles(tmp_path, shape):
         n_im = 2 * (wigner.CHUNK // forms.size) + 3
         values = np.resize(np.array(LAYOUT_FORMS), (n_im, forms.size))
         grid = WignerGrid(forms, np.resize(forms[::-1], n_im), values)
+    elif shape == "block widths":
+        # blocks whose live cell columns differ: fig1-like values with
+        # two-digit exponents, then "0.000"-prefixed positional values and a
+        # three-digit exponent, then a partial block of short values
+        n_re = 50
+        per_block = wigner.CHUNK // n_re
+        rng = np.random.default_rng(11)
+        values = rng.normal(size=(2 * per_block + 3, n_re)) * 1e-5
+        values[per_block: 2 * per_block] = rng.uniform(1e-4, 9e-4, size=(per_block, n_re))
+        values[per_block + 1, 7] = -2.5e-123
+        values[2 * per_block:] = np.round(values[2 * per_block:] * 1e5, 1)
+        widths = {wigner._live_cells(values[first: first + per_block]).shape[1]
+                  for first in range(0, len(values), per_block)}
+        assert len(widths) == 3, widths
+        grid = WignerGrid(np.linspace(-1.0, 1.0, n_re), np.linspace(-2.0, 0.3, len(values)),
+                          values)
     else:
         n_im, n_re = shape
         values = np.random.default_rng(7).normal(size=shape) * np.logspace(-300, 300, n_re)
