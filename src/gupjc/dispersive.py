@@ -81,11 +81,13 @@ class DispersiveConfig:
 class PhotonAddedDecomposition:
     """The first-order state and its coefficients over the photon-added family.
 
-    ``state`` is the unit-norm field base_amp*|coh> + pacs1_amp*|coh,1> +
+    ``state`` is the field base_amp*|coh> + pacs1_amp*|coh,1> +
     pacs2_amp*|coh,2>, where |coh,m> are unit-norm m-photon-added coherent
-    states at the rotated amplitude ``beta``, and ``normalization`` is the
-    norm the raw first-order superposition had before dividing out.  Its
-    ``tail_weight`` is the weight that |coh> at ``ncut`` discarded.
+    states at the rotated amplitude ``beta``, truncated at ``ncut``.  Its
+    ``tail_weight`` is the weight that |coh> at ``ncut`` discarded, and its
+    norm differs from 1 only through that truncation.  ``normalization`` is
+    the norm N of the raw first-order superposition, formed in the displaced
+    frame below, so it does not depend on ``ncut``.
 
     ``displaced`` is the same field in the frame displaced by ``beta``,
     D(beta)^dag state, which lies on |0>, |1>, |2> exactly: since
@@ -216,8 +218,9 @@ def photon_added_decomposition(
                  (3 k1 e^{-2 i mu t}|coh(b),1> + alpha k2 e^{-3 i mu t}|coh(b),2>)),
         b = alpha e^{-i mu t}
 
-    with k_m = sqrt(L_m(-|alpha|^2) m!).  The normalization N is fixed to the
-    exact norm of the assembled superposition at the configured cutoff.
+    with k_m = sqrt(L_m(-|alpha|^2) m!).  The normalization N is the norm of
+    the raw superposition in the frame displaced by b, where it lies on |0>,
+    |1>, |2> exactly, so N does not depend on the cutoff.
     """
     if not d.valid_linear:
         raise LinearityError(
@@ -243,19 +246,22 @@ def photon_added_decomposition(
         beta = alpha * np.conj(rot)
     else:
         raise ValueError("initial_atom must be 'g' or 'e'")
+    # D(beta)^dag a^dag^m |beta> = (a^dag + beta*)^m |0>
+    b = np.conj(beta)
+
+    def in_displaced_frame(c0, c1, c2):
+        return (np.array([c0, 0.0, 0.0]) + c1 * np.array([b, 1.0, 0.0]) / k1
+                + c2 * np.array([b * b, 2.0 * b, math.sqrt(2.0)]) / k2)
+
+    norm = float(np.linalg.norm(in_displaced_frame(u_base, u1, u2)))
+    base_amp, pacs1_amp, pacs2_amp = complex(u_base) / norm, complex(u1) / norm, complex(u2) / norm
+    displaced = FockVector(2, in_displaced_frame(base_amp, pacs1_amp, pacs2_amp))
     coh = coherent_state(beta, d.ncut)
     base = coh.amps
     pacs1 = _add_photons(base, beta, 1).amps
     pacs2 = _add_photons(base, beta, 2).amps
-    norm = float(np.linalg.norm(u_base * base + u1 * pacs1 + u2 * pacs2))
-    base_amp, pacs1_amp, pacs2_amp = complex(u_base) / norm, complex(u1) / norm, complex(u2) / norm
     state = FockVector(d.ncut, base_amp * base + pacs1_amp * pacs1 + pacs2_amp * pacs2,
                        tail_weight=coh.tail_weight)
-    # D(beta)^dag a^dag^m |beta> = (a^dag + beta*)^m |0>
-    b = np.conj(beta)
-    displaced = FockVector(2, np.array([base_amp, 0.0, 0.0])
-                           + pacs1_amp * np.array([b, 1.0, 0.0]) / k1
-                           + pacs2_amp * np.array([b * b, 2.0 * b, math.sqrt(2.0)]) / k2)
     return PhotonAddedDecomposition(base_amp, pacs1_amp, pacs2_amp, norm, complex(beta), state,
                                     displaced)
 

@@ -143,19 +143,17 @@ def _check_ratio_inputs(omega, omega0, p: GupParams) -> float:
     return quad
 
 
-def zeta_lq_at(n: int, omega, omega0, p: GupParams, signed: bool = False):
+def zeta_lq_at(n: int, omega, omega0, p: GupParams):
     """Linear-channel strength over quadratic-channel strength.
 
     zeta_lq = sqrt(2(n+2))/(n+1) * delta/(3 delta^2 - 2 epsilon)
               * 1/(gamma sqrt(hbar omega)) * (omega-omega0)/(2 omega-omega0)
 
     ``omega`` and ``omega0`` (rad/s) are floats or broadcastable arrays.  The
-    detuning-ratio factor is returned in absolute value unless ``signed``.
+    detuning-ratio factor is taken in absolute value.
     """
     quad = _check_ratio_inputs(omega, omega0, p)
-    ratio = (omega - omega0) / (2.0 * omega - omega0)
-    if not signed:
-        ratio = np.abs(ratio)
+    ratio = np.abs((omega - omega0) / (2.0 * omega - omega0))
     return (
         math.sqrt(2.0 * (n + 2)) / (n + 1)
         * (p.delta / quad)
@@ -164,7 +162,7 @@ def zeta_lq_at(n: int, omega, omega0, p: GupParams, signed: bool = False):
     )
 
 
-def zeta_rq_at(n: int, omega, omega0, p: GupParams, signed: bool = False):
+def zeta_rq_at(n: int, omega, omega0, p: GupParams):
     """Counter-rotating strength over quadratic-channel strength.
 
     zeta_rq = sqrt(n)/(n+1)^{3/2} * (omega-omega0)/(omega+omega0)
@@ -173,9 +171,7 @@ def zeta_rq_at(n: int, omega, omega0, p: GupParams, signed: bool = False):
     ``omega`` and ``omega0`` as for ``zeta_lq_at``.
     """
     quad = _check_ratio_inputs(omega, omega0, p)
-    ratio = (omega - omega0) / (omega + omega0)
-    if not signed:
-        ratio = np.abs(ratio)
+    ratio = np.abs((omega - omega0) / (omega + omega0))
     return (
         math.sqrt(n) / (n + 1) ** 1.5
         * ratio
@@ -185,14 +181,14 @@ def zeta_rq_at(n: int, omega, omega0, p: GupParams, signed: bool = False):
     )
 
 
-def zeta_lq(n: int, cfg: InteractionConfig, p: GupParams, signed: bool = False) -> float:
+def zeta_lq(n: int, cfg: InteractionConfig, p: GupParams) -> float:
     """``zeta_lq_at`` for one interaction configuration."""
-    return float(zeta_lq_at(n, cfg.omega, cfg.omega0, p, signed))
+    return float(zeta_lq_at(n, cfg.omega, cfg.omega0, p))
 
 
-def zeta_rq(n: int, cfg: InteractionConfig, p: GupParams, signed: bool = False) -> float:
+def zeta_rq(n: int, cfg: InteractionConfig, p: GupParams) -> float:
     """``zeta_rq_at`` for one interaction configuration."""
-    return float(zeta_rq_at(n, cfg.omega, cfg.omega0, p, signed))
+    return float(zeta_rq_at(n, cfg.omega, cfg.omega0, p))
 
 
 def zeta_map(spec: ZetaMapSpec) -> ZetaMap:

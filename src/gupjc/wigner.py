@@ -10,9 +10,9 @@ Cahill-Glauber sum over the Fock-basis operators |m><n|,
 which is exact on the truncated space: no padding of the Fock space is
 needed (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)).  The sum is linear
 in rho and reads only its diagonals k >= 0.  ``_density`` is the one place
-where amplitudes become coefficients: rho_{m,n} = c_m c*_n for a pure state,
-or the difference of two such matrices, rho_psi - rho_ref, for a change of
-the map.  The evaluator ``_wigner_terms`` takes a list of such operators.
+where amplitudes become coefficients, rho_{m,n} = c_m c*_n of a pure state,
+and the evaluator ``_wigner_terms`` takes a list of operators, such as these
+or a difference of them.
 Along each diagonal k the w^k_m follow the normalized forward Laguerre
 recurrence
 
@@ -40,17 +40,17 @@ numpy calls of length R for the recurrence plus O(ncut) calls over the
 points for the phases.  A Fock state |n> adds one diagonal of n + 1 steps.
 The memory is O(operators * points) for the sums plus the (ncut+1)^2
 entries of each operator.  The difference of two maps is one pass over the
-coefficients of rho_psi - rho_ref, at the cost of one map.  The start value
-e^{-2|z|^2} underflows past |z| = MAX_ABS_Z (about 18.8), where evaluation
-is refused.
+coefficients of the difference operator, at the cost of one map.  The start
+value e^{-2|z|^2} underflows past |z| = MAX_ABS_Z (about 18.8), where
+evaluation is refused.
 
 ``wigner_difference`` takes the field in the frame displaced by beta: a
 displacement only shifts a map, so the change against the coherent state
-|beta> = D(beta)|0> is the map of rho_displaced - |0><0| at z - beta.  For
-the first-order field, which lies on |0>, |1>, |2> in that frame, this is
-three diagonals of at most three steps, with no truncated coherent state.
-The shifted points share no radii, so that pass runs one block of grid rows
-at a time.
+|beta> = D(beta)|0> is the map of rho_displaced - |0><0| at z - beta, an
+operator it forms once.  For the first-order field, which lies on |0>, |1>,
+|2> in that frame, this is three diagonals of at most three steps, with no
+truncated coherent state.  The shifted points share no radii, so that pass
+runs one block of grid rows at a time, each block over the same operator.
 
 Normalization: integral of W over the plane is 1 with z in dimensionless
 quadrature units.
@@ -78,7 +78,7 @@ from typing import Sequence
 import numpy as np
 
 from ._floatrepr import CHUNK, float_cells
-from .fock import FockVector, fock_state
+from .fock import FockVector
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -138,17 +138,9 @@ class WignerDifference:
     ref_peak: float
 
 
-def wigner_values_at(
-    psi: FockVector, zs: np.ndarray, reference: FockVector | None = None
-) -> np.ndarray:
-    """Wigner values of ``psi`` at arbitrary phase-space points ``zs``.
-
-    With a ``reference`` state of the same cutoff, return W_psi - W_reference
-    in one pass: the sum runs once over the coefficients of rho_psi - rho_ref,
-    so the result is formed from the small difference of the two density
-    matrices, not as the difference of two large totals.
-    """
-    return _wigner_terms([_density(psi, reference)], zs)[0]
+def wigner_values_at(psi: FockVector, zs: np.ndarray) -> np.ndarray:
+    """Wigner values of ``psi`` at arbitrary phase-space points ``zs``."""
+    return _wigner_terms([_density(psi)], zs)[0]
 
 
 def wigner_maps(states: Sequence[FockVector], grid: GridSpec = GridSpec()) -> list[WignerGrid]:
@@ -168,26 +160,17 @@ def wigner_of_state(psi: FockVector, grid: GridSpec = GridSpec()) -> WignerGrid:
     return wigner_maps([psi], grid)[0]
 
 
-def _density(psi: FockVector, reference: FockVector | None = None) -> np.ndarray:
-    """rho[m, n] = c_m c*_n of the pure state ``psi``, or with a ``reference``
-    state of the same cutoff rho_psi - rho_ref, as an (ncut+1)^2 array.
+def _density(psi: FockVector) -> np.ndarray:
+    """rho[m, n] = c_m c*_n of the pure state ``psi``, as an (ncut+1)^2 array.
 
     This is the one place where amplitudes become the Fock coefficients that
     ``_wigner_terms`` sums.  Diagonal k of the outer product has the bits of
     the slice product a[:n] * conj(a[k:]).
     """
-    for state in (psi, reference):
-        # written as not (... <= ...) so that a NaN norm is refused too
-        if state is not None and not abs(state.norm() - 1.0) <= 1e-10:
-            raise ValueError("state must be normalized for a Wigner evaluation")
-    rho = np.multiply.outer(psi.amps, np.conj(psi.amps))
-    if reference is not None:
-        if reference.ncut != psi.ncut:
-            raise ValueError(
-                f"reference cutoff {reference.ncut} differs from the state cutoff {psi.ncut}"
-            )
-        rho -= np.multiply.outer(reference.amps, np.conj(reference.amps))
-    return rho
+    # written as not (... <= ...) so that a NaN norm is refused too
+    if not abs(psi.norm() - 1.0) <= 1e-10:
+        raise ValueError("state must be normalized for a Wigner evaluation")
+    return np.multiply.outer(psi.amps, np.conj(psi.amps))
 
 
 def _wigner_terms(ops: Sequence[np.ndarray], zs: np.ndarray) -> np.ndarray:
@@ -195,7 +178,7 @@ def _wigner_terms(ops: Sequence[np.ndarray], zs: np.ndarray) -> np.ndarray:
     (len(ops), points).
 
     An operator is a Hermitian (ncut+1)^2 complex array in the Fock basis,
-    such as a density matrix or a difference of two from ``_density``, and
+    such as a density matrix from ``_density`` or a difference of two, and
     only its diagonals k >= 0 are read: the sum is linear in the operator.
     Every term shares the point plan and, along each diagonal k, one forward
     recurrence that runs as far as the largest m any term needs.  A term
@@ -345,13 +328,13 @@ def wigner_difference(
 
     A displacement shifts a map, W of D(beta) rho D(beta)^dag at z is W_rho
     at z - beta, and D(beta)|0> is |beta> exactly.  So the difference is the
-    map of rho_displaced - |0><0| at z - beta: no coherent state is
-    truncated, and for a displaced state on |0>, |1>, |2>, such as the
-    first-order field's, the pass has three diagonals of at most three steps.
-    The shifted points share no radii, so the kernel's work space grows with
-    the points; the grid goes through it one block of whole rows (about
-    CHUNK points) at a time, and each value has the bits of one pass over
-    the whole grid.
+    map of the operator rho_displaced - |0><0| at z - beta, formed once: no
+    coherent state is truncated, and for a displaced state on |0>, |1>, |2>,
+    such as the first-order field's, the pass has three diagonals of at most
+    three steps.  The shifted points share no radii, so the kernel's work
+    space grows with the points; the grid goes through it one block of whole
+    rows (about CHUNK points) at a time, each block over that one operator,
+    and each value has the bits of one pass over the whole grid.
 
     Where |z - beta| passes MAX_ABS_Z the kernel refuses to evaluate.  For a
     displaced state on at most three levels the difference is 0 there: each
@@ -363,7 +346,8 @@ def wigner_difference(
     nearest beta.
     """
     re_axis, im_axis = grid.axes()
-    vacuum = fock_state(0, displaced.ncut)
+    op = _density(displaced)
+    op[0, 0] -= 1.0
     values = np.zeros(im_axis.size * re_axis.size)
     nearest = math.inf
     rows_per_block = max(1, CHUNK // max(re_axis.size, 1))
@@ -373,7 +357,7 @@ def wigner_difference(
         nearest = min(nearest, float(radius.min(initial=math.inf)))
         inside = radius <= MAX_ABS_Z if displaced.ncut <= 2 else slice(None)
         block = values[first * re_axis.size: first * re_axis.size + u.size]
-        block[inside] = wigner_values_at(displaced, u[inside], reference=vacuum)
+        block[inside] = _wigner_terms([op], u[inside])[0]
     delta = WignerGrid(re_axis, im_axis, values.reshape(im_axis.size, re_axis.size))
     max_abs, location = delta.max_abs_location()
     ref_peak = TWO_OVER_PI * math.exp(-2.0 * nearest**2)

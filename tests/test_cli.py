@@ -360,18 +360,18 @@ def test_wigner_diff_manifest_records_its_numerical_health(tmp_path):
 
 
 def test_wigner_diff_map_does_not_depend_on_ncut(tmp_path):
-    # the map is evaluated in the displaced frame on three levels; ncut only
-    # truncates |beta> for the normalization, whose tail is below rounding
-    # from ncut 20 on at |alpha| = 1
+    # the map and its normalization are formed in the displaced frame on
+    # three levels, so no truncated |beta> enters them; 14 is the smallest
+    # ncut whose tail check passes at |alpha| = 1
     data = []
-    for ncut in (20, 40):
+    for ncut in (14, 20, 40):
         out = tmp_path / f"ncut{ncut}"
         assert run_cli(["wigner-diff", "--preset", "fig1", "--set", "grid_points=41",
                         "--set", f"ncut={ncut}", "--out", str(out)]) == 0
         data.append({name: raw for name, raw in databytes(out).items()
                      if name != "run_config.json"})
     assert set(data[0]) == {"delta_w.csv", "delta_w.json", "wigner_summary.json"}
-    assert data[0] == data[1]
+    assert data[0] == data[1] == data[2]
 
 
 @pytest.mark.parametrize("command, setting, name", [

@@ -241,6 +241,19 @@ def test_decomposition_normalization_approaches_one():
     assert norms[2] < 1e-6
 
 
+@pytest.mark.parametrize("atom", ["g", "e"])
+def test_decomposition_normalization_does_not_depend_on_ncut(atom):
+    # N and the displaced field are formed on |0>, |1>, |2> in the frame
+    # displaced by beta, so no truncated |beta> enters them; 14 is the
+    # smallest ncut whose tail check passes at |alpha| = 1
+    _, d = bench_config()
+    at_14, at_40 = (photon_added_decomposition(dataclasses.replace(d, ncut=ncut), atom)
+                    for ncut in (14, 40))
+    assert at_14.normalization == at_40.normalization
+    assert np.array_equal(at_14.displaced.amps.view(np.uint64),
+                          at_40.displaced.amps.view(np.uint64))
+
+
 def test_decomposition_rejects_long_times():
     _, d = bench_config()
     too_long = DispersiveConfig(mu=d.mu, phi=d.phi, alpha=d.alpha, t=1e9, ncut=d.ncut)

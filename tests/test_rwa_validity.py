@@ -176,13 +176,6 @@ def test_degenerate_guard_judges_the_model_as_phi_does():
         zeta_rq(50, cfg, params)
 
 
-def test_zeta_signed_variant():
-    cfg = InteractionConfig(omega=1e16, omega0=1e16 + 1e4, coupling=1.0)
-    signed = zeta_lq(50, cfg, FIG_LQ, signed=True)
-    assert signed < 0.0  # omega - omega0 < 0 while 2*omega - omega0 > 0
-    assert abs(signed) == pytest.approx(zeta_lq(50, cfg, FIG_LQ), rel=1e-15)
-
-
 def test_zeta_high_frequency_slices_below_one():
     # at omega = 1e16 rad/s both truncations are safe across the detuning range
     for delta in np.logspace(3, 5, 9):
@@ -231,12 +224,9 @@ def test_zeta_map_equals_scalar_ratios_bitwise():
             assert grid.zeta_rq[i, j] == zeta_rq(7, cfg, params)
 
 
-def test_zeta_array_form_signed_and_guards():
+def test_zeta_array_form_guards():
     omega = np.array([1e12, 1e14])
     omega0 = omega + 1e4
-    signed = zeta_lq_at(50, omega, omega0, FIG_LQ, signed=True)
-    assert np.all(signed < 0.0)
-    assert np.array_equal(np.abs(signed), zeta_lq_at(50, omega, omega0, FIG_LQ))
     # one resonant point refuses the whole array
     with pytest.raises(SingularDenominatorError, match="omega = omega0"):
         zeta_rq_at(50, omega, np.array([1e12 + 1e4, 1e14]), FIG_RQ)
