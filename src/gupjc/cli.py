@@ -162,8 +162,7 @@ def resolve_config(command: str, args) -> dict:
     seed = DEFAULT_SEED
     file_cfg = {}
     if args.config:
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
+        file_cfg = _read_config_file(args.config)
         if file_cfg.get("command") not in (None, command):
             raise ValueError(
                 f"config file is for command {file_cfg.get('command')!r}, not {command!r}"
@@ -189,6 +188,31 @@ def resolve_config(command: str, args) -> dict:
         seed = args.seed
     _check_params(params)
     return {"command": command, "params": params, "seed": seed}
+
+
+def _read_config_file(path: str) -> dict:
+    """The JSON object of a --config file, refused by name when it cannot be
+    read, is not an object, or holds a ``params`` that is not one, a
+    ``preset`` that is not a name or a ``seed`` that is not an integer >= 0."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object, not a {type(cfg).__name__}")
+    if not isinstance(cfg.get("params", {}), dict):
+        raise ValueError(f"config file {path}: params must be a JSON object, "
+                         f"not a {type(cfg['params']).__name__}")
+    if not isinstance(cfg.get("preset"), (str, type(None))):
+        raise ValueError(f"config file {path}: preset must be a name or null, "
+                         f"not a {type(cfg['preset']).__name__}")
+    seed = cfg.get("seed", DEFAULT_SEED)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"config file {path}: seed must be an integer >= 0, got {seed!r}")
+    return cfg
 
 
 def _check_params(params: dict) -> None:

@@ -24,25 +24,21 @@ factorial is formed and every w is a bounded matrix element.  The recurrence
 runs on the real factor w / e^{ik arg z}, which depends on |z| alone, so it
 runs once per distinct radius and its sums are gathered back to the points;
 the phase is applied once per diagonal.  The w^k_m do not depend on the
-operator, so one pass serves every operator evaluated on the same points:
-the point plan and each diagonal's recurrence are shared, and each operator
-only adds its own accumulation.  The recurrence along a diagonal runs to the
-largest m whose coefficient is nonzero in some operator, each operator stops
-accumulating at its own last nonzero coefficient, and a diagonal with no
-nonzero coefficient is skipped; the terms left out are exact zeros, so every
-map keeps the bits it has when evaluated alone.
+operator, so one pass serves every operator evaluated on the same points.
+The pass is one loop over the diagonals k.  On each, every operator with a
+nonzero coefficient there is a lane; the recurrence runs on three w rows to
+the largest last nonzero m of any lane, and each lane accumulates (-1)^m
+rho_{m,m+k} w_m from its steps up to its own last one.  A diagonal with no
+lane is skipped.  The terms left out are exact zeros, so every map keeps
+the bits it has when evaluated alone.
 
-The diagonals are stepped one at a time, in ascending k, on three 1-D w rows
-with scalar factors, and each (diagonal, operator) pair with a nonzero
-coefficient is a lane that accumulates (-1)^m rho_{m,m+k} w_m; the lanes of
-a diagonal share each step.  A pass over R distinct radii makes O(ncut^2)
-numpy calls of length R for the recurrence plus O(ncut) calls over the
-points for the phases.  A Fock state |n> adds one diagonal of n + 1 steps.
-The memory is O(operators * points) for the sums plus the (ncut+1)^2
-entries of each operator.  The difference of two maps is one pass over the
-coefficients of the difference operator, at the cost of one map.  The start
-value e^{-2|z|^2} underflows past |z| = MAX_ABS_Z (about 18.8), where
-evaluation is refused.
+A pass over R distinct radii makes O(ncut^2) numpy calls of length R for
+the recurrence plus O(ncut) calls over the points for the phases.  A Fock
+state |n> adds one diagonal of n + 1 steps.  The memory is O(operators *
+points) for the sums plus the (ncut+1)^2 entries of each operator.  The
+difference of two maps is one pass over the coefficients of the difference
+operator, at the cost of one map.  The start value e^{-2|z|^2} underflows
+past |z| = MAX_ABS_Z (about 18.8), where evaluation is refused.
 
 ``wigner_difference`` takes the field in the frame displaced by beta: a
 displacement only shifts a map, so the change against the coherent state
@@ -180,13 +176,12 @@ def _wigner_terms(ops: Sequence[np.ndarray], zs: np.ndarray) -> np.ndarray:
     An operator is a Hermitian (ncut+1)^2 complex array in the Fock basis,
     such as a density matrix from ``_density`` or a difference of two, and
     only its diagonals k >= 0 are read: the sum is linear in the operator.
-    Every term shares the point plan and, along each diagonal k, one forward
-    recurrence that runs as far as the largest m any term needs.  A term
-    accumulates w_m (-1)^m rho_{m,m+k} only up to its last nonzero
-    coefficient on the diagonal and skips a diagonal whose coefficients are
-    all zero: the sums it leaves out are exact zeros, so each term keeps the
-    bits of a pass of its own.  The diagonals are stepped one at a time, in
-    ascending k (``_diagonal_sums``), and each applies its phase once.
+    The operators share the point plan and, on each diagonal k, one forward
+    recurrence per distinct radius that runs to the largest m any operator
+    needs.  An operator accumulates (-1)^m rho_{m,m+k} w_m only up to its last
+    nonzero coefficient on the diagonal, and a diagonal where no operator has
+    one is skipped: the sums left out are exact zeros, so each operator keeps
+    the bits of a pass of its own.
     """
     zs = np.asarray(zs, dtype=complex).ravel()
     # the real factors depend on |z| alone: one recurrence per distinct
@@ -202,21 +197,61 @@ def _wigner_terms(ops: Sequence[np.ndarray], zs: np.ndarray) -> np.ndarray:
     turn = np.ones(zs.size, dtype=complex)  # e^{ik arg z}
     turn_k = 0
     totals = np.zeros((len(ops), zs.size))
+    dim = max((len(op) for op in ops), default=0)
+    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
+    w0 = np.exp(-0.5 * x)  # |w^k_0|
+    # work space of the pass: three w rows, each lane's (Re, Im) sums and
+    # products at the radii, and the sums gathered to the points
+    w, w_prev, w_next = (np.empty(r.size) for _ in range(3))
+    sums, products = (np.empty((len(ops), 2, r.size)) for _ in range(2))
     at = np.empty((len(ops), 2, zs.size))
-    # work space shared by every diagonal of the pass: three w rows and two
-    # arrays of lane sums
-    rows = [_aligned_empty((r.size,)) for _ in range(3)]
-    sums = [_aligned_empty((len(ops), 2, r.size)) for _ in range(2)]
-    for k, lanes in _diagonals(ops, x, r, rows[0]):
+    for k in range(dim):
+        if k:
+            w0 *= 2.0 / math.sqrt(k)
+            w0 *= r
+        # a lane is an operator with a nonzero coefficient on diagonal k:
+        # (its last nonzero m, the operator, (-1)^m rho_{m,m+k})
+        lanes = []
+        for i, op in enumerate(ops):
+            if k < len(op):
+                coeffs = np.diagonal(op, k) * signs[: len(op) - k]
+                nonzero = coeffs.nonzero()[0]
+                if nonzero.size:
+                    lanes.append((int(nonzero[-1]), i, coeffs))
+        if not lanes:
+            continue
+        # longest first, so that step m runs the prefix of the lanes whose
+        # last m exceeds m
+        lanes.sort(key=lambda lane: -lane[0])
+        count = len(lanes)
+        c = np.empty((lanes[0][0] + 1, count, 2, 1))  # (Re, Im) of c_m per lane
+        for j, (last, _, coeffs) in enumerate(lanes):
+            c[: last + 1, j, 0, 0] = coeffs.real[: last + 1]
+            c[: last + 1, j, 1, 0] = coeffs.imag[: last + 1]
+        acc, product, c_now = sums[:count], products[:count], c
+        np.multiply(c[0], w0, out=acc)
+        w[...] = w0
+        w_prev[...] = 0.0
+        for m in range(lanes[0][0]):
+            if lanes[count - 1][0] <= m:
+                count = sum(last > m for last, _, _ in lanes)
+                acc, product, c_now = sums[:count], products[:count], c[:, :count]
+            # w_{m+1} = ((2m+1+k - x) w_m - sqrt(m(m+k)) w_{m-1}) / sqrt((m+1)(m+1+k))
+            np.subtract(2 * m + 1 + k, x, out=w_next)
+            w_next *= w
+            w_prev *= math.sqrt(m * (m + k))
+            w_next -= w_prev
+            w_next *= 1.0 / math.sqrt((m + 1) * (m + 1 + k))
+            w_prev, w, w_next = w, w_next, w_prev
+            np.multiply(c_now[m + 1], w, out=product)
+            acc += product
         while turn_k < k:
             turn *= unit
             turn_k += 1
-        count = len(lanes)
         # Re(e^{ik arg z} sums), counted twice off the main diagonal; inv is
         # in range, so mode="clip" clips nothing and spares take the copy of
         # ``out`` that mode="raise" makes
-        gathered = np.take(_diagonal_sums(k, lanes, x, rows, sums), inv, axis=2,
-                           out=at[:count], mode="clip")
+        gathered = np.take(sums[: len(lanes)], inv, axis=2, out=at[: len(lanes)], mode="clip")
         at_re, at_im = gathered.transpose(1, 0, 2)
         at_re *= turn.real
         at_im *= turn.imag
@@ -227,95 +262,6 @@ def _wigner_terms(ops: Sequence[np.ndarray], zs: np.ndarray) -> np.ndarray:
             totals[i] += values
     totals *= TWO_OVER_PI
     return totals
-
-
-def _diagonal_lanes(ops, k: int, signs: np.ndarray) -> list:
-    """(last nonzero m, term index, coefficients) of each operator that has a
-    nonzero coefficient (-1)^m rho_{m,m+k} on diagonal k, the longest first."""
-    lanes = []
-    for i, op in enumerate(ops):
-        if k < len(op):
-            coeffs = np.diagonal(op, k) * signs[: len(op) - k]
-            nonzero = coeffs.nonzero()[0]
-            if nonzero.size:
-                lanes.append((int(nonzero[-1]), i, coeffs))
-    lanes.sort(key=lambda lane: -lane[0])
-    return lanes
-
-
-def _diagonals(ops, x: np.ndarray, r: np.ndarray, start: np.ndarray):
-    """The diagonals (k, lanes) that have a lane, in ascending k, each with
-    its |w^k_0| written to ``start`` before it is yielded."""
-    dim = max((len(op) for op in ops), default=0)
-    signs = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-    w0 = np.exp(-0.5 * x)  # |w^k_0|
-    for k in range(dim):
-        if k:
-            w0 *= 2.0 / math.sqrt(k)
-            w0 *= r
-        lanes = _diagonal_lanes(ops, k, signs)
-        if lanes:
-            start[:] = w0
-            yield k, lanes
-
-
-def _diagonal_sums(k: int, lanes: list, x: np.ndarray, rows: list, sums: list) -> np.ndarray:
-    """(Re, Im) of sum_m c_m w^k_m at each radius for every lane of diagonal
-    k, shape (lanes, 2, radii), the lanes in ``_diagonal_lanes`` order.
-
-    The three ``rows`` (radii,) and the two ``sums`` (terms, 2, radii) are
-    work space, with |w^k_0| in rows[0]; the result is a view of sums[0].
-    The lanes run longest first, so each step of m works on a prefix of
-    them.
-    """
-    lasts = [last for last, _, _ in lanes]
-    depth = lasts[0]
-    # c[m, j] holds (Re, Im) of the j-th lane's c_m, up to its last
-    c = np.empty((depth + 1, len(lanes), 2, 1))
-    for j, (last, _, coeffs) in enumerate(lanes):
-        c[: last + 1, j, 0, 0] = coeffs.real[: last + 1]
-        c[: last + 1, j, 1, 0] = coeffs.imag[: last + 1]
-    acc, scratch = sums[0][: len(lanes)], sums[1][: len(lanes)]
-    # the factors of w_{m+1} = ((2m+1+k - x) w_m - sqrt(m(m+k)) w_{m-1})
-    # / sqrt((m+1)(m+1+k))
-    root = [math.sqrt(m * (m + k)) for m in range(depth + 1)]
-    grow = [2 * m + 1 + k for m in range(depth)]
-    scale = [1.0 / v for v in root[1:]]
-    w, w_prev, w_next = rows
-    np.multiply(c[0], w, out=acc)
-    w_prev[...] = 0.0
-    # the steps lo..hi-1 run the lanes whose last m exceeds lo
-    ends = sorted(set(lasts) - {0})
-    count = len(lanes)
-    for lo, hi in zip([0] + ends, ends):
-        while lasts[count - 1] <= lo:
-            count -= 1
-        c_now, acc_now, scratch_now = c[:, :count], acc[:count], scratch[:count]
-        for step in range(lo, hi):
-            np.subtract(grow[step], x, out=w_next)
-            w_next *= w
-            w_prev *= root[step]
-            w_next -= w_prev
-            w_next *= scale[step]
-            w_prev, w, w_next = w, w_next, w_prev
-            np.multiply(c_now[step + 1], w, out=scratch_now)
-            acc_now += scratch_now
-    return acc
-
-
-def _aligned_empty(shape: tuple) -> np.ndarray:
-    """An uninitialized float array whose data starts on a 64-byte boundary.
-
-    Every step reads and writes the recurrence's work rows whole.  numpy
-    aligns data to 16 bytes only, and rows that start inside a cache line
-    made fig1's 201x201 pass 4-6% slower in the median than rows that start
-    on a line, and slower in 21 of 28 interleaved pairs (2-vCPU Xeon,
-    in-process, the best of 5 calls each); no value changes.
-    """
-    size = math.prod(shape) * 8
-    raw = np.empty(size + 64, dtype=np.uint8)
-    first = -raw.ctypes.data % 64
-    return raw[first: first + size].view(float).reshape(shape)
 
 
 def wigner_difference(

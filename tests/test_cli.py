@@ -466,6 +466,29 @@ def test_failed_run_leaves_no_run_config(tmp_path, capsys):
     assert not (out / "run_config.json").exists()
 
 
+@pytest.mark.parametrize("command, text, cause", [
+    ("rabi", None, "No such file or directory"),
+    ("rabi", "{", "is not valid JSON"),
+    ("rabi", "[1, 2]", "must hold a JSON object, not a list"),
+    ("rabi", '{"params": [1]}', "params must be a JSON object, not a list"),
+    ("rabi", '{"preset": [1]}', "preset must be a name or null, not a list"),
+    ("rabi", '{"seed": "x"}', "seed must be an integer >= 0, got 'x'"),
+    ("verify", '{"seed": "x"}', "seed must be an integer >= 0, got 'x'"),
+    ("verify", '{"seed": 1.5}', "seed must be an integer >= 0, got 1.5"),
+    ("rabi", '{"seed": true}', "seed must be an integer >= 0, got True"),
+    ("verify", '{"seed": -1}', "seed must be an integer >= 0, got -1"),
+])
+def test_malformed_config_file_is_refused_by_name(tmp_path, capsys, command, text, cause):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli([command, "--out", str(out), "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg_path) in err and cause in err, err
+    assert not (out / "run_config.json").exists()
+
+
 def test_wigner_diff_rejects_retired_pad_levels(tmp_path, capsys):
     cfg_path = tmp_path / "old.json"
     cfg_path.write_text(json.dumps({"command": "wigner-diff", "params": {"pad_levels": None}}))

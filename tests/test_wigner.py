@@ -517,12 +517,16 @@ def test_values_at_many_points_equal_per_point_values(points):
         zs = rng.uniform(-3.0, 3.0, 60) + 1j * rng.uniform(-3.0, 3.0, 60)
         assert np.unique(np.abs(zs)).size == zs.size
     field, reference = _benchmark_state()
-    for op in (term_operator(field), term_operator(field, coherent_state(reference, field.ncut))):
+    ops = [term_operator(field), term_operator(field, coherent_state(reference, field.ncut))]
+    # each point alone, given twice: numpy's in-place complex multiply
+    # rounds a one-element array differently from longer ones.  Both
+    # operators share each one-point call; that a shared pass at one radius
+    # has the bits of one operator alone is
+    # test_blocked_pass_equals_the_single_state_kernel_bitwise[one radius]
+    each = np.stack([_wigner_terms(ops, np.full(2, z))[:, 0] for z in zs], axis=1)
+    for op, alone in zip(ops, each):
         many = _wigner_terms([op], zs)[0]
-        # each point alone, given twice: numpy's in-place complex multiply
-        # rounds a one-element array differently from longer ones
-        each = np.concatenate([_wigner_terms([op], np.full(2, z))[0, :1] for z in zs])
-        assert np.array_equal(many.view(np.uint64), each.view(np.uint64))
+        assert np.array_equal(many.view(np.uint64), alone.view(np.uint64))
 
 
 def single_state_kernel(psi, zs, reference=None):
