@@ -56,10 +56,8 @@ from .dynamics import (
 from .dispersive import (
     DispersiveConfig,
     PhotonAddedDecomposition,
-    build_effective_hamiltonian,
     commutator_check,
     dyson_consistency_check,
-    evolve_dispersive_exact,
     evolve_dispersive_series,
     photon_added_decomposition,
 )
@@ -67,7 +65,7 @@ from .wigner import (
     GridSpec,
     WignerGrid,
     wigner_difference,
-    wigner_of_state,
+    wigner_maps,
     wigner_precision_ratio,
 )
 from .rwa_validity import (
@@ -75,9 +73,7 @@ from .rwa_validity import (
     ZetaMapSpec,
     first_order_amplitudes,
     perturbation_cross_check,
-    zeta_lq,
     zeta_lq_at,
     zeta_map,
-    zeta_rq,
     zeta_rq_at,
 )

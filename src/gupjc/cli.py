@@ -185,6 +185,8 @@ def resolve_config(command: str, args) -> dict:
             raise ValueError(f"cannot override unknown parameter {key!r}")
         params[key] = _parse_set_value(raw)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
         seed = args.seed
     _check_params(params)
     return {"command": command, "params": params, "seed": seed}

@@ -6,13 +6,21 @@ Hamiltonian
     H_eff/hbar = mu * (sigma3*(N - 2*N^2*phi) + |e><e|*(1 - 2*phi - 4*N*phi))
 
 with mu = coupling^2/detuning.  The Hamiltonian is diagonal in the Fock
-basis, so a coherent state only acquires number-dependent phases.  Expanding
+basis, so a coherent state only acquires number-dependent phases.  It is
+held as its two diagonals, one per atomic level.  Expanding
 those phases to first order in phi turns the evolved state into a
 superposition of the rotated coherent state with its one- and two-photon-
 added companions, which is the experimentally interesting signature: photon
 addition makes the field state non-classical.
 
-The Dyson consistency check compares that effective evolution with the exact
+The paper obtains H_eff as (coupling^2/detuning) [A, A^dag] with the dressed
+coupling operator A = sigma+ a (1 - N phi).  A is one band: it takes |g,n+1>
+to |e,n> with weight f_n = sqrt(n+1) (1 - (n+1) phi), the element
+``gup._rwa_coupling_element`` writes.  So the commutator is diagonal too,
+-f_{n-1}^2 on |g,n> and f_n^2 on |e,n>, and A psi is f_n psi_{g,n+1} on the
+excited level; both checks below use these forms and build no operator.
+
+The Dyson consistency check compares the effective evolution with the exact
 rotating-wave evolution, which is propagated block by block on the pairs
 {|e,n>, |g,n+1>} of ``gup.rwa_block``.
 """
@@ -26,13 +34,7 @@ import numpy as np
 
 from .errors import DispersiveRegimeError, LinearityError
 from .fock import FockVector, _add_photons, coherent_state, evolve_on_grid, laguerre
-from .gup import (
-    GupCoefficients,
-    InteractionConfig,
-    dressed_field_band,
-    lowering_operator_dressed,
-    rwa_block,
-)
+from .gup import GupCoefficients, InteractionConfig, _rwa_coupling_element, rwa_block
 
 # required ratio |detuning| / (coupling * sqrt(ncut))
 DISPERSIVE_RATIO_MIN = 10.0
@@ -116,7 +118,8 @@ class DysonCheck:
 
 
 def _effective_diagonals(mu: float, phi: float, ncut: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ground, excited) diagonal entries of H_eff/hbar."""
+    """(ground, excited) diagonal entries of H_eff/hbar: -mu*(n - 2n^2 phi)
+    on |g,n> and mu*(n - 2n^2 phi + 1 - 2phi - 4n phi) on |e,n>."""
     n = np.arange(ncut + 1, dtype=float)
     g = -mu * (n - 2.0 * n**2 * phi)
     e = mu * (n - 2.0 * n**2 * phi + 1.0 - 2.0 * phi - 4.0 * n * phi)
@@ -132,19 +135,6 @@ def _require_dispersive(cfg: InteractionConfig, ncut: int) -> None:
         )
 
 
-def build_effective_hamiltonian(
-    cfg: InteractionConfig, c: GupCoefficients, ncut: int
-) -> np.ndarray:
-    """Dispersive effective Hamiltonian (H_eff/hbar, rad/s), diagonal in Fock basis.
-
-    Eigenvalues: -mu*(n - 2n^2 phi) on |g,n> and
-    mu*(n - 2n^2 phi + 1 - 2phi - 4n phi) on |e,n>.
-    """
-    _require_dispersive(cfg, ncut)
-    g, e = _effective_diagonals(cfg.mu, c.phi, ncut)
-    return np.diag(np.concatenate([g, e])).astype(complex)
-
-
 def commutator_check(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> float:
     """Residual between (coupling^2/detuning)*[A, A^dag] and the effective
     Hamiltonian, restricted to the interior Fock block.
@@ -152,50 +142,35 @@ def commutator_check(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> f
     With A = sigma+ a (1 - N phi) the commutator reproduces the effective
     Hamiltonian up to O(phi^2 n^3) terms; the residual therefore scales as
     phi^2 under parameter halving.  The top two Fock rows are excluded since
-    the truncated operator product is wrong there by construction.  Like the
-    effective Hamiltonian it compares against, it requires the dispersive
-    regime.
+    the truncated operator product is wrong there by construction.  It
+    requires the dispersive regime.
 
-    A = |e><g| (x) F with F the (ncut+1)^2 field band, so the commutator is
-    |e><e| (x) F F^dag - |g><g| (x) F^dag F, and only the two field products
-    are formed.  They go through einsum's own loops rather than BLAS: each
-    operand is one band, and a threaded BLAS call at this size spends longer
-    handing work between its threads than on the arithmetic.
+    Both sides are diagonal, so the residual compares diagonals on the
+    interior rows n = 0..ncut-2: -f_{n-1}^2 (0 at n = 0) against the ground
+    level and f_n^2 against the excited level, each times coupling^2/detuning.
     """
     if ncut < 3:
         raise ValueError("ncut must be at least 3")
-    reference = build_effective_hamiltonian(cfg, c, ncut)
-    field = dressed_field_band(c, ncut)
-    field_dag = field.conj().T
-    product = "ij,jk->ik"
-    dim = ncut + 1
-    commutator = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    commutator[:dim, :dim] = -np.einsum(product, field_dag, field)
-    commutator[dim:, dim:] = np.einsum(product, field, field_dag)
-    commutator *= cfg.coupling**2 / cfg.detuning
-    interior = np.concatenate([np.arange(0, ncut - 1), dim + np.arange(0, ncut - 1)])
-    diff = (commutator - reference)[np.ix_(interior, interior)]
-    return float(np.max(np.abs(diff)))
-
-
-def evolve_dispersive_exact(d: DispersiveConfig, initial_atom: str = "g") -> FockVector:
-    """Exact dispersive evolution of |atom> |alpha> to ``d.t``: per-level
-    phases, no expansion.
-
-    H_eff is diagonal, so the atom stays in ``initial_atom``; the result is
-    the field state of that level.
-    """
-    return FockVector(d.ncut, evolve_dispersive_series(d, [d.t], initial_atom)[0])
+    _require_dispersive(cfg, ncut)
+    g, e = _effective_diagonals(cfg.mu, c.phi, ncut)
+    f = _rwa_coupling_element(np.arange(ncut - 1), c)
+    f2 = f * f
+    scale = cfg.coupling**2 / cfg.detuning
+    ground = -np.concatenate([[0.0], f2[:-1]]) * scale - g[: ncut - 1]
+    excited = f2 * scale - e[: ncut - 1]
+    return float(max(np.max(np.abs(ground)), np.max(np.abs(excited))))
 
 
 def evolve_dispersive_series(
     d: DispersiveConfig, times, initial_atom: str = "g"
 ) -> np.ndarray:
-    """Field amplitudes of ``evolve_dispersive_exact`` at each of ``times``
-    in place of ``d.t``, shape (len(times), ncut+1).
+    """Exact dispersive evolution of |atom> |alpha> at each of ``times`` in
+    place of ``d.t``: per-level phases, no expansion.
 
-    |alpha> is built once for the whole series, and each row has the bits of
-    a call at its time alone.
+    H_eff is diagonal, so the atom stays in ``initial_atom``; each row is the
+    field amplitudes of that level, shape (len(times), ncut+1).  |alpha> is
+    built once for the whole series, and each row has the bits of a call at
+    its time alone.
     """
     coh = coherent_state(d.alpha, d.ncut)
     g_diag, e_diag = _effective_diagonals(d.mu, d.phi, d.ncut)
@@ -303,9 +278,10 @@ def dyson_consistency_check(
     """Fidelity between exact interaction-picture evolution and the effective
     Hamiltonian, plus the magnitude of the dropped first-order term.
 
-    The dropped term is coupling*sqrt(<A^dag A>)/|detuning| in the initial
-    state, the smallness parameter of the dispersive truncation; the fidelity
-    defect scales with its square.
+    The dropped term is coupling*||A psi0||/|detuning| in the initial state,
+    the smallness parameter of the dispersive truncation; the fidelity defect
+    scales with its square.  A psi0 is f_n psi0[|g,n+1>] on |e,n>, so an
+    excited start gives 0.
     """
     _require_dispersive(cfg, ncut)
     coh = coherent_state(alpha, ncut)
@@ -322,7 +298,6 @@ def dyson_consistency_check(
     psi_eff = np.exp(-1j * np.concatenate([g, e]) * t) * psi0
     fidelity = abs(np.vdot(psi_ip, psi_eff)) ** 2
 
-    op_a = lowering_operator_dressed(c, ncut)
-    a_psi = op_a @ psi0
+    a_psi = _rwa_coupling_element(np.arange(ncut), c) * psi0[1 : ncut + 1]
     dropped = cfg.coupling * float(np.linalg.norm(a_psi)) / abs(cfg.detuning)
     return DysonCheck(fidelity=float(fidelity), dropped_term_mag=dropped)

@@ -157,17 +157,6 @@ def _rwa_coupling_element(n, c: GupCoefficients):
     return np.sqrt(m) * (1.0 - m * c.phi)
 
 
-def dressed_field_band(c: GupCoefficients, ncut: int) -> np.ndarray:
-    """The field factor a (1 - N phi) of the dressed coupling operator, a
-    single band on the (ncut+1)^2 Fock block."""
-    return np.diag(_rwa_coupling_element(np.arange(ncut), c), k=1).astype(complex)
-
-
-def lowering_operator_dressed(c: GupCoefficients, ncut: int) -> np.ndarray:
-    """The dressed coupling operator sigma+ a (1 - N phi) on atom+field."""
-    return tensor_with_atom(SIGMA_PLUS, dressed_field_band(c, ncut))
-
-
 def rwa_block_entries(n, cfg: InteractionConfig, c: GupCoefficients):
     """(d, g) of ``rwa_block(n)``, rad/s; ``n`` may be an integer or an
     integer array."""
@@ -205,7 +194,8 @@ def build_rwa_hamiltonian(cfg: InteractionConfig, c: GupCoefficients, ncut: int)
     field_diag = cfg.omega * (n - 4.0 * (n**2 + n) * c.chi - c.beta)
     diag_part = tensor_with_atom(0.5 * cfg.omega0 * SIGMA_3, np.eye(ncut + 1))
     diag_part += tensor_with_atom(np.eye(2), np.diag(field_diag))
-    raising = cfg.coupling * lowering_operator_dressed(c, ncut)
+    band = np.diag(_rwa_coupling_element(np.arange(ncut), c), k=1).astype(complex)
+    raising = cfg.coupling * tensor_with_atom(SIGMA_PLUS, band)
     return diag_part + raising + raising.conj().T
 
 

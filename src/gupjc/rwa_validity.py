@@ -123,21 +123,16 @@ def first_order_amplitudes(
     )
 
 
-def _check_model(p: GupParams) -> float:
+def _check_ratio_inputs(omega, omega0, p: GupParams) -> float:
+    """Refuse resonances, a vanishing quadratic channel and gamma = 0; return
+    the quadratic-channel weight 3 delta^2 - 2 epsilon."""
+    _check_denominators(omega, omega0)
     quad = quadratic_weight(p.delta, p.epsilon)
     if quad == 0.0:
         raise DegenerateModelError(
             "3*delta^2 = 2*epsilon: the quadratic channel vanishes and the "
             "validity ratios are undefined"
         )
-    return quad
-
-
-def _check_ratio_inputs(omega, omega0, p: GupParams) -> float:
-    """Refuse resonances, a vanishing quadratic channel and gamma = 0; return
-    the quadratic-channel weight 3 delta^2 - 2 epsilon."""
-    _check_denominators(omega, omega0)
-    quad = _check_model(p)
     if p.gamma == 0.0:
         raise SingularDenominatorError("gamma = 0: the ratio diverges")
     return quad
@@ -179,16 +174,6 @@ def zeta_rq_at(n: int, omega, omega0, p: GupParams):
         * (1.0 / p.gamma**2)
         * (1.0 / (HBAR * omega))
     )
-
-
-def zeta_lq(n: int, cfg: InteractionConfig, p: GupParams) -> float:
-    """``zeta_lq_at`` for one interaction configuration."""
-    return float(zeta_lq_at(n, cfg.omega, cfg.omega0, p))
-
-
-def zeta_rq(n: int, cfg: InteractionConfig, p: GupParams) -> float:
-    """``zeta_rq_at`` for one interaction configuration."""
-    return float(zeta_rq_at(n, cfg.omega, cfg.omega0, p))
 
 
 def zeta_map(spec: ZetaMapSpec) -> ZetaMap:

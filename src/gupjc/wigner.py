@@ -117,9 +117,6 @@ class WignerGrid:
         dim = float(self.im_axis[1] - self.im_axis[0])
         return float(np.sum(self.values) * dre * dim)
 
-    def peak(self) -> float:
-        return float(np.max(self.values))
-
     def max_abs_location(self) -> tuple[float, complex]:
         i, j = np.unravel_index(np.argmax(np.abs(self.values)), self.values.shape)
         z = complex(self.re_axis[j], self.im_axis[i])
@@ -134,11 +131,6 @@ class WignerDifference:
     ref_peak: float
 
 
-def wigner_values_at(psi: FockVector, zs: np.ndarray) -> np.ndarray:
-    """Wigner values of ``psi`` at arbitrary phase-space points ``zs``."""
-    return _wigner_terms([_density(psi)], zs)[0]
-
-
 def wigner_maps(states: Sequence[FockVector], grid: GridSpec = GridSpec()) -> list[WignerGrid]:
     """Wigner functions of several pure states on one rectangular grid.
 
@@ -149,11 +141,6 @@ def wigner_maps(states: Sequence[FockVector], grid: GridSpec = GridSpec()) -> li
     zz = re_axis[None, :] + 1j * im_axis[:, None]
     values = _wigner_terms([_density(psi) for psi in states], zz.ravel())
     return [WignerGrid(re_axis, im_axis, v.reshape(zz.shape)) for v in values]
-
-
-def wigner_of_state(psi: FockVector, grid: GridSpec = GridSpec()) -> WignerGrid:
-    """Wigner function of a pure state on a rectangular grid."""
-    return wigner_maps([psi], grid)[0]
 
 
 def _density(psi: FockVector) -> np.ndarray:

@@ -19,7 +19,7 @@ from gupjc.cli import main as cli_main
 from gupjc.dispersive import DispersiveConfig, photon_added_decomposition
 from gupjc.fock import coherent_state
 from gupjc.gup import GupParams, derive_coefficients
-from gupjc.wigner import GridSpec, wigner_difference, wigner_of_state
+from gupjc.wigner import GridSpec, wigner_difference, wigner_maps
 
 VERIFY_PARAMS = dict(DEFAULTS["verify"], grid_points=201)
 
@@ -55,7 +55,7 @@ def test_criterion_08_wigner_difference_magnitude():
 
     # required precision at the measurement point: |dW| / W_ref there, the
     # same-point ratio the 1e-3 estimate refers to (accepted within an order)
-    w_ref = wigner_of_state(coherent_state(reference, d.ncut), grid)
+    w_ref = wigner_maps([coherent_state(reference, d.ncut)], grid)[0]
     i = int(np.argmin(np.abs(w_ref.im_axis - diff.location.imag)))
     j = int(np.argmin(np.abs(w_ref.re_axis - diff.location.real)))
     precision = diff.max_abs / float(w_ref.values[i, j])

@@ -6,12 +6,13 @@ eigh propagator behind ``block-propagator``, ``dyson-fidelity`` and
 their own maps.  Also: one Wigner pass per verify run, and library bugs
 that a check must catch."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from gupjc import checks, cli, dispersive, wigner
+from gupjc import checks, cli, dispersive, gup, wigner
 from gupjc.checks import (
     _DYSON_CFG,
     _DYSON_COEFFS,
@@ -39,7 +40,7 @@ from gupjc.gup import (
     derive_coefficients,
     rwa_block,
 )
-from gupjc.wigner import TWO_OVER_PI, GridSpec, wigner_maps, wigner_of_state
+from gupjc.wigner import TWO_OVER_PI, GridSpec, wigner_maps
 
 
 def per_draw_coefficient_identity(params, rng):
@@ -170,7 +171,7 @@ def per_check_wigner_integral(params):
 def per_check_wigner_negativity(params):
     """``wigner-negativity`` with a map of its own."""
     pacs = photon_added_coherent_state(1.0, 1, 20)
-    return float(np.min(wigner_of_state(pacs, _per_check_grid(params)).values))
+    return float(np.min(wigner_maps([pacs], _per_check_grid(params))[0].values))
 
 
 PER_CHECK_WIGNER = {
@@ -240,6 +241,27 @@ def test_a_dropped_two_photon_term_fails_the_overlap_check(monkeypatch, tmp_path
 
     monkeypatch.setattr(dispersive, "_add_photons", without_two)
     assert "photon-added-overlap" in _failed_checks(tmp_path)
+
+
+def test_a_flipped_phi_in_the_coupling_element_fails_the_commutator_check(monkeypatch, tmp_path):
+    # sqrt(n+1) (1 + (n+1) phi) in every band and block: the commutator's
+    # residual against H_eff turns linear in phi, a slope of 1, not 2
+    element = gup._rwa_coupling_element
+
+    def flipped(n, c):
+        return element(n, dataclasses.replace(c, phi=-c.phi))
+
+    monkeypatch.setattr(gup, "_rwa_coupling_element", flipped)
+    monkeypatch.setattr(dispersive, "_rwa_coupling_element", flipped)
+    assert "commutator-scaling" in _failed_checks(tmp_path)
+
+
+def test_an_off_by_one_band_fails_the_commutator_check(monkeypatch, tmp_path):
+    # f_{n+1} in place of f_n: the commutator misses H_eff by about mu on
+    # every row, whatever phi, a slope of 0
+    element = gup._rwa_coupling_element
+    monkeypatch.setattr(dispersive, "_rwa_coupling_element", lambda n, c: element(n + 1, c))
+    assert "commutator-scaling" in _failed_checks(tmp_path)
 
 
 # the checks that still read exactly 0 at the default seed, because they

@@ -12,10 +12,10 @@ import pytest
 import gupjc
 from gupjc.checks import CHECKS
 from gupjc.cli import DEFAULTS, PRESETS, build_parser, main, resolve_config
-from gupjc.dispersive import DispersiveConfig, evolve_dispersive_exact
+from gupjc.dispersive import DispersiveConfig, evolve_dispersive_series
 from gupjc.fock import fock_state
 from gupjc.gup import GupParams, derive_coefficients
-from gupjc.wigner import wigner_values_at
+from gupjc.wigner import _density, _wigner_terms
 
 
 def run_cli(args):
@@ -109,7 +109,7 @@ def test_dispersive_exact_state_fills_the_initial_level_only(tmp_path, atom, oth
                     "--set", f'initial_atom="{atom}"', "--set", "fidelity_points=1"]) == 0
     c = derive_coefficients(GupParams.from_gamma(1e3, 1.0, 1.0), 1e15)
     d = DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=1e3, ncut=40)
-    field = evolve_dispersive_exact(d, atom).amps
+    field = evolve_dispersive_series(d, [d.t], atom)[0]
     rows = read_rows(out / "exact_state.csv")
     assert [int(r["n"]) for r in rows] == list(range(41))
     assert all(r[f"{other}_re"] == r[f"{other}_im"] == "0.0" for r in rows)
@@ -444,9 +444,10 @@ def test_grid_extent_is_refused_past_the_kernel_limit_by_name(tmp_path, capsys):
     # double, which it refuses; the CLI draws the same line before any state
     largest = 13.30785875462563
     past = math.nextafter(largest, math.inf)
-    wigner_values_at(fock_state(0, 1), np.array([complex(largest, largest)]))
+    vacuum = [_density(fock_state(0, 1))]
+    _wigner_terms(vacuum, np.array([complex(largest, largest)]))
     with pytest.raises(ValueError, match="exceeds the Wigner evaluation limit"):
-        wigner_values_at(fock_state(0, 1), np.array([complex(past, past)]))
+        _wigner_terms(vacuum, np.array([complex(past, past)]))
     for extent, code in ((largest, 0), (past, 2)):
         out = tmp_path / repr(extent)
         assert run_cli(["wigner-diff", "--out", str(out), "--preset", "fig1",
@@ -477,15 +478,22 @@ def test_failed_run_leaves_no_run_config(tmp_path, capsys):
     ("verify", '{"seed": 1.5}', "seed must be an integer >= 0, got 1.5"),
     ("rabi", '{"seed": true}', "seed must be an integer >= 0, got True"),
     ("verify", '{"seed": -1}', "seed must be an integer >= 0, got -1"),
+    # a flag in place of the file: a seed the replay of run_config.json
+    # would refuse is refused on the command line too
+    ("rabi", "--seed=-1", "--seed must be an integer >= 0, got -1"),
+    ("verify", "--seed=-1", "--seed must be an integer >= 0, got -1"),
 ])
 def test_malformed_config_file_is_refused_by_name(tmp_path, capsys, command, text, cause):
     cfg_path = tmp_path / "cfg.json"
-    if text is not None:
+    source, named = ["--config", str(cfg_path)], str(cfg_path)
+    if text is not None and text.startswith("--"):
+        source, named = [text], text.partition("=")[0]
+    elif text is not None:
         cfg_path.write_text(text)
     out = tmp_path / "out"
-    assert run_cli([command, "--out", str(out), "--config", str(cfg_path)]) == 2
+    assert run_cli([command, "--out", str(out), *source]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(cfg_path) in err and cause in err, err
+    assert err.startswith("error: ") and named in err and cause in err, err
     assert not (out / "run_config.json").exists()
 
 

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from gupjc.checks import _DYSON_CFG, _DYSON_COEFFS, _DYSON_T
 from gupjc.dispersive import (
     DispersiveConfig,
-    build_effective_hamiltonian,
+    _effective_diagonals,
     commutator_check,
     dyson_consistency_check,
-    evolve_dispersive_exact,
     evolve_dispersive_series,
     interaction_picture_propagate,
     photon_added_decomposition,
@@ -18,18 +18,20 @@ from gupjc.dispersive import (
 from gupjc import dispersive
 from gupjc.errors import DispersiveRegimeError, LinearityError
 from gupjc.fock import (
+    SIGMA_PLUS,
     coherent_state,
     evolve_on_grid,
     hermiticity_residual,
     photon_added_coherent_state,
+    tensor_with_atom,
 )
 from gupjc.gup import (
     GupCoefficients,
     GupParams,
     InteractionConfig,
+    _rwa_coupling_element,
     build_rwa_hamiltonian,
     derive_coefficients,
-    lowering_operator_dressed,
 )
 
 # electroweak-scale benchmark: gamma = 1e3 (SI), |alpha| = 1, mu = 1e5 rad/s,
@@ -75,25 +77,20 @@ def test_taylor_time_bounds_at_stated_scales():
 
 
 def test_effective_hamiltonian_standard_limit():
-    cfg = _dispersive_cfg()
-    c = _phi_only(0.0)
-    h = build_effective_hamiltonian(cfg, c, 6)
-    mu = cfg.mu
+    mu = _dispersive_cfg().mu
+    ground, excited = _effective_diagonals(mu, 0.0, 6)
     n = np.arange(7)
-    assert np.allclose(np.diag(h)[:7], -mu * n)
-    assert np.allclose(np.diag(h)[7:], mu * (n + 1))
-    assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
+    assert np.allclose(ground, -mu * n)
+    assert np.allclose(excited, mu * (n + 1))
 
 
 def test_effective_hamiltonian_eigenvalues_with_gup():
-    cfg = _dispersive_cfg()
+    mu = _dispersive_cfg().mu
     phi = 1e-4
-    c = _phi_only(phi)
-    h = build_effective_hamiltonian(cfg, c, 8)
-    mu = cfg.mu
+    ground, excited = _effective_diagonals(mu, phi, 8)
     for n in (0, 3, 7):
-        assert h[n, n].real == pytest.approx(-mu * (n - 2 * n**2 * phi), rel=1e-12)
-        assert h[9 + n, 9 + n].real == pytest.approx(
+        assert ground[n] == pytest.approx(-mu * (n - 2 * n**2 * phi), rel=1e-12)
+        assert excited[n] == pytest.approx(
             mu * (n - 2 * n**2 * phi + 1 - 2 * phi - 4 * n * phi), rel=1e-12
         )
 
@@ -101,9 +98,22 @@ def test_effective_hamiltonian_eigenvalues_with_gup():
 def test_effective_hamiltonian_regime_guard():
     cfg = InteractionConfig(omega=1e4, omega0=1e4 + 10.0, coupling=1.0)
     with pytest.raises(DispersiveRegimeError):
-        build_effective_hamiltonian(cfg, _phi_only(0.0), 6)
-    with pytest.raises(DispersiveRegimeError):
         commutator_check(cfg, _phi_only(0.0), 6)
+    with pytest.raises(ValueError, match="ncut must be at least 3"):
+        commutator_check(_dispersive_cfg(), _phi_only(0.0), 2)
+
+
+def dressed_operator(c, ncut):
+    """The dressed coupling operator A = sigma+ a (1 - N phi) as a dense
+    2(ncut+1)^2 matrix on atom+field: the field band f_n on the superdiagonal,
+    lifted to |g> -> |e>."""
+    band = np.diag(_rwa_coupling_element(np.arange(ncut), c), k=1).astype(complex)
+    return tensor_with_atom(SIGMA_PLUS, band)
+
+
+def effective_hamiltonian(cfg, c, ncut):
+    """H_eff/hbar as a dense 2(ncut+1)^2 diagonal matrix, ground block first."""
+    return np.diag(np.concatenate(_effective_diagonals(cfg.mu, c.phi, ncut))).astype(complex)
 
 
 def test_commutator_exact_without_gup():
@@ -115,7 +125,7 @@ def test_commutator_exact_without_gup():
 def test_commutator_hermitian():
     cfg = _dispersive_cfg()
     c = _phi_only(1e-5)
-    op_a = lowering_operator_dressed(c, 12)
+    op_a = dressed_operator(c, 12)
     comm = (cfg.coupling**2 / cfg.detuning) * (
         op_a @ op_a.conj().T - op_a.conj().T @ op_a
     )
@@ -125,13 +135,13 @@ def test_commutator_hermitian():
 def commutator_check_full(cfg, c, ncut):
     """The residual from [A, A^dag] formed on the whole 2(ncut+1)^2 atom+field
     space, with two einsum products of the dressed operator A."""
-    op_a = lowering_operator_dressed(c, ncut)
+    op_a = dressed_operator(c, ncut)
     op_adag = op_a.conj().T
     product = "ij,jk->ik"
     commutator = (cfg.coupling**2 / cfg.detuning) * (
         np.einsum(product, op_a, op_adag) - np.einsum(product, op_adag, op_a)
     )
-    reference = build_effective_hamiltonian(cfg, c, ncut)
+    reference = effective_hamiltonian(cfg, c, ncut)
     dim = ncut + 1
     interior = np.concatenate([np.arange(0, ncut - 1), dim + np.arange(0, ncut - 1)])
     return float(np.max(np.abs((commutator - reference)[np.ix_(interior, interior)])))
@@ -161,19 +171,19 @@ def test_commutator_residual_quadratic_in_phi():
 def test_exact_evolution_is_rotated_coherent_when_phi_zero():
     d = DispersiveConfig(mu=1e5, phi=0.0, alpha=1.0, t=1e3, ncut=30)
     for atom, sign in (("g", 1), ("e", -1)):
-        state = evolve_dispersive_exact(d, atom)
+        state = evolve_dispersive_series(d, [d.t], atom)[0]
         target = coherent_state(1.0 * np.exp(sign * 1j * d.mu * d.t), 30)
-        infidelity = 1.0 - abs(np.vdot(state.amps, target.amps)) ** 2
+        infidelity = 1.0 - abs(np.vdot(state, target.amps)) ** 2
         assert infidelity < 1e-10
 
 
 def test_exact_evolution_identity_at_t_zero():
     _, d = bench_config()
     d0 = DispersiveConfig(mu=d.mu, phi=d.phi, alpha=d.alpha, t=0.0, ncut=d.ncut)
-    state = evolve_dispersive_exact(d0, "e")
+    state = evolve_dispersive_series(d0, [d0.t], "e")[0]
     coh = coherent_state(d.alpha, d.ncut)
-    assert np.allclose(state.amps, coh.amps)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(state, coh.amps)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def per_time_exact_amps(d, atom):
@@ -202,7 +212,7 @@ def test_exact_series_equals_per_time_states_bitwise(atom, monkeypatch):
     for t, row in zip(ts, series):
         oracle = per_time_exact_amps(dataclasses.replace(d, t=float(t)), atom)
         assert np.array_equal(row.view(np.uint64), oracle.view(np.uint64))
-    assert np.array_equal(evolve_dispersive_exact(d, atom).amps, series[-1])
+    assert np.array_equal(evolve_dispersive_series(d, [d.t], atom)[0], series[-1])
     with pytest.raises(ValueError, match="initial_atom"):
         evolve_dispersive_series(d, ts, "x")
 
@@ -329,9 +339,9 @@ def test_decomposition_matches_exact_evolution():
     c, d = bench_config()
     n4 = 15.0
     for atom in ("g", "e"):
-        exact = evolve_dispersive_exact(d, atom)
+        exact = evolve_dispersive_series(d, [d.t], atom)[0]
         approx = photon_added_decomposition(d, atom).state
-        overlap = abs(np.vdot(exact.amps, approx.amps)) ** 2
+        overlap = abs(np.vdot(exact, approx.amps)) ** 2
         assert overlap >= 1.0 - 10.0 * (2.0 * c.phi * d.mu * d.t) ** 2 * n4
 
 
@@ -343,9 +353,9 @@ def test_decomposition_fidelity_remainder_scaling():
     defects = []
     for phi in (4e-12, 2e-12):
         dp = DispersiveConfig(mu=d.mu, phi=phi, alpha=d.alpha, t=d.t, ncut=d.ncut)
-        exact = evolve_dispersive_exact(dp, "g")
+        exact = evolve_dispersive_series(dp, [dp.t], "g")[0]
         approx = photon_added_decomposition(dp, "g").state
-        defects.append(1.0 - abs(np.vdot(exact.amps, approx.amps)) ** 2)
+        defects.append(1.0 - abs(np.vdot(exact, approx.amps)) ** 2)
     assert defects[0] / defects[1] == pytest.approx(16.0, rel=0.05)
     s = 2.0 * 4e-12 * d.mu * d.t
     n8, n4 = 4140.0, 15.0  # coherent moments at |alpha| = 1
@@ -382,6 +392,31 @@ def test_dyson_dropped_term_linear_in_coupling():
         cfg = InteractionConfig(omega=200.0, omega0=2000.0, coupling=coupling)
         mags.append(dyson_consistency_check(cfg, c, ncut=18, t=0.1).dropped_term_mag)
     assert mags[1] == pytest.approx(2.0 * mags[0], rel=1e-12)
+
+
+def dense_dropped_term(cfg, c, ncut, alpha, atom):
+    """The Dyson check's dropped term from the dense product A @ psi0."""
+    psi0 = _coherent_with_atom(atom, ncut, alpha)
+    return cfg.coupling * float(np.linalg.norm(dressed_operator(c, ncut) @ psi0)) / abs(
+        cfg.detuning)
+
+
+@pytest.mark.parametrize("atom", ["g", "e"])
+def test_dropped_term_from_the_band_equals_the_dense_product(atom):
+    # bitwise at the dyson-fidelity fixture (alpha = 1, ncut 18); for a
+    # complex alpha the norm sums the same products over a vector laid out
+    # differently, so the two agree to rounding
+    def band(ncut, alpha):
+        return dyson_consistency_check(_DYSON_CFG, _DYSON_COEFFS, ncut, _DYSON_T, alpha,
+                                       atom).dropped_term_mag
+
+    fixture = band(18, 1.0)
+    assert fixture == dense_dropped_term(_DYSON_CFG, _DYSON_COEFFS, 18, 1.0, atom)
+    assert (fixture > 0.0) == (atom == "g")
+    for ncut in (18, 24, 28):
+        for alpha in (0.5, 0.3 + 0.8j, -0.6 + 0.5j, 1j, 0.7 - 0.7j, -1.1, 0.2 - 1.1j):
+            dense = dense_dropped_term(_DYSON_CFG, _DYSON_COEFFS, ncut, alpha, atom)
+            assert band(ncut, alpha) == pytest.approx(dense, rel=1e-15, abs=0.0)
 
 
 def test_dyson_regime_guard():
@@ -440,8 +475,8 @@ def _chi_config():
     return cfg, c
 
 
-def _coherent_with_atom(atom, ncut=18):
-    coh = coherent_state(1.0, ncut).amps
+def _coherent_with_atom(atom, ncut=18, alpha=1.0):
+    coh = coherent_state(alpha, ncut).amps
     zeros = np.zeros(ncut + 1, dtype=complex)
     return np.concatenate([coh, zeros] if atom == "g" else [zeros, coh])
 

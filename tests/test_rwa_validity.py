@@ -9,10 +9,8 @@ from gupjc.rwa_validity import (
     ZetaMapSpec,
     first_order_amplitudes,
     perturbation_cross_check,
-    zeta_lq,
     zeta_lq_at,
     zeta_map,
-    zeta_rq,
     zeta_rq_at,
 )
 
@@ -114,8 +112,8 @@ def test_time_averaged_gup_channels_vanish_without_gup():
 def test_zeta_spot_values_match_hand_arithmetic():
     # n = 50, omega = 1e16 rad/s, detuning 1e4: both ratios land near 4e-4
     cfg = InteractionConfig(omega=1e16, omega0=1e16 + 1e4, coupling=1.0)
-    assert zeta_lq(50, cfg, FIG_LQ) == pytest.approx(4e-4, rel=0.2)
-    assert zeta_rq(50, cfg, FIG_RQ) == pytest.approx(4e-4, rel=0.2)
+    assert zeta_lq_at(50, cfg.omega, cfg.omega0, FIG_LQ) == pytest.approx(4e-4, rel=0.2)
+    assert zeta_rq_at(50, cfg.omega, cfg.omega0, FIG_RQ) == pytest.approx(4e-4, rel=0.2)
 
 
 def test_zeta_matches_magnitude_ratios():
@@ -124,29 +122,29 @@ def test_zeta_matches_magnitude_ratios():
     for params in (FIG_LQ, GupParams.from_gamma(20.0, 0.7, 0.2)):
         c = derive_coefficients(params, cfg.omega)
         m_minus1, m_plus1_t2, m_plus2 = time_averaged_magnitudes(50, cfg, c)
-        assert zeta_lq(50, cfg, params) == pytest.approx(m_plus2 / m_plus1_t2, rel=1e-12)
-        assert zeta_rq(50, cfg, params) == pytest.approx(m_minus1 / m_plus1_t2, rel=1e-12)
+        assert zeta_lq_at(50, cfg.omega, cfg.omega0, params) == pytest.approx(m_plus2 / m_plus1_t2, rel=1e-12)
+        assert zeta_rq_at(50, cfg.omega, cfg.omega0, params) == pytest.approx(m_minus1 / m_plus1_t2, rel=1e-12)
 
 
 def test_zeta_scaling_in_gamma():
     cfg = InteractionConfig(omega=1e16, omega0=1e16 + 1e4, coupling=1.0)
-    lq1 = zeta_lq(50, cfg, GupParams.from_gamma(0.5, 1.0, 1.0))
-    lq2 = zeta_lq(50, cfg, GupParams.from_gamma(1.0, 1.0, 1.0))
+    lq1 = zeta_lq_at(50, cfg.omega, cfg.omega0, GupParams.from_gamma(0.5, 1.0, 1.0))
+    lq2 = zeta_lq_at(50, cfg.omega, cfg.omega0, GupParams.from_gamma(1.0, 1.0, 1.0))
     assert lq1 == pytest.approx(2.0 * lq2, rel=1e-12)
-    rq1 = zeta_rq(50, cfg, GupParams.from_gamma(5e3, 1.0, 1.0))
-    rq2 = zeta_rq(50, cfg, GupParams.from_gamma(1e4, 1.0, 1.0))
+    rq1 = zeta_rq_at(50, cfg.omega, cfg.omega0, GupParams.from_gamma(5e3, 1.0, 1.0))
+    rq2 = zeta_rq_at(50, cfg.omega, cfg.omega0, GupParams.from_gamma(1e4, 1.0, 1.0))
     assert rq1 == pytest.approx(4.0 * rq2, rel=1e-12)
 
 
 def test_zeta_lq_vanishes_without_linear_channel():
     cfg = InteractionConfig(omega=1e16, omega0=1e16 + 1e4, coupling=1.0)
-    assert zeta_lq(50, cfg, GupParams.from_gamma(0.5, 0.0, 1.0)) == 0.0
+    assert zeta_lq_at(50, cfg.omega, cfg.omega0, GupParams.from_gamma(0.5, 0.0, 1.0)) == 0.0
 
 
 def test_zeta_rq_diverges_as_gamma_shrinks():
     cfg = InteractionConfig(omega=1e16, omega0=1e16 + 1e4, coupling=1.0)
     values = [
-        zeta_rq(50, cfg, GupParams.from_gamma(g, 1.0, 1.0)) for g in (1e-1, 1e-3, 1e-5)
+        zeta_rq_at(50, cfg.omega, cfg.omega0, GupParams.from_gamma(g, 1.0, 1.0)) for g in (1e-1, 1e-3, 1e-5)
     ]
     assert values[0] < values[1] < values[2]
 
@@ -154,11 +152,11 @@ def test_zeta_rq_diverges_as_gamma_shrinks():
 def test_zeta_guards():
     cfg = InteractionConfig(omega=1e16, omega0=1e16 + 1e4, coupling=1.0)
     with pytest.raises(DegenerateModelError):
-        zeta_lq(50, cfg, GupParams.from_gamma(0.5, 1.0, 1.5))  # 3 delta^2 = 2 epsilon
+        zeta_lq_at(50, cfg.omega, cfg.omega0, GupParams.from_gamma(0.5, 1.0, 1.5))  # 3 delta^2 = 2 epsilon
     with pytest.raises(SingularDenominatorError):
-        zeta_lq(50, cfg, GupParams.from_gamma(0.0, 1.0, 1.0))
+        zeta_lq_at(50, cfg.omega, cfg.omega0, GupParams.from_gamma(0.0, 1.0, 1.0))
     with pytest.raises(SingularDenominatorError):
-        zeta_lq(50, InteractionConfig(1e16, 2e16, 1.0), FIG_LQ)
+        zeta_lq_at(50, 1e16, 2e16, FIG_LQ)
 
 
 def test_degenerate_guard_judges_the_model_as_phi_does():
@@ -171,17 +169,17 @@ def test_degenerate_guard_judges_the_model_as_phi_does():
     assert derive_coefficients(params, 1e16).phi == 0.0
     cfg = InteractionConfig(omega=1e16, omega0=1e16 + 1e4, coupling=1.0)
     with pytest.raises(DegenerateModelError):
-        zeta_lq(50, cfg, params)
+        zeta_lq_at(50, cfg.omega, cfg.omega0, params)
     with pytest.raises(DegenerateModelError):
-        zeta_rq(50, cfg, params)
+        zeta_rq_at(50, cfg.omega, cfg.omega0, params)
 
 
 def test_zeta_high_frequency_slices_below_one():
     # at omega = 1e16 rad/s both truncations are safe across the detuning range
     for delta in np.logspace(3, 5, 9):
         cfg = InteractionConfig(omega=1e16, omega0=1e16 + float(delta), coupling=1.0)
-        assert zeta_lq(50, cfg, FIG_LQ) < 1.0
-        assert zeta_rq(50, cfg, FIG_RQ) < 1.0
+        assert zeta_lq_at(50, cfg.omega, cfg.omega0, FIG_LQ) < 1.0
+        assert zeta_rq_at(50, cfg.omega, cfg.omega0, FIG_RQ) < 1.0
 
 
 def test_zeta_lq_below_one_at_high_frequency_for_gamma_at_least_point_one():
@@ -190,7 +188,7 @@ def test_zeta_lq_below_one_at_high_frequency_for_gamma_at_least_point_one():
         p = GupParams.from_gamma(gamma, 1.0, 1.0)
         for delta in (1e3, 1e5):
             cfg = InteractionConfig(omega=1e16, omega0=1e16 + delta, coupling=1.0)
-            assert zeta_lq(50, cfg, p) < 1.0
+            assert zeta_lq_at(50, cfg.omega, cfg.omega0, p) < 1.0
 
 
 def test_zeta_map_values_and_monotonicity():
@@ -208,7 +206,7 @@ def test_zeta_map_values_and_monotonicity():
         omega0=float(grid.omega_axis[5] + grid.delta_axis[2]),
         coupling=1.0,
     )
-    assert grid.zeta_lq[2, 5] == pytest.approx(zeta_lq(50, cfg, FIG_LQ), rel=1e-12)
+    assert grid.zeta_lq[2, 5] == pytest.approx(zeta_lq_at(50, cfg.omega, cfg.omega0, FIG_LQ), rel=1e-12)
 
 
 def test_zeta_map_equals_scalar_ratios_bitwise():
@@ -220,8 +218,8 @@ def test_zeta_map_equals_scalar_ratios_bitwise():
     for i, delta in enumerate(grid.delta_axis):
         for j, omega in enumerate(grid.omega_axis):
             cfg = InteractionConfig(omega=omega, omega0=omega + delta, coupling=1.0)
-            assert grid.zeta_lq[i, j] == zeta_lq(7, cfg, params)
-            assert grid.zeta_rq[i, j] == zeta_rq(7, cfg, params)
+            assert grid.zeta_lq[i, j] == zeta_lq_at(7, cfg.omega, cfg.omega0, params)
+            assert grid.zeta_rq[i, j] == zeta_rq_at(7, cfg.omega, cfg.omega0, params)
 
 
 def test_zeta_array_form_guards():

@@ -29,9 +29,7 @@ from gupjc.wigner import (
     _wigner_terms,
     wigner_difference,
     wigner_maps,
-    wigner_of_state,
     wigner_precision_ratio,
-    wigner_values_at,
     write_grid,
 )
 
@@ -63,6 +61,11 @@ def term_operator(psi, reference=None):
     return rho if reference is None else rho - _density(reference)
 
 
+def values_at(psi, zs):
+    """W_psi at arbitrary phase-space points ``zs``."""
+    return _wigner_terms([_density(psi)], zs)[0]
+
+
 def difference_values_at(psi, zs, reference):
     """W_psi - W_reference at ``zs`` in one pass over the coefficients of
     rho_psi - rho_ref, formed from the small difference of the two density
@@ -71,25 +74,25 @@ def difference_values_at(psi, zs, reference):
 
 
 def test_vacuum_peak():
-    w = wigner_values_at(fock_state(0, 2), np.array([0.0j]))
+    w = values_at(fock_state(0, 2), np.array([0.0j]))
     assert w[0] == pytest.approx(TWO_OVER_PI, abs=1e-12)
 
 
 def test_single_photon_negative_at_origin():
-    w = wigner_values_at(fock_state(1, 3), np.array([0.0j]))
+    w = values_at(fock_state(1, 3), np.array([0.0j]))
     assert w[0] == pytest.approx(-TWO_OVER_PI, abs=1e-12)
 
 
 def test_coherent_point_values():
     coh = coherent_state(1.0, 30)
-    w = wigner_values_at(coh, np.array([1.0 + 0.0j, 0.0j]))
+    w = values_at(coh, np.array([1.0 + 0.0j, 0.0j]))
     assert w[0] == pytest.approx(TWO_OVER_PI, abs=1e-10)
     assert w[1] == pytest.approx(TWO_OVER_PI * math.exp(-2.0), abs=1e-10)
 
 
 def test_coherent_closed_form_on_grid():
     grid = small_grid()
-    w = wigner_of_state(coherent_state(0.8 + 0.3j, 30), grid)
+    w = wigner_maps([coherent_state(0.8 + 0.3j, 30)], grid)[0]
     zz = w.re_axis[None, :] + 1j * w.im_axis[:, None]
     assert np.max(np.abs(w.values - coherent_wigner_exact(0.8 + 0.3j, zz))) < 1e-8
 
@@ -97,7 +100,7 @@ def test_coherent_closed_form_on_grid():
 def test_fock_closed_forms_on_grid():
     grid = small_grid()
     for n in range(6):
-        w = wigner_of_state(fock_state(n, max(n, 1)), grid)
+        w = wigner_maps([fock_state(n, max(n, 1))], grid)[0]
         zz = w.re_axis[None, :] + 1j * w.im_axis[:, None]
         assert np.max(np.abs(w.values - fock_wigner_exact(n, zz))) < 1e-8
 
@@ -112,13 +115,13 @@ def test_normalization_across_states():
         photon_added_coherent_state(1.0, 1, 30),
     ]
     for state in states:
-        total = wigner_of_state(state, grid).integral()
+        total = wigner_maps([state], grid)[0].integral()
         assert total == pytest.approx(1.0, abs=1e-3)
 
 
 def test_photon_added_negativity():
     for alpha in (0.3, 1.0):
-        w = wigner_of_state(photon_added_coherent_state(alpha, 1, 30), small_grid())
+        w = wigner_maps([photon_added_coherent_state(alpha, 1, 30)], small_grid())[0]
         assert float(np.min(w.values)) < 0.0
 
 
@@ -127,7 +130,7 @@ def test_factored_displacement_matches_expm():
     # D(-z)|psi>, with D(-z) a direct matrix exponential on a padded space
     psi = photon_added_coherent_state(0.7 + 0.2j, 1, 25)
     for z in (0.3 - 1.2j, 2.0 + 2.0j, -3.5 + 0.1j):
-        fast = wigner_values_at(psi, np.array([z]))[0]
+        fast = values_at(psi, np.array([z]))[0]
         dim = 25 + 1 + 150
         padded = np.zeros(dim, dtype=complex)
         padded[:26] = psi.amps
@@ -139,7 +142,7 @@ def test_factored_displacement_matches_expm():
 
 @pytest.mark.parametrize("n", [50, 200, 400])
 def test_high_fock_state_at_origin(n):
-    w = wigner_values_at(fock_state(n, n), np.array([0.0j]))
+    w = values_at(fock_state(n, n), np.array([0.0j]))
     assert w[0] == pytest.approx(TWO_OVER_PI * (-1.0) ** n, abs=1e-12)
 
 
@@ -148,21 +151,21 @@ def test_large_coherent_state_out_to_radius_ten():
     radii = np.linspace(0.0, 10.0, 41)
     angles = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
     zs = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
-    w = wigner_values_at(coherent_state(alpha, 150), zs)
+    w = values_at(coherent_state(alpha, 150), zs)
     assert np.max(np.abs(w - coherent_wigner_exact(alpha, zs))) < 1e-13
 
 
 def test_far_point_keeps_its_gaussian_tail():
     # just inside the underflow limit the vacuum value is tiny but not zero
     z = 18.5 + 0.0j
-    w = wigner_values_at(fock_state(0, 3), np.array([z]))[0]
+    w = values_at(fock_state(0, 3), np.array([z]))[0]
     assert w == pytest.approx(TWO_OVER_PI * math.exp(-2.0 * abs(z) ** 2), rel=1e-12)
 
 
 def test_point_past_underflow_limit_raises():
     assert 18.0 < MAX_ABS_Z < 19.0
     with pytest.raises(ValueError, match=r"\|z\| = 28.28.*18.8"):
-        wigner_values_at(coherent_state(1.0, 20), np.array([0.0j, 20.0 + 20.0j]))
+        values_at(coherent_state(1.0, 20), np.array([0.0j, 20.0 + 20.0j]))
 
 
 def cahill_glauber_mpmath(states, z, dps=50):
@@ -194,8 +197,8 @@ def test_benchmark_field_matches_mpmath_oracle():
     field, reference = _benchmark_state()
     ref_state = coherent_state(reference, field.ncut)
     zs = np.array([-0.92 + 1.0j, 0.5 - 0.5j, 2.5 + 1.5j])
-    w_field = wigner_values_at(field, zs)
-    w_ref = wigner_values_at(ref_state, zs)
+    w_field = values_at(field, zs)
+    w_ref = values_at(ref_state, zs)
     for z, wf, wr in zip(zs, w_field, w_ref):
         oracle_field, oracle_ref = cahill_glauber_mpmath([field.amps, ref_state.amps], z)
         assert wf == pytest.approx(float(oracle_field), abs=1e-14)
@@ -220,7 +223,7 @@ def test_wigner_bounded_by_two_over_pi(amps, zs):
     norm = np.linalg.norm(amps)
     assume(norm > 1e-3)
     psi = FockVector(amps.size - 1, amps / norm)
-    w = wigner_values_at(psi, np.array(zs, dtype=complex))
+    w = values_at(psi, np.array(zs, dtype=complex))
     assert np.all(np.abs(w) <= TWO_OVER_PI * (1.0 + 1e-12))
 
 
@@ -258,7 +261,7 @@ def test_one_pass_difference_is_the_difference_of_maps(amps, zs):
     ref = FockVector(half - 1, b / np.linalg.norm(b))
     zs = np.array(zs, dtype=complex)
     delta = difference_values_at(psi, zs, ref)
-    two_pass = wigner_values_at(psi, zs) - wigner_values_at(ref, zs)
+    two_pass = values_at(psi, zs) - values_at(ref, zs)
     assert np.max(np.abs(delta - two_pass)) <= 1e-13
     assert np.array_equal(difference_values_at(ref, zs, psi), -delta)
 
@@ -289,7 +292,7 @@ def test_reference_peak_equals_full_grid_peak(alpha, ncut, spec):
     # the oracle evaluates the truncated coherent state on the whole grid
     field = photon_added_coherent_state(0.5, 1, ncut)
     diff = wigner_difference(field, alpha, spec)
-    peak = wigner_of_state(coherent_state(alpha, ncut), spec).peak()
+    peak = float(np.max(wigner_maps([coherent_state(alpha, ncut)], spec)[0].values))
     assert diff.ref_peak == pytest.approx(peak, rel=1e-12, abs=0.0)
 
 
@@ -499,11 +502,11 @@ def test_nan_state_or_point_is_refused():
     nan_state = FockVector(2, [math.nan, 0.0, 0.0])
     zs = np.array([0.0j, 1.0 + 0.0j])
     with pytest.raises(ValueError, match="normalized"):
-        wigner_values_at(nan_state, zs)
+        values_at(nan_state, zs)
     with pytest.raises(ValueError, match="normalized"):
         difference_values_at(fock_state(0, 2), zs, nan_state)
     with pytest.raises(ValueError, match="exceeds"):
-        wigner_values_at(coherent_state(1.0, 20), np.array([0.0j, complex(math.nan, 0.0)]))
+        values_at(coherent_state(1.0, 20), np.array([0.0j, complex(math.nan, 0.0)]))
 
 
 @pytest.mark.parametrize("points", ["grid", "scattered"])
@@ -607,7 +610,7 @@ def test_maps_of_a_mixed_batch_equal_the_single_state_kernel_bitwise():
         assert np.array_equal(w.re_axis, re_axis) and np.array_equal(w.im_axis, im_axis)
         oracle = single_state_kernel(psi, zz.ravel()).reshape(zz.shape)
         assert np.array_equal(w.values.view(np.uint64), oracle.view(np.uint64))
-        assert np.array_equal(wigner_of_state(psi, spec).values, w.values)
+        assert np.array_equal(wigner_maps([psi], spec)[0].values, w.values)
 
 
 def test_difference_term_in_a_batch_equals_the_one_pass_difference_bitwise():
