@@ -12,9 +12,9 @@ in one ``wigner_maps`` pass, so in registry order ``wigner-pointwise``'s
 elapsed time carries that pass and the other two read its maps.  The maps
 live as long as the run object: ``gupjc verify`` makes one per run.
 
-``budget_s`` is the runtime the acceptance suite allows a check at
-``grid_points = 201``: about ten times the median elapsed time measured
-there on a 2-vCPU Xeon, and at least 0.5 s.
+The acceptance suite allows every check 0.5 s at ``grid_points = 201``,
+about ten times the slowest median elapsed time measured there on a 2-vCPU
+Xeon.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .dispersive import (
     commutator_check,
     dyson_consistency_check,
     evolve_dispersive_series,
+    first_order_state,
     interaction_picture_propagate,
     photon_added_decomposition,
 )
@@ -91,7 +92,6 @@ class Check:
 
     name: str
     tolerance: float
-    budget_s: float
     measure: Callable[[VerifyRun, np.random.Generator], float]
 
     def run(self, run: VerifyRun, seed: int) -> tuple[float, float]:
@@ -193,15 +193,15 @@ def dispersive_resummation(run: VerifyRun, rng: np.random.Generator) -> float:
     """Largest amplitude gap between phi = 0 dispersive evolution and the
     coherent state at the decomposition's rotated amplitude beta.  An
     infidelity would be quadratic in that gap, and read 0 for a small one."""
-    d = DispersiveConfig(mu=1e5, phi=0.0, alpha=1.0, t=1e3, ncut=30)
-    state = evolve_dispersive_series(d, [d.t], "g")[0]
-    target = coherent_state(photon_added_decomposition(d, "g").beta, d.ncut)
+    d = DispersiveConfig(mu=1e5, phi=0.0, alpha=1.0, t=1e3)
+    state = evolve_dispersive_series(d, 30, [d.t], "g")[0]
+    target = coherent_state(photon_added_decomposition(d, "g").beta, 30)
     return float(np.max(np.abs(state - target.amps)))
 
 
 def _fig1_dispersive(gamma: float = 1e3) -> DispersiveConfig:
     c = derive_coefficients(GupParams.from_gamma(gamma, 1.0, 1.0), 1e15)
-    return DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=1e3, ncut=40)
+    return DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=1e3)
 
 
 def photon_added_normalizers(run: VerifyRun, rng: np.random.Generator) -> float:
@@ -241,13 +241,39 @@ def photon_added_overlap(run: VerifyRun, rng: np.random.Generator) -> float:
     s_values, defects = [], []
     for gamma in (5e3, 1e4, 2e4):
         d = _fig1_dispersive(gamma)
-        exact = evolve_dispersive_series(d, [d.t], "g")[0]
-        approx = photon_added_decomposition(d, "g").state
+        exact = evolve_dispersive_series(d, 40, [d.t], "g")[0]
+        approx = first_order_state(photon_added_decomposition(d, "g"), 40)
         defects.append(1.0 - abs(np.vdot(exact, approx.amps)) ** 2)
         s_values.append(2.0 * d.phi * d.mu * d.t)
     if not min(defects) > 0.0:
         return math.inf
     return abs(float(np.polyfit(np.log(s_values), np.log(defects), 1)[0]) - 4.0)
+
+
+def photon_added_projection(run: VerifyRun, rng: np.random.Generator) -> float:
+    """|(gap/s) / (37/6) - 1| at mu = 1 rad/s, t = 1 s, alpha = 1, phi = 1e-3
+    (s = 2 phi mu t = 2e-3), atom in g.  The gap is the distance from the
+    exact state's projection on D(beta)|1> = (a^dag - beta*)|beta> to the
+    decomposition's displaced |1> amplitude, relative to the projection.
+
+    In the frame displaced by beta the exact field is e^{-i s n_b^2}|0>, with
+    n_b = (a^dag + beta*)(a + beta), and the decomposition keeps its first
+    order.  So the gap over s tends to |<1|n_b^4|0>| / (2 |<1|n_b^2|0>|),
+    which is 37/6 at |beta| = 1; the measured value is of order s^2 and reads
+    3.2e-5 here.  The check runs off fig1: at fig1's mu t = 1e8 the same
+    measure reads 1.1e-2, the phase defect of the first-order form there.
+    """
+    d = DispersiveConfig(mu=1.0, phi=1e-3, alpha=1.0, t=1.0)
+    ncut = 40
+    exact = evolve_dispersive_series(d, ncut, [d.t], "g")[0]
+    dec = photon_added_decomposition(d, "g")
+    coh = coherent_state(dec.beta, ncut).amps
+    one = -np.conj(dec.beta) * coh
+    one[1:] += np.sqrt(np.arange(1.0, ncut + 1.0)) * coh[:-1]
+    projection = np.vdot(one, exact)
+    gap = abs(projection - dec.displaced.amps[1]) / abs(projection)
+    s = 2.0 * d.phi * d.mu * d.t
+    return abs(gap / s / (37.0 / 6.0) - 1.0)
 
 
 def wigner_pointwise(run: VerifyRun, rng: np.random.Generator) -> float:
@@ -337,22 +363,23 @@ def block_propagator(run: VerifyRun, rng: np.random.Generator) -> float:
 
 
 CHECKS: tuple[Check, ...] = (
-    Check("coefficient-identity", 1e-14, 0.5, coefficient_identity),
-    Check("ladder-commutator", 1e-12, 0.5, ladder_commutator),
-    Check("standard-jcm-oracle", 1e-9, 0.5, standard_jcm_oracle),
-    Check("rabi-shift-closed-form", 1e-12, 0.5, rabi_shift_closed_form),
-    Check("rabi-shift-magnitude", 1.0, 0.5, rabi_shift_magnitude),
-    Check("commutator-scaling", 0.1, 0.5, commutator_scaling),
-    Check("dispersive-resummation", 1e-10, 0.5, dispersive_resummation),
-    Check("photon-added-normalizers", 1e-10, 0.5, photon_added_normalizers),
-    Check("photon-added-amplitude", 1e-8, 0.5, photon_added_amplitude),
-    Check("photon-added-overlap", 0.05, 0.5, photon_added_overlap),
-    Check("wigner-pointwise", 1e-8, 0.5, wigner_pointwise),
-    Check("wigner-integral", 1e-3, 0.5, wigner_integral),
-    Check("wigner-negativity", 0.0, 0.5, wigner_negativity),
-    Check("zeta-spot-values", 0.2, 0.5, zeta_spot_values),
-    Check("zeta-slice", 1.0, 0.5, zeta_slice),
-    Check("perturbation-scaling", 0.1, 0.5, perturbation_scaling),
-    Check("dyson-fidelity", 10.0, 0.5, dyson_fidelity),
-    Check("block-propagator", 1e-8, 0.5, block_propagator),
+    Check("coefficient-identity", 1e-14, coefficient_identity),
+    Check("ladder-commutator", 1e-12, ladder_commutator),
+    Check("standard-jcm-oracle", 1e-9, standard_jcm_oracle),
+    Check("rabi-shift-closed-form", 1e-12, rabi_shift_closed_form),
+    Check("rabi-shift-magnitude", 1.0, rabi_shift_magnitude),
+    Check("commutator-scaling", 0.1, commutator_scaling),
+    Check("dispersive-resummation", 1e-10, dispersive_resummation),
+    Check("photon-added-normalizers", 1e-10, photon_added_normalizers),
+    Check("photon-added-amplitude", 1e-8, photon_added_amplitude),
+    Check("photon-added-overlap", 0.05, photon_added_overlap),
+    Check("photon-added-projection", 1e-3, photon_added_projection),
+    Check("wigner-pointwise", 1e-8, wigner_pointwise),
+    Check("wigner-integral", 1e-3, wigner_integral),
+    Check("wigner-negativity", 0.0, wigner_negativity),
+    Check("zeta-spot-values", 0.2, zeta_spot_values),
+    Check("zeta-slice", 1.0, zeta_slice),
+    Check("perturbation-scaling", 0.1, perturbation_scaling),
+    Check("dyson-fidelity", 10.0, dyson_fidelity),
+    Check("block-propagator", 1e-8, block_propagator),
 )

@@ -43,6 +43,7 @@ from .constants import C_LIGHT, GAMMA_SI_DIVISOR, HBAR, PLANCK_LENGTH, PLANCK_MA
 from .dispersive import (
     DispersiveConfig,
     evolve_dispersive_series,
+    first_order_state,
     photon_added_decomposition,
 )
 from .dynamics import (
@@ -74,7 +75,6 @@ PRESETS: dict[str, dict] = {
         "alpha_re": 1.0,
         "alpha_im": 0.0,
         "t": 1e3,
-        "ncut": 40,
         "initial_atom": "g",
     },
     # linear-vs-quadratic channel map
@@ -96,7 +96,8 @@ DEFAULTS: dict[str, dict] = {
         "periods": 10.0,
         "points": 600,
     },
-    "dispersive": dict(PRESETS["fig1"], fidelity_points=20),
+    # a Fock-basis cutoff; wigner-diff's map lies on three displaced levels
+    "dispersive": dict(PRESETS["fig1"], ncut=40, fidelity_points=20),
     "wigner-diff": dict(
         PRESETS["fig1"],
         grid_extent=4.0,
@@ -176,7 +177,7 @@ def resolve_config(command: str, args) -> dict:
                 params[key] = value
     for key, value in file_cfg.get("params", {}).items():
         if key not in params:
-            raise ValueError(f"unknown parameter {key!r} for command {command!r}")
+            raise ValueError(f"config file {args.config}: unknown parameter {key!r} for {command}")
         params[key] = value
     seed = file_cfg.get("seed", seed)
     for item in args.set or []:
@@ -365,7 +366,6 @@ def _dispersive_inputs(params: dict) -> DispersiveConfig:
         phi=derive_coefficients(p, params["omega"]).phi,
         alpha=_alpha(params),
         t=params["t"],
-        ncut=int(params["ncut"]),
     )
 
 
@@ -416,7 +416,7 @@ def cmd_dispersive(params: dict, out_dir: Path, seed: int, stages: dict,
     # one exact series for the fidelity times; linspace ends on d.t exactly,
     # so its last row is the state at d.t.  H_eff keeps the atom in its
     # level, so the other level's columns are zero
-    series = evolve_dispersive_series(d, ts, atom)
+    series = evolve_dispersive_series(d, params["ncut"], ts, atom)
     field = series[-1]
     zeros = np.zeros_like(field)
     ground, excited = (field, zeros) if atom == "g" else (zeros, field)
@@ -452,9 +452,10 @@ def cmd_dispersive(params: dict, out_dir: Path, seed: int, stages: dict,
 
     fid_rows = []
     for t, exact in zip(ts, series):
-        approx = photon_added_decomposition(dataclasses.replace(d, t=float(t)), atom).state
-        overlap = abs(np.vdot(exact, approx.amps)) ** 2
-        fid_rows.append([float(t), float(overlap)])
+        dec_t = photon_added_decomposition(dataclasses.replace(d, t=float(t)), atom)
+        approx = first_order_state(dec_t, params["ncut"])
+        fid_rows.append([float(t), float(abs(np.vdot(exact, approx.amps)) ** 2)])
+    health.update(coherent_tail_weight=approx.tail_weight)
     fid_path = out_dir / "fidelity_vs_t.csv"
     write_csv(fid_path, ["t", "overlap_sq"], fid_rows)
     return [state_path, dec_path, fid_path]
@@ -473,7 +474,6 @@ def cmd_wigner_diff(params: dict, out_dir: Path, seed: int, stages: dict,
         diff = wigner_difference(dec.displaced, dec.beta, grid)
     health.update(
         expansion_parameter=d.linear_expansion_parameter,
-        coherent_tail_weight=dec.state.tail_weight,
         displaced_norm_defect=abs(dec.displaced.norm() - 1.0),
     )
 

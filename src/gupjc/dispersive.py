@@ -49,14 +49,13 @@ class DispersiveConfig:
 
     ``mu`` is the dispersive rate coupling^2/detuning (rad/s), ``phi`` the
     quadratic GUP coefficient at the field frequency, ``alpha`` the initial
-    coherent amplitude, ``t`` the evolution time and ``ncut`` the cutoff.
+    coherent amplitude and ``t`` the evolution time; it holds no cutoff.
     """
 
     mu: float
     phi: float
     alpha: complex
     t: float
-    ncut: int
 
     @property
     def mean_square_photon(self) -> float:
@@ -81,25 +80,23 @@ class DispersiveConfig:
 
 @dataclass(frozen=True)
 class PhotonAddedDecomposition:
-    """The first-order state and its coefficients over the photon-added family.
+    """The first-order field's coefficients over the photon-added family.
 
-    ``state`` is the field base_amp*|coh> + pacs1_amp*|coh,1> +
-    pacs2_amp*|coh,2>, where |coh,m> are unit-norm m-photon-added coherent
-    states at the rotated amplitude ``beta``, truncated at ``ncut``.  Its
-    ``tail_weight`` is the weight that |coh> at ``ncut`` discarded, and its
-    norm differs from 1 only through that truncation.  ``normalization`` is
-    the norm N of the raw first-order superposition, formed in the displaced
-    frame below, so it does not depend on ``ncut``.
+    The field is base_amp*|coh> + pacs1_amp*|coh,1> + pacs2_amp*|coh,2>,
+    where |coh,m> are unit-norm m-photon-added coherent states at the rotated
+    amplitude ``beta``.  ``normalization`` is the norm N of the raw
+    first-order superposition, formed in the displaced frame below.
 
-    ``displaced`` is the same field in the frame displaced by ``beta``,
-    D(beta)^dag state, which lies on |0>, |1>, |2> exactly: since
+    ``displaced`` is that field in the frame displaced by ``beta``,
+    D(beta)^dag field, which lies on |0>, |1>, |2> exactly: since
     a^dag^m |beta> = D(beta) (a^dag + beta*)^m |0>, the companions become
 
         v1 = (beta* |0> + |1>) / k1,
         v2 = (beta*^2 |0> + 2 beta* |1> + sqrt(2) |2>) / k2,
 
     with k_m = sqrt(L_m(-|beta|^2) m!) in closed form, so no cutoff enters
-    it, and |coh> becomes |0>.
+    it, and |coh> becomes |0>.  ``first_order_state`` writes the field in the
+    lab-frame Fock basis instead, truncated at a cutoff.
     """
 
     base_amp: complex
@@ -107,7 +104,6 @@ class PhotonAddedDecomposition:
     pacs2_amp: complex
     normalization: float
     beta: complex
-    state: FockVector
     displaced: FockVector
 
 
@@ -162,18 +158,18 @@ def commutator_check(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> f
 
 
 def evolve_dispersive_series(
-    d: DispersiveConfig, times, initial_atom: str = "g"
+    d: DispersiveConfig, ncut: int, times, initial_atom: str = "g"
 ) -> np.ndarray:
     """Exact dispersive evolution of |atom> |alpha> at each of ``times`` in
     place of ``d.t``: per-level phases, no expansion.
 
     H_eff is diagonal, so the atom stays in ``initial_atom``; each row is the
-    field amplitudes of that level, shape (len(times), ncut+1).  |alpha> is
-    built once for the whole series, and each row has the bits of a call at
-    its time alone.
+    field amplitudes of that level up to the cutoff ``ncut``, shape
+    (len(times), ncut+1).  |alpha> is built once for the whole series, and
+    each row has the bits of a call at its time alone.
     """
-    coh = coherent_state(d.alpha, d.ncut)
-    g_diag, e_diag = _effective_diagonals(d.mu, d.phi, d.ncut)
+    coh = coherent_state(d.alpha, ncut)
+    g_diag, e_diag = _effective_diagonals(d.mu, d.phi, ncut)
     if initial_atom not in ("g", "e"):
         raise ValueError("initial_atom must be 'g' or 'e'")
     diag = g_diag if initial_atom == "g" else e_diag
@@ -195,7 +191,7 @@ def photon_added_decomposition(
 
     with k_m = sqrt(L_m(-|alpha|^2) m!).  The normalization N is the norm of
     the raw superposition in the frame displaced by b, where it lies on |0>,
-    |1>, |2> exactly, so N does not depend on the cutoff.
+    |1>, |2> exactly; no cutoff enters the decomposition.
     """
     if not d.valid_linear:
         raise LinearityError(
@@ -231,14 +227,19 @@ def photon_added_decomposition(
     norm = float(np.linalg.norm(in_displaced_frame(u_base, u1, u2)))
     base_amp, pacs1_amp, pacs2_amp = complex(u_base) / norm, complex(u1) / norm, complex(u2) / norm
     displaced = FockVector(2, in_displaced_frame(base_amp, pacs1_amp, pacs2_amp))
-    coh = coherent_state(beta, d.ncut)
+    return PhotonAddedDecomposition(base_amp, pacs1_amp, pacs2_amp, norm, complex(beta), displaced)
+
+
+def first_order_state(dec: PhotonAddedDecomposition, ncut: int) -> FockVector:
+    """The first-order field in the lab-frame Fock basis, truncated at ``ncut``,
+    for overlaps with the exact state; its ``tail_weight`` is the weight that
+    |coh> at ``ncut`` discarded, the only cause of its norm defect."""
+    coh = coherent_state(dec.beta, ncut)
     base = coh.amps
-    pacs1 = _add_photons(base, beta, 1).amps
-    pacs2 = _add_photons(base, beta, 2).amps
-    state = FockVector(d.ncut, base_amp * base + pacs1_amp * pacs1 + pacs2_amp * pacs2,
-                       tail_weight=coh.tail_weight)
-    return PhotonAddedDecomposition(base_amp, pacs1_amp, pacs2_amp, norm, complex(beta), state,
-                                    displaced)
+    pacs1 = _add_photons(base, dec.beta, 1).amps
+    pacs2 = _add_photons(base, dec.beta, 2).amps
+    return FockVector(ncut, dec.base_amp * base + dec.pacs1_amp * pacs1 + dec.pacs2_amp * pacs2,
+                      tail_weight=coh.tail_weight)
 
 
 def interaction_picture_propagate(

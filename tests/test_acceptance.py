@@ -23,6 +23,10 @@ from gupjc.wigner import GridSpec, wigner_difference, wigner_maps
 
 VERIFY_PARAMS = dict(DEFAULTS["verify"], grid_points=201)
 
+# runtime allowed each check at grid_points = 201: about ten times the slowest
+# median elapsed time measured there on a 2-vCPU Xeon
+BUDGET_S = 0.5
+
 
 @pytest.fixture(scope="module")
 def verify_run():
@@ -34,15 +38,15 @@ def test_check(check, verify_run):
     measured, elapsed = check.run(verify_run, DEFAULT_SEED)
     ok = measured < check.tolerance
     print(f"[{check.name}] {'PASS' if ok else 'FAIL'}: measured {measured:.3e}, "
-          f"tolerance {check.tolerance:g} ({elapsed:.3f}s / budget {check.budget_s:g}s)")
+          f"tolerance {check.tolerance:g} ({elapsed:.3f}s / budget {BUDGET_S:g}s)")
     assert ok, f"{check.name}: measured {measured!r}, tolerance {check.tolerance!r}"
-    assert elapsed < check.budget_s, f"{check.name} took {elapsed:.2f}s >= {check.budget_s}s"
+    assert elapsed < BUDGET_S, f"{check.name} took {elapsed:.2f}s >= {BUDGET_S}s"
 
 
 def test_criterion_08_wigner_difference_magnitude():
     start = time.perf_counter()
     c = derive_coefficients(GupParams.from_gamma(1e3, 1.0, 1.0), 1e15)
-    d = DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=1e3, ncut=40)
+    d = DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=1e3)
     dec = photon_added_decomposition(d, "g")
     reference = dec.beta
     grid = GridSpec()
@@ -55,7 +59,7 @@ def test_criterion_08_wigner_difference_magnitude():
 
     # required precision at the measurement point: |dW| / W_ref there, the
     # same-point ratio the 1e-3 estimate refers to (accepted within an order)
-    w_ref = wigner_maps([coherent_state(reference, d.ncut)], grid)[0]
+    w_ref = wigner_maps([coherent_state(reference, 40)], grid)[0]
     i = int(np.argmin(np.abs(w_ref.im_axis - diff.location.imag)))
     j = int(np.argmin(np.abs(w_ref.re_axis - diff.location.real)))
     precision = diff.max_abs / float(w_ref.values[i, j])

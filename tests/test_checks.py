@@ -243,6 +243,23 @@ def test_a_dropped_two_photon_term_fails_the_overlap_check(monkeypatch, tmp_path
     assert "photon-added-overlap" in _failed_checks(tmp_path)
 
 
+def test_a_doubled_one_photon_term_fails_the_projection_check(monkeypatch, tmp_path):
+    # u1 with 2s in place of s, in the displaced field that the Wigner map
+    # reads: its |1> amplitude moves by a third, not by 37/6 s of itself, and
+    # no other check reads that field
+    decompose = checks.photon_added_decomposition
+
+    def doubled_u1(d, atom):
+        dec = decompose(d, atom)
+        b = np.conj(dec.beta)
+        k1 = np.sqrt(laguerre(1, -abs(b) ** 2))
+        amps = dec.displaced.amps + dec.pacs1_amp * np.array([b, 1.0, 0.0]) / k1
+        return dataclasses.replace(dec, displaced=FockVector(2, amps))
+
+    monkeypatch.setattr(checks, "photon_added_decomposition", doubled_u1)
+    assert _failed_checks(tmp_path) == {"photon-added-projection"}
+
+
 def test_a_flipped_phi_in_the_coupling_element_fails_the_commutator_check(monkeypatch, tmp_path):
     # sqrt(n+1) (1 + (n+1) phi) in every band and block: the commutator's
     # residual against H_eff turns linear in phi, a slope of 1, not 2

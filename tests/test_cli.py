@@ -108,8 +108,8 @@ def test_dispersive_exact_state_fills_the_initial_level_only(tmp_path, atom, oth
     assert run_cli(["dispersive", "--out", str(out), "--preset", "fig1",
                     "--set", f'initial_atom="{atom}"', "--set", "fidelity_points=1"]) == 0
     c = derive_coefficients(GupParams.from_gamma(1e3, 1.0, 1.0), 1e15)
-    d = DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=1e3, ncut=40)
-    field = evolve_dispersive_series(d, [d.t], atom)[0]
+    d = DispersiveConfig(mu=1e5, phi=c.phi, alpha=1.0, t=1e3)
+    field = evolve_dispersive_series(d, 40, [d.t], atom)[0]
     rows = read_rows(out / "exact_state.csv")
     assert [int(r["n"]) for r in rows] == list(range(41))
     assert all(r[f"{other}_re"] == r[f"{other}_im"] == "0.0" for r in rows)
@@ -141,6 +141,19 @@ def test_wigner_diff_small_grid(tmp_path):
     with open(out / "delta_w.json") as fh:
         grid = json.load(fh)
     assert len(grid["values_row_major"]) == 41 * 41
+
+
+def test_wigner_diff_needs_no_cutoff_at_large_alpha(tmp_path):
+    # a cutoff of 40 drops 2e-3 of |beta> at |alpha| = 5, which once refused
+    # this map; the displaced field it is formed from truncates nothing
+    out = tmp_path / "a5"
+    assert run_cli(["wigner-diff", "--out", str(out), "--preset", "fig1",
+                    "--set", "alpha_re=5.0", "--set", "grid_extent=8.0",
+                    "--set", "grid_points=41"]) == 0
+    with open(out / "wigner_summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["max_abs_delta_w"] > 0.0
+    assert all(-8.0 <= x <= 8.0 for x in summary["location"])
 
 
 def test_wigner_diff_replay_is_byte_identical(tmp_path):
@@ -344,34 +357,27 @@ def test_wigner_diff_manifest_records_its_stages(tmp_path):
 
 
 def test_wigner_diff_manifest_records_its_numerical_health(tmp_path):
-    # |beta| = 1 leaves about e^-1/15! = 2.9e-13 beyond ncut 14
     out = tmp_path / "w"
     assert run_cli(["wigner-diff", "--preset", "fig1", "--set", "grid_points=11",
-                    "--set", "ncut=14", "--out", str(out)]) == 0
+                    "--out", str(out)]) == 0
     with open(out / "manifest.json") as fh:
         health = json.load(fh)["health"]
     with open(out / "wigner_summary.json") as fh:
         summary = json.load(fh)
-    assert sorted(health) == ["coherent_tail_weight", "displaced_norm_defect",
-                              "expansion_parameter"]
+    assert sorted(health) == ["displaced_norm_defect", "expansion_parameter"]
     assert health["expansion_parameter"] == summary["expansion_parameter"]
-    assert 1e-13 < health["coherent_tail_weight"] < 1e-12
     assert 0.0 <= health["displaced_norm_defect"] < 1e-15
 
 
-def test_wigner_diff_map_does_not_depend_on_ncut(tmp_path):
-    # the map and its normalization are formed in the displaced frame on
-    # three levels, so no truncated |beta> enters them; 14 is the smallest
-    # ncut whose tail check passes at |alpha| = 1
-    data = []
-    for ncut in (14, 20, 40):
-        out = tmp_path / f"ncut{ncut}"
-        assert run_cli(["wigner-diff", "--preset", "fig1", "--set", "grid_points=41",
-                        "--set", f"ncut={ncut}", "--out", str(out)]) == 0
-        data.append({name: raw for name, raw in databytes(out).items()
-                     if name != "run_config.json"})
-    assert set(data[0]) == {"delta_w.csv", "delta_w.json", "wigner_summary.json"}
-    assert data[0] == data[1] == data[2]
+def test_dispersive_manifest_records_its_truncation_tail(tmp_path):
+    # |beta| = 1 leaves about e^-1/15! = 2.9e-13 beyond ncut 14
+    out = tmp_path / "d"
+    assert run_cli(["dispersive", "--preset", "fig1", "--set", "fidelity_points=2",
+                    "--set", "ncut=14", "--out", str(out)]) == 0
+    with open(out / "manifest.json") as fh:
+        health = json.load(fh)["health"]
+    assert sorted(health) == ["coherent_tail_weight"]
+    assert 1e-13 < health["coherent_tail_weight"] < 1e-12
 
 
 @pytest.mark.parametrize("command, setting, name", [
@@ -396,7 +402,7 @@ def test_wigner_diff_map_does_not_depend_on_ncut(tmp_path):
     ("wigner-diff", "alpha_re=NaN", "alpha_re must be finite"),
     ("dispersive", "t=Infinity", "t must be finite"),
     ("dispersive", "ncut=2.5", "ncut must be an integer"),
-    ("wigner-diff", "ncut=0", "ncut must be an integer"),
+    ("wigner-diff", "ncut=40", "unknown parameter 'ncut'"),
     ("rabi", "periods=-1", "periods must be a finite number > 0"),
     ("rabi", "periods=0", "periods must be a finite number > 0"),
     ("dispersive", 'initial_atom="x"', "initial_atom must be 'g' or 'e', got 'x'"),
@@ -478,6 +484,7 @@ def test_failed_run_leaves_no_run_config(tmp_path, capsys):
     ("verify", '{"seed": 1.5}', "seed must be an integer >= 0, got 1.5"),
     ("rabi", '{"seed": true}', "seed must be an integer >= 0, got True"),
     ("verify", '{"seed": -1}', "seed must be an integer >= 0, got -1"),
+    ("wigner-diff", '{"params": {"ncut": 40}}', "unknown parameter 'ncut'"),
     # a flag in place of the file: a seed the replay of run_config.json
     # would refuse is refused on the command line too
     ("rabi", "--seed=-1", "--seed must be an integer >= 0, got -1"),
