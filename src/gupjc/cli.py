@@ -96,7 +96,7 @@ DEFAULTS: dict[str, dict] = {
         "periods": 10.0,
         "points": 600,
     },
-    # a Fock-basis cutoff; wigner-diff's map lies on three displaced levels
+    # ncut cuts dispersive's Fock-basis states; wigner-diff's map needs none
     "dispersive": dict(PRESETS["fig1"], ncut=40, fidelity_points=20),
     "wigner-diff": dict(
         PRESETS["fig1"],

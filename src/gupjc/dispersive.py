@@ -231,9 +231,8 @@ def photon_added_decomposition(
 
 
 def first_order_state(dec: PhotonAddedDecomposition, ncut: int) -> FockVector:
-    """The first-order field in the lab-frame Fock basis, truncated at ``ncut``,
-    for overlaps with the exact state; its ``tail_weight`` is the weight that
-    |coh> at ``ncut`` discarded, the only cause of its norm defect."""
+    """The first-order field in the lab-frame Fock basis, truncated at ``ncut``;
+    its ``tail_weight``, what |coh> discards there, is its only norm defect."""
     coh = coherent_state(dec.beta, ncut)
     base = coh.amps
     pacs1 = _add_photons(base, dec.beta, 1).amps

@@ -23,8 +23,8 @@ from gupjc.wigner import GridSpec, wigner_difference, wigner_maps
 
 VERIFY_PARAMS = dict(DEFAULTS["verify"], grid_points=201)
 
-# runtime allowed each check at grid_points = 201: about ten times the slowest
-# median elapsed time measured there on a 2-vCPU Xeon
+# runtime allowed each check at grid_points = 201, where the slowest,
+# wigner-pointwise, takes about 30 ms on a 2-vCPU Xeon
 BUDGET_S = 0.5
 
 

@@ -144,8 +144,8 @@ def test_wigner_diff_small_grid(tmp_path):
 
 
 def test_wigner_diff_needs_no_cutoff_at_large_alpha(tmp_path):
-    # a cutoff of 40 drops 2e-3 of |beta> at |alpha| = 5, which once refused
-    # this map; the displaced field it is formed from truncates nothing
+    # a cutoff of 40 would drop 2e-3 of |beta> at |alpha| = 5; the map is
+    # formed from the displaced field on three levels and truncates nothing
     out = tmp_path / "a5"
     assert run_cli(["wigner-diff", "--out", str(out), "--preset", "fig1",
                     "--set", "alpha_re=5.0", "--set", "grid_extent=8.0",
