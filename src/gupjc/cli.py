@@ -42,8 +42,8 @@ from .checks import CHECKS, VerifyRun
 from .constants import C_LIGHT, GAMMA_SI_DIVISOR, HBAR, PLANCK_LENGTH, PLANCK_MASS
 from .dispersive import (
     DispersiveConfig,
+    displaced_projections,
     evolve_dispersive_series,
-    first_order_state,
     photon_added_decomposition,
 )
 from .dynamics import (
@@ -53,7 +53,7 @@ from .dynamics import (
     rabi_shift,
 )
 from .errors import GupJcError
-from .fock import evolve_on_grid, laguerre
+from .fock import coherent_state, evolve_on_grid, laguerre
 from .gup import GupParams, InteractionConfig, derive_coefficients, rwa_block
 from .rwa_validity import ZetaMapSpec, zeta_map
 from .wigner import (
@@ -453,9 +453,9 @@ def cmd_dispersive(params: dict, out_dir: Path, seed: int, stages: dict,
     fid_rows = []
     for t, exact in zip(ts, series):
         dec_t = photon_added_decomposition(dataclasses.replace(d, t=float(t)), atom)
-        approx = first_order_state(dec_t, params["ncut"])
-        fid_rows.append([float(t), float(abs(np.vdot(exact, approx.amps)) ** 2)])
-    health.update(coherent_tail_weight=approx.tail_weight)
+        projections = displaced_projections(exact, dec_t.beta, params["ncut"])
+        fid_rows.append([float(t), float(abs(np.vdot(projections, dec_t.displaced.amps)) ** 2)])
+    health.update(coherent_tail_weight=coherent_state(dec_t.beta, params["ncut"]).tail_weight)
     fid_path = out_dir / "fidelity_vs_t.csv"
     write_csv(fid_path, ["t", "overlap_sq"], fid_rows)
     return [state_path, dec_path, fid_path]

@@ -11,7 +11,9 @@ held as its two diagonals, one per atomic level.  Expanding
 those phases to first order in phi turns the evolved state into a
 superposition of the rotated coherent state with its one- and two-photon-
 added companions, which is the experimentally interesting signature: photon
-addition makes the field state non-classical.
+addition makes the field state non-classical.  That field is held only on
+|0>, |1>, |2> of the frame displaced by the rotated amplitude, and the exact
+state meets it there, through ``displaced_projections``.
 
 The paper obtains H_eff as (coupling^2/detuning) [A, A^dag] with the dressed
 coupling operator A = sigma+ a (1 - N phi).  A is one band: it takes |g,n+1>
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DispersiveRegimeError, LinearityError
-from .fock import FockVector, _add_photons, coherent_state, evolve_on_grid, laguerre
+from .fock import FockVector, coherent_state, evolve_on_grid, laguerre
 from .gup import GupCoefficients, InteractionConfig, _rwa_coupling_element, rwa_block
 
 # required ratio |detuning| / (coupling * sqrt(ncut))
@@ -95,8 +97,8 @@ class PhotonAddedDecomposition:
         v2 = (beta*^2 |0> + 2 beta* |1> + sqrt(2) |2>) / k2,
 
     with k_m = sqrt(L_m(-|beta|^2) m!) in closed form, so no cutoff enters
-    it, and |coh> becomes |0>.  ``first_order_state`` writes the field in the
-    lab-frame Fock basis instead, truncated at a cutoff.
+    it, and |coh> becomes |0>.  This is the field's only form; its overlap
+    with a lab-frame field comes from ``displaced_projections``.
     """
 
     base_amp: complex
@@ -163,17 +165,23 @@ def evolve_dispersive_series(
     """Exact dispersive evolution of |atom> |alpha> at each of ``times`` in
     place of ``d.t``: per-level phases, no expansion.
 
-    H_eff is diagonal, so the atom stays in ``initial_atom``; each row is the
-    field amplitudes of that level up to the cutoff ``ncut``, shape
+    H_eff is diagonal, so the atom stays in ``initial_atom``, and its levels
+    -mu n (1 - 2 phi n) on |g,n> and mu m (1 - 2 phi m) on |e,n>, m = n + 1,
+    give the phases e^{+-i mu t m} e^{-+2i phi mu t m^2} (upper sign g, m = n).
+    The two are rounded apart, so the GUP phase (2e-9 rad at m = 1 at fig1)
+    is not rounded at the scale of mu t m (1e8 rad).  Each row is the field
+    amplitudes of that level up to the cutoff ``ncut``, shape
     (len(times), ncut+1).  |alpha> is built once for the whole series, and
     each row has the bits of a call at its time alone.
     """
-    coh = coherent_state(d.alpha, ncut)
-    g_diag, e_diag = _effective_diagonals(d.mu, d.phi, ncut)
     if initial_atom not in ("g", "e"):
         raise ValueError("initial_atom must be 'g' or 'e'")
-    diag = g_diag if initial_atom == "g" else e_diag
-    return coh.amps * np.exp(-1j * diag * np.asarray(times, dtype=float)[:, None])
+    coh = coherent_state(d.alpha, ncut)
+    sign = 1.0 if initial_atom == "g" else -1.0
+    m = np.arange(ncut + 1, dtype=float) + (0.0 if initial_atom == "g" else 1.0)
+    mu_t = d.mu * np.asarray(times, dtype=float)[:, None]
+    return (coh.amps * np.exp(1j * (sign * mu_t * m))
+            * np.exp(-1j * (sign * 2.0 * d.phi * mu_t * m * m)))
 
 
 def photon_added_decomposition(
@@ -230,15 +238,20 @@ def photon_added_decomposition(
     return PhotonAddedDecomposition(base_amp, pacs1_amp, pacs2_amp, norm, complex(beta), displaced)
 
 
-def first_order_state(dec: PhotonAddedDecomposition, ncut: int) -> FockVector:
-    """The first-order field in the lab-frame Fock basis, truncated at ``ncut``;
-    its ``tail_weight``, what |coh> discards there, is its only norm defect."""
-    coh = coherent_state(dec.beta, ncut)
-    base = coh.amps
-    pacs1 = _add_photons(base, dec.beta, 1).amps
-    pacs2 = _add_photons(base, dec.beta, 2).amps
-    return FockVector(ncut, dec.base_amp * base + dec.pacs1_amp * pacs1 + dec.pacs2_amp * pacs2,
-                      tail_weight=coh.tail_weight)
+def displaced_projections(field, beta: complex, ncut: int) -> np.ndarray:
+    """P_j = <D(beta) j|field> for j = 0, 1, 2, from the lab-frame amplitudes
+    ``field`` on |0..ncut>.
+
+    D(beta)|j> = (a^dag - beta*)^j |beta> / sqrt(j!) is built once, from the
+    truncated |beta> at ``ncut``.  The overlap <field|phi> with a field held
+    as phi on the three displaced levels is then np.vdot(P, phi).
+    """
+    basis = [coherent_state(beta, ncut).amps]
+    for j in (1, 2):
+        raised = -np.conj(beta) * basis[-1]
+        raised[1:] += np.sqrt(np.arange(1.0, ncut + 1.0)) * basis[-1][:-1]
+        basis.append(raised / math.sqrt(j))
+    return np.conj(basis) @ np.asarray(field)
 
 
 def interaction_picture_propagate(

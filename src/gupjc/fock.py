@@ -140,22 +140,16 @@ def photon_added_coherent_state(
     """
     if m < 0:
         raise ValueError("photon-addition order m must be non-negative")
+    coh = coherent_state(alpha, ncut, tail_tol)
     if m == 0:
-        return coherent_state(alpha, ncut, tail_tol)
-    return _add_photons(coherent_state(alpha, ncut, tail_tol).amps, alpha, m)
-
-
-def _add_photons(coh: np.ndarray, alpha: complex, m: int) -> FockVector:
-    """a^dag^m |alpha> / k_{alpha,m} from the amplitudes ``coh`` of |alpha>,
-    with ``photon_added_coherent_state``'s check of the truncated norm."""
-    ncut = len(coh) - 1
+        return coh
     # the rising factorials (n-m+1)...n for n = m..ncut, multiplied up in
     # ascending order: exact integers in double up to 2^53
     rising = np.ones(max(ncut + 1 - m, 0))
     for j in range(1, m + 1):
         rising *= np.arange(j, ncut + 1 - m + j, dtype=float)
     raised = np.zeros(ncut + 1, dtype=complex)
-    raised[m:] = coh[: rising.size] * np.sqrt(rising)
+    raised[m:] = coh.amps[: rising.size] * np.sqrt(rising)
     norm_sq = float(np.sum(np.abs(raised) ** 2))
     expected = laguerre(m, -abs(alpha) ** 2) * math.factorial(m)
     rel_dev = abs(norm_sq - expected) / expected

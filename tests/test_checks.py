@@ -6,13 +6,15 @@ eigh propagator behind ``block-propagator``, ``dyson-fidelity`` and
 their own maps.  Also: one Wigner pass per verify run, and library bugs
 that a check must catch."""
 
-import dataclasses
+import __future__
+import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from gupjc import checks, cli, dispersive, gup, wigner
+from gupjc import checks, cli, dispersive, fock, gup, wigner
 from gupjc.checks import (
     _DYSON_CFG,
     _DYSON_COEFFS,
@@ -24,7 +26,6 @@ from gupjc.checks import (
 from gupjc.dispersive import interaction_picture_propagate
 from gupjc.errors import NonHermitianError
 from gupjc.fock import (
-    FockVector,
     coherent_state,
     evolve_on_grid,
     fock_state,
@@ -216,80 +217,81 @@ def _failed_checks(tmp_path):
     return {row["name"] for row in report["checks"] if not row["ok"]}
 
 
-def test_an_off_by_one_laguerre_fails_the_normalizer_check(monkeypatch, tmp_path):
-    monkeypatch.setattr(checks, "laguerre", lambda m, x: laguerre(m + 1, x))
-    assert "photon-added-normalizers" in _failed_checks(tmp_path)
+def _edit(monkeypatch, module, name, old, new):
+    """Bind ``module.name``, in every gupjc module that binds it, to a copy of
+    the function whose source has ``old`` replaced by ``new``."""
+    original = getattr(module, name)
+    source = inspect.getsource(original)
+    assert source.count(old) == 1, (name, old)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec",
+                 flags=__future__.annotations.compiler_flag, dont_inherit=True), namespace)
+    for key, bound in list(sys.modules.items()):
+        if key.split(".")[0] == "gupjc" and getattr(bound, name, None) is original:
+            monkeypatch.setattr(bound, name, namespace[name])
 
 
-def test_a_dropped_conjugate_fails_the_pointwise_check(monkeypatch, tmp_path):
+# one plausible bug per row, as an edit of one function's source, and the
+# checks that a verify run fails with it in place
+MUTATIONS = {
+    # the rotated amplitude mirrored: the displaced frame no longer follows
+    # the exact state
+    "conjugated beta, atom in g": (
+        dispersive, "photon_added_decomposition", "beta = alpha * rot",
+        "beta = np.conj(alpha * rot)", {"photon-added-overlap", "photon-added-projection"}),
+    "conjugated beta, atom in e": (
+        dispersive, "photon_added_decomposition", "beta = alpha * np.conj(rot)",
+        "beta = np.conj(alpha * np.conj(rot))", {"photon-added-projection"}),
+    # |beta> in place of the two-photon-added state: the first-order field
+    # misses a term of order s, and the overlap defect turns quadratic in s
+    "two-photon-added state as |0> in the displaced frame": (
+        dispersive, "photon_added_decomposition",
+        "c2 * np.array([b * b, 2.0 * b, math.sqrt(2.0)]) / k2", "c2 * np.array([1.0, 0.0, 0.0])",
+        {"photon-added-overlap", "photon-added-projection"}),
+    # the GUP phase rounded at the scale of the rate phase mu t m = 1e8 m rad:
+    # the exact state's phases are off by 1.4e-7 rad at fig1
+    "GUP phase and rate phase formed as one": (
+        dispersive, "evolve_dispersive_series",
+        """    return (coh.amps * np.exp(1j * (sign * mu_t * m))
+            * np.exp(-1j * (sign * 2.0 * d.phi * mu_t * m * m)))""",
+        """    diag = _effective_diagonals(d.mu, d.phi, ncut)[0 if initial_atom == "g" else 1]
+    return coh.amps * np.exp(-1j * diag * np.asarray(times, dtype=float)[:, None])""",
+        {"photon-added-projection"}),
+    # 2s in place of s in the one-photon term
+    "doubled one-photon term": (
+        dispersive, "photon_added_decomposition", "u1 = -1j * s * alpha * rot * k1",
+        "u1 = -2j * s * alpha * rot * k1", {"photon-added-overlap", "photon-added-projection"}),
+    # the recurrence stops one step short: L_{m-1} in place of L_m for m >= 2
+    "off-by-one Laguerre recurrence": (
+        fock, "laguerre", "for k in range(1, m):", "for k in range(1, m - 1):",
+        {"photon-added-normalizers", "wigner-pointwise"}),
     # rho_{m,n} = c_m c_n instead of c_m c*_n: invisible on real amplitudes,
     # about 0.8 off on the coherent fixture at alpha = e^{i pi/3}
-    def unconjugated(psi):
-        return np.multiply.outer(psi.amps, psi.amps)
-
-    monkeypatch.setattr(wigner, "_density", unconjugated)
-    assert "wigner-pointwise" in _failed_checks(tmp_path)
-
-
-def test_a_dropped_two_photon_term_fails_the_overlap_check(monkeypatch, tmp_path):
-    # |beta> in place of the two-photon-added state leaves a defect of order
-    # s^2, whose slope in log s is 2, not 4
-    add_photons = dispersive._add_photons
-
-    def without_two(base, beta, m):
-        return FockVector(base.size - 1, base) if m == 2 else add_photons(base, beta, m)
-
-    monkeypatch.setattr(dispersive, "_add_photons", without_two)
-    assert "photon-added-overlap" in _failed_checks(tmp_path)
-
-
-def test_a_doubled_one_photon_term_fails_the_projection_check(monkeypatch, tmp_path):
-    # u1 with 2s in place of s, in the displaced field that the Wigner map
-    # reads: its |1> amplitude moves by a third, not by 37/6 s of itself, and
-    # no other check reads that field
-    decompose = checks.photon_added_decomposition
-
-    def doubled_u1(d, atom):
-        dec = decompose(d, atom)
-        b = np.conj(dec.beta)
-        k1 = np.sqrt(laguerre(1, -abs(b) ** 2))
-        amps = dec.displaced.amps + dec.pacs1_amp * np.array([b, 1.0, 0.0]) / k1
-        return dataclasses.replace(dec, displaced=FockVector(2, amps))
-
-    monkeypatch.setattr(checks, "photon_added_decomposition", doubled_u1)
-    assert _failed_checks(tmp_path) == {"photon-added-projection"}
-
-
-def test_a_flipped_phi_in_the_coupling_element_fails_the_commutator_check(monkeypatch, tmp_path):
+    "unconjugated density": (
+        wigner, "_density", "np.multiply.outer(psi.amps, np.conj(psi.amps))",
+        "np.multiply.outer(psi.amps, psi.amps)", {"wigner-pointwise"}),
     # sqrt(n+1) (1 + (n+1) phi) in every band and block: the commutator's
     # residual against H_eff turns linear in phi, a slope of 1, not 2
-    element = gup._rwa_coupling_element
-
-    def flipped(n, c):
-        return element(n, dataclasses.replace(c, phi=-c.phi))
-
-    monkeypatch.setattr(gup, "_rwa_coupling_element", flipped)
-    monkeypatch.setattr(dispersive, "_rwa_coupling_element", flipped)
-    assert "commutator-scaling" in _failed_checks(tmp_path)
-
-
-def test_an_off_by_one_band_fails_the_commutator_check(monkeypatch, tmp_path):
+    "flipped phi in the coupling element": (
+        gup, "_rwa_coupling_element", "(1.0 - m * c.phi)", "(1.0 + m * c.phi)",
+        {"commutator-scaling"}),
     # f_{n+1} in place of f_n: the commutator misses H_eff by about mu on
     # every row, whatever phi, a slope of 0
-    element = gup._rwa_coupling_element
-    monkeypatch.setattr(dispersive, "_rwa_coupling_element", lambda n, c: element(n + 1, c))
-    assert "commutator-scaling" in _failed_checks(tmp_path)
+    "band read one level up": (
+        dispersive, "commutator_check", "_rwa_coupling_element(np.arange(ncut - 1), c)",
+        "_rwa_coupling_element(np.arange(1, ncut), c)", {"commutator-scaling"}),
+}
 
 
-# the checks that still read exactly 0 at the default seed, because they
-# restate the code they check or sit below double precision; a check leaves
-# this list when it learns to fail, and none may join it
-STILL_READING_ZERO = {"photon-added-amplitude"}
+@pytest.mark.parametrize("bug", MUTATIONS)
+def test_verify_fails_the_checks_that_catch_each_bug(bug, monkeypatch, tmp_path):
+    module, name, old, new, failing = MUTATIONS[bug]
+    _edit(monkeypatch, module, name, old, new)
+    assert _failed_checks(tmp_path) == failing
 
 
-def test_only_the_listed_checks_read_zero_at_the_default_seed(tmp_path):
+def test_no_check_reads_zero_at_the_default_seed(tmp_path):
     assert cli.main(["verify", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify_report.json").read_text())
     assert [row["name"] for row in report["checks"]] == [check.name for check in CHECKS]
-    zero = {row["name"] for row in report["checks"] if row["measured"] == 0.0}
-    assert zero == STILL_READING_ZERO
+    assert all(row["measured"] != 0.0 for row in report["checks"])

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,9 +11,9 @@ from gupjc.dispersive import (
     DispersiveConfig,
     _effective_diagonals,
     commutator_check,
+    displaced_projections,
     dyson_consistency_check,
     evolve_dispersive_series,
-    first_order_state,
     interaction_picture_propagate,
     photon_added_decomposition,
 )
@@ -189,10 +190,10 @@ def test_exact_evolution_identity_at_t_zero():
 def per_time_exact_amps(d, atom):
     """The exact field state as formed at one time, |alpha> built per call."""
     coh = coherent_state(d.alpha, NCUT)
-    n = np.arange(NCUT + 1, dtype=float)
-    g = -d.mu * (n - 2.0 * n**2 * d.phi)
-    e = d.mu * (n - 2.0 * n**2 * d.phi + 1.0 - 2.0 * d.phi - 4.0 * n * d.phi)
-    return coh.amps * np.exp(-1j * (g if atom == "g" else e) * d.t)
+    sign, m = (1.0, np.arange(NCUT + 1.0)) if atom == "g" else (-1.0, np.arange(1.0, NCUT + 2.0))
+    mu_t = d.mu * d.t
+    return (coh.amps * np.exp(1j * (sign * mu_t * m))
+            * np.exp(-1j * (sign * 2.0 * d.phi * mu_t * m * m)))
 
 
 @pytest.mark.parametrize("atom", ["g", "e"])
@@ -215,6 +216,25 @@ def test_exact_series_equals_per_time_states_bitwise(atom, monkeypatch):
     assert np.array_equal(evolve_dispersive_series(d, NCUT, [d.t], atom)[0], series[-1])
     with pytest.raises(ValueError, match="initial_atom"):
         evolve_dispersive_series(d, NCUT, ts, "x")
+
+
+@pytest.mark.parametrize("atom", ["g", "e"])
+def test_exact_phases_match_a_60_digit_evaluation(atom):
+    # E_m t is -mu n (1 - 2 phi n) t in g and mu m (1 - 2 phi m) t in e,
+    # m = n + 1: about 1e8 m rad at fig1, where the GUP part is 2e-9 m^2 rad.
+    # |alpha = 1> has real positive amplitudes, so each amplitude's phase
+    # against e^{-i E_m t} is its error
+    _, d = bench_config()
+    field = evolve_dispersive_series(d, NCUT, [d.t], atom)[0]
+    worst = 0.0
+    with mpmath.workdps(60):
+        mu, phi, t = mpmath.mpf(d.mu), mpmath.mpf(d.phi), mpmath.mpf(d.t)
+        for n in range(13):
+            m = n if atom == "g" else n + 1
+            energy = (-1 if atom == "g" else 1) * mu * m * (1 - 2 * phi * m)
+            exact = mpmath.expj(-energy * t)
+            worst = max(worst, float(abs(mpmath.arg(mpmath.mpc(field[n]) * mpmath.conj(exact)))))
+    assert worst <= 1e-15
 
 
 def test_decomposition_pure_rotation_when_phi_zero():
@@ -258,21 +278,45 @@ def test_decomposition_rejects_long_times():
         photon_added_decomposition(too_long, "g")
 
 
+def lab_frame_field(dec, ncut):
+    """The first-order field in the lab-frame Fock basis, cut at ``ncut``: its
+    amplitudes over |beta> and the one- and two-photon-added states at beta."""
+    return (dec.base_amp * coherent_state(dec.beta, ncut).amps
+            + dec.pacs1_amp * photon_added_coherent_state(dec.beta, 1, ncut).amps
+            + dec.pacs2_amp * photon_added_coherent_state(dec.beta, 2, ncut).amps)
+
+
+def first_order_overlap(exact, dec, ncut):
+    """<exact|first-order field>, on the field's three displaced levels."""
+    return np.vdot(displaced_projections(exact, dec.beta, ncut), dec.displaced.amps)
+
+
 def test_decomposition_state_is_normalized():
     _, d = bench_config()
     for atom in ("g", "e"):
-        state = first_order_state(photon_added_decomposition(d, atom), NCUT)
-        assert state.norm() == pytest.approx(1.0, abs=1e-10)
+        state = lab_frame_field(photon_added_decomposition(d, atom), NCUT)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("atom", ["g", "e"])
 def test_decomposition_state_is_its_amplitudes_over_the_basis_at_beta(atom):
+    # the lab-frame field's projections on D(beta)|j> are the displaced field
     _, d = bench_config()
     dec = photon_added_decomposition(d, atom)
-    expected = (dec.base_amp * coherent_state(dec.beta, NCUT).amps
-                + dec.pacs1_amp * photon_added_coherent_state(dec.beta, 1, NCUT).amps
-                + dec.pacs2_amp * photon_added_coherent_state(dec.beta, 2, NCUT).amps)
-    assert np.array_equal(first_order_state(dec, NCUT).amps, expected)
+    projections = displaced_projections(lab_frame_field(dec, NCUT), dec.beta, NCUT)
+    assert projections.shape == (3,)
+    assert np.max(np.abs(projections - dec.displaced.amps)) <= 1e-15
+
+
+@pytest.mark.parametrize("atom", ["g", "e"])
+def test_displaced_overlaps_equal_the_lab_frame_overlaps(atom):
+    # the dispersive command's fidelity series at fig1, both ways
+    _, d = bench_config()
+    ts = np.linspace(0.0, d.t, 21)[1:]
+    for t, exact in zip(ts, evolve_dispersive_series(d, NCUT, ts, atom)):
+        dec = photon_added_decomposition(dataclasses.replace(d, t=float(t)), atom)
+        lab = np.vdot(exact, lab_frame_field(dec, NCUT))
+        assert abs(first_order_overlap(exact, dec, NCUT) - lab) <= 2e-15
 
 
 @pytest.mark.parametrize("gamma", [1e3, 1e4])
@@ -297,19 +341,21 @@ def test_displaced_field_rebuilds_the_state(atom, gamma):
     two = raised(one) / math.sqrt(2.0)
     c0, c1, c2 = dec.displaced.amps
     rebuilt = c0 * coh + c1 * one + c2 * two
-    assert np.max(np.abs(rebuilt - first_order_state(dec, NCUT).amps)) <= 1e-15
+    assert np.max(np.abs(rebuilt - lab_frame_field(dec, NCUT))) <= 1e-15
 
 
 def test_decomposition_state_carries_the_coherent_tail():
-    # |beta| = 1 leaves about e^-1/15! = 2.9e-13 beyond ncut 14
+    # |beta| = 1 leaves about e^-1/15! = 2.9e-13 beyond ncut 14, and that
+    # tail is all that the cutoff costs the overlap with the exact state
     _, d = bench_config()
     dec = photon_added_decomposition(d, "g")
-    tails = []
+    tails, overlaps = [], []
     for ncut in (14, 40):
-        state = first_order_state(dec, ncut)
-        assert state.tail_weight == coherent_state(dec.beta, ncut).tail_weight
-        tails.append(state.tail_weight)
+        exact = evolve_dispersive_series(d, ncut, [d.t], "g")[0]
+        tails.append(coherent_state(dec.beta, ncut).tail_weight)
+        overlaps.append(abs(first_order_overlap(exact, dec, ncut)) ** 2)
     assert 1e-13 < tails[0] < 1e-12 and tails[1] < 1e-15
+    assert abs(overlaps[0] - overlaps[1]) <= 2.0 * tails[0]
 
 
 @pytest.mark.parametrize("atom, sign", [("g", 1), ("e", -1)])
@@ -328,8 +374,7 @@ def test_decomposition_matches_exact_evolution():
     n4 = 15.0
     for atom in ("g", "e"):
         exact = evolve_dispersive_series(d, NCUT, [d.t], atom)[0]
-        approx = first_order_state(photon_added_decomposition(d, atom), NCUT)
-        overlap = abs(np.vdot(exact, approx.amps)) ** 2
+        overlap = abs(first_order_overlap(exact, photon_added_decomposition(d, atom), NCUT)) ** 2
         assert overlap >= 1.0 - 10.0 * (2.0 * c.phi * d.mu * d.t) ** 2 * n4
 
 
@@ -342,8 +387,8 @@ def test_decomposition_fidelity_remainder_scaling():
     for phi in (4e-12, 2e-12):
         dp = DispersiveConfig(mu=d.mu, phi=phi, alpha=d.alpha, t=d.t)
         exact = evolve_dispersive_series(dp, NCUT, [dp.t], "g")[0]
-        approx = first_order_state(photon_added_decomposition(dp, "g"), NCUT)
-        defects.append(1.0 - abs(np.vdot(exact, approx.amps)) ** 2)
+        overlap = first_order_overlap(exact, photon_added_decomposition(dp, "g"), NCUT)
+        defects.append(1.0 - abs(overlap) ** 2)
     assert defects[0] / defects[1] == pytest.approx(16.0, rel=0.05)
     s = 2.0 * 4e-12 * d.mu * d.t
     n8, n4 = 4140.0, 15.0  # coherent moments at |alpha| = 1
