@@ -56,13 +56,7 @@ from .errors import GupJcError
 from .fock import coherent_state, evolve_on_grid, laguerre
 from .gup import GupParams, InteractionConfig, derive_coefficients, rwa_block
 from .rwa_validity import ZetaMapSpec, zeta_map
-from .wigner import (
-    MAX_ABS_Z,
-    GridSpec,
-    wigner_difference,
-    wigner_precision_ratio,
-    write_grid,
-)
+from .wigner import GridSpec, wigner_difference, wigner_precision_ratio, write_grid
 
 PRESETS: dict[str, dict] = {
     # electroweak-scale GUP, coherent |alpha|=1, dispersive rate 1e5 rad/s
@@ -220,7 +214,12 @@ def _read_config_file(path: str) -> dict:
 
 def _check_params(params: dict) -> None:
     """Reject counts, extents, non-numbers and non-finite floats that would
-    crash a command or yield an empty or misleading artifact."""
+    crash a command or yield an empty or misleading artifact.
+
+    A grid_extent is checked only to be a finite number > 0: whether a grid
+    reaches the Wigner evaluation limit depends on beta, so
+    ``wigner_difference`` refuses the grid it cannot serve, before
+    ``wigner-diff`` writes anything."""
     for key, value in params.items():
         if key in FLOAT_PARAMS and (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ValueError(f"{key} must be a number, got {value!r}")
@@ -238,39 +237,12 @@ def _check_params(params: dict) -> None:
         value = params[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
             raise ValueError(f"{key} must be a finite number > 0, got {value!r}")
-    # a grid's largest |z| is its corner, which the Wigner kernel refuses past
-    # MAX_ABS_Z; refuse it here, by the kernel's own test, before any state
-    extent = params.get("grid_extent")
-    corner = _grid_corner(extent) if extent is not None else 0.0
-    if not corner <= MAX_ABS_Z:
-        raise ValueError(
-            f"grid_extent must be at most {_largest_grid_extent()!r}, got {extent!r}: the grid "
-            f"corner |z| = {corner:.4g} exceeds the Wigner evaluation limit "
-            f"|z| <= {MAX_ABS_Z:.4g}, where e^(-2|z|^2) underflows"
-        )
     if "initial_atom" in params and params["initial_atom"] not in ("g", "e"):
         raise ValueError(f"initial_atom must be 'g' or 'e', got {params['initial_atom']!r}")
     # mu = 0 leaves the state unchanged, so every GUP difference would be zero;
     # a negative mu is valid: the atom sits below resonance
     if "mu" in params and params["mu"] == 0:
         raise ValueError(f"mu must be nonzero, got {params['mu']!r}")
-
-
-def _grid_corner(extent: float) -> float:
-    """|z| of the grid corner extent * (1 + i) as the Wigner kernel computes it:
-    numpy's complex abs, which rounds unlike Python's abs(complex) on about
-    half of such corners."""
-    return float(np.abs(complex(extent, extent)))
-
-
-def _largest_grid_extent() -> float:
-    """The largest grid_extent whose grid corner the Wigner kernel evaluates."""
-    extent = MAX_ABS_Z / math.sqrt(2.0)
-    while _grid_corner(extent) > MAX_ABS_Z:
-        extent = math.nextafter(extent, 0.0)
-    while _grid_corner(math.nextafter(extent, math.inf)) <= MAX_ABS_Z:
-        extent = math.nextafter(extent, math.inf)
-    return extent
 
 
 def _fmt(value) -> str:
@@ -417,6 +389,16 @@ def cmd_dispersive(params: dict, out_dir: Path, seed: int, stages: dict,
     # so its last row is the state at d.t.  H_eff keeps the atom in its
     # level, so the other level's columns are zero
     series = evolve_dispersive_series(d, params["ncut"], ts, atom)
+    # every row is formed before the first file is written, so a time past
+    # the expansion's bound leaves no artifact
+    fid_rows = []
+    for t, exact in zip(ts, series):
+        dec = photon_added_decomposition(dataclasses.replace(d, t=float(t)), atom)
+        projections = displaced_projections(exact, dec.beta, params["ncut"])
+        fid_rows.append([float(t), float(abs(np.vdot(projections, dec.displaced.amps)) ** 2)])
+    # the last time is d.t, so dec is the decomposition at d.t
+    health.update(coherent_tail_weight=coherent_state(dec.beta, params["ncut"]).tail_weight)
+
     field = series[-1]
     zeros = np.zeros_like(field)
     ground, excited = (field, zeros) if atom == "g" else (zeros, field)
@@ -430,7 +412,6 @@ def cmd_dispersive(params: dict, out_dir: Path, seed: int, stages: dict,
         ),
     )
 
-    dec = photon_added_decomposition(d, atom)
     a2 = abs(d.alpha) ** 2
     dec_path = out_dir / "decomposition.json"
     write_json(
@@ -450,12 +431,6 @@ def cmd_dispersive(params: dict, out_dir: Path, seed: int, stages: dict,
         },
     )
 
-    fid_rows = []
-    for t, exact in zip(ts, series):
-        dec_t = photon_added_decomposition(dataclasses.replace(d, t=float(t)), atom)
-        projections = displaced_projections(exact, dec_t.beta, params["ncut"])
-        fid_rows.append([float(t), float(abs(np.vdot(projections, dec_t.displaced.amps)) ** 2)])
-    health.update(coherent_tail_weight=coherent_state(dec_t.beta, params["ncut"]).tail_weight)
     fid_path = out_dir / "fidelity_vs_t.csv"
     write_csv(fid_path, ["t", "overlap_sq"], fid_rows)
     return [state_path, dec_path, fid_path]

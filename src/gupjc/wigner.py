@@ -269,25 +269,37 @@ def wigner_difference(
     rows (about CHUNK points) at a time, each block over that one operator,
     and each value has the bits of one pass over the whole grid.
 
-    Where |z - beta| passes MAX_ABS_Z the kernel refuses to evaluate.  For a
-    displaced state on at most three levels the difference is 0 there: each
-    of its terms is e^{-2|z - beta|^2} times a polynomial of degree at most
-    4 in |z - beta|, and all nine stay below 1e-300 past that radius.
-
     ``ref_peak`` is the maximum over the grid of the reference map, the
     Gaussian (2/pi) e^{-2|z - beta|^2}: that Gaussian at the grid point
-    nearest beta.
+    nearest beta, which is nearest in each coordinate.
+
+    This is the one place that judges a grid against the Wigner evaluation
+    limit MAX_ABS_Z, measured from beta.  A grid whose nearest point lies
+    past it is refused, by that distance, before any evaluation: there the
+    reference peak underflows and the map holds nothing.  Where only some
+    |z - beta| pass the limit, the kernel refuses to evaluate them.  For a
+    displaced state on at most three levels the difference is 0 there: each
+    of its terms is e^{-2|z - beta|^2} times a polynomial of degree at most
+    4 in |z - beta|, and all nine stay below 1e-300 past that radius.  A
+    state on more levels is refused there, by the kernel.
     """
     re_axis, im_axis = grid.axes()
+    nearest = float(np.abs(complex(np.abs(re_axis - beta.real).min(),
+                                   np.abs(im_axis - beta.imag).min())))
+    # written as not (... <= ...) so that a NaN distance is refused too
+    if not nearest <= MAX_ABS_Z:
+        raise ValueError(
+            f"the grid point nearest beta = {complex(beta):.4g} lies {nearest:.4g} from it, "
+            f"past the Wigner evaluation limit {MAX_ABS_Z:.4g}, where the reference peak "
+            f"(2/pi) e^(-2|z - beta|^2) underflows"
+        )
     op = _density(displaced)
     op[0, 0] -= 1.0
     values = np.zeros(im_axis.size * re_axis.size)
-    nearest = math.inf
     rows_per_block = max(1, CHUNK // max(re_axis.size, 1))
     for first in range(0, im_axis.size, rows_per_block):
         u = (re_axis[None, :] + 1j * im_axis[first: first + rows_per_block, None] - beta).ravel()
         radius = np.abs(u)
-        nearest = min(nearest, float(radius.min(initial=math.inf)))
         inside = radius <= MAX_ABS_Z if displaced.ncut <= 2 else slice(None)
         block = values[first * re_axis.size: first * re_axis.size + u.size]
         block[inside] = _wigner_terms([op], u[inside])[0]

@@ -280,6 +280,17 @@ MUTATIONS = {
     "band read one level up": (
         dispersive, "commutator_check", "_rwa_coupling_element(np.arange(ncut - 1), c)",
         "_rwa_coupling_element(np.arange(1, ncut), c)", {"commutator-scaling"}),
+    # the (2 - delta_k0) factor dropped: each diagonal k >= 1 counted once,
+    # not for itself and its mirror, about 0.25 off on the pointwise fixture
+    "diagonals above the main one counted once": (
+        wigner, "_wigner_terms", "        if k:\n            at_re *= 2.0\n", "",
+        {"wigner-pointwise"}),
+    # 2 (3 delta^2 - 2 epsilon): phi doubled, and with it the Rabi shift and
+    # the quadratic channel of the validity ratios
+    "doubled quadratic weight": (
+        gup, "quadratic_weight", "return 3.0 * (delta * delta) - 2.0 * epsilon",
+        "return 2.0 * (3.0 * (delta * delta) - 2.0 * epsilon)",
+        {"coefficient-identity", "rabi-shift-magnitude", "zeta-spot-values"}),
 }
 
 

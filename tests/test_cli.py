@@ -12,10 +12,14 @@ import pytest
 import gupjc
 from gupjc.checks import CHECKS
 from gupjc.cli import DEFAULTS, PRESETS, build_parser, main, resolve_config
-from gupjc.dispersive import DispersiveConfig, evolve_dispersive_series
+from gupjc.dispersive import (
+    DispersiveConfig,
+    evolve_dispersive_series,
+    photon_added_decomposition,
+)
 from gupjc.fock import fock_state
 from gupjc.gup import GupParams, derive_coefficients
-from gupjc.wigner import _density, _wigner_terms
+from gupjc.wigner import MAX_ABS_Z, _density, _wigner_terms
 
 
 def run_cli(args):
@@ -123,6 +127,8 @@ def test_dispersive_time_past_bound_exits_cleanly(tmp_path, capsys):
     assert code == 2
     assert "LinearityError" in captured.err
     assert "expansion invalid" in captured.err
+    # the refusal comes before the first file, so no partial artifact is left
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_wigner_diff_small_grid(tmp_path):
@@ -436,32 +442,47 @@ def test_bad_grid_rejected_before_any_output(tmp_path, capsys, command, setting,
 
 
 def test_wigner_diff_past_underflow_limit_exits_cleanly(tmp_path, capsys):
+    # every point of this grid lies past MAX_ABS_Z from beta: no map and no
+    # reference peak is left to write
     out = tmp_path / "far"
     code = run_cli(["wigner-diff", "--out", str(out), "--preset", "fig1",
-                    "--set", "grid_extent=20", "--set", "grid_points=3"])
-    captured = capsys.readouterr()
+                    "--set", "grid_extent=200.0", "--set", "grid_points=4"])
+    err = capsys.readouterr().err
     assert code == 2
-    assert "|z| = 28.28" in captured.err and "underflows" in captured.err
-    assert not (out / "delta_w.csv").exists()
+    assert "the grid point nearest beta = -0.3634+0.9316j lies 93.37 from it" in err
+    assert f"Wigner evaluation limit {MAX_ABS_Z:.4g}" in err and "underflows" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
-def test_grid_extent_is_refused_past_the_kernel_limit_by_name(tmp_path, capsys):
-    # the largest extent whose grid corner the kernel evaluates, and the next
-    # double, which it refuses; the CLI draws the same line before any state
+def test_grid_extent_past_the_kernel_limit_reads_zero_there(tmp_path, capsys):
+    # the kernel refuses a point past its limit by name; a grid whose corners
+    # lie past it from beta is served, and reads exactly 0 at those corners
     largest = 13.30785875462563
     past = math.nextafter(largest, math.inf)
     vacuum = [_density(fock_state(0, 1))]
     _wigner_terms(vacuum, np.array([complex(largest, largest)]))
     with pytest.raises(ValueError, match="exceeds the Wigner evaluation limit"):
         _wigner_terms(vacuum, np.array([complex(past, past)]))
-    for extent, code in ((largest, 0), (past, 2)):
-        out = tmp_path / repr(extent)
+    d = DispersiveConfig(mu=1e5, phi=derive_coefficients(GupParams.from_gamma(1e3, 1.0, 1.0),
+                                                          1e15).phi, alpha=1.0, t=1e3)
+    dec = photon_added_decomposition(d, "g")
+    op = _density(dec.displaced)
+    op[0, 0] -= 1.0
+    for points in (41, 3):
+        out = tmp_path / str(points)
         assert run_cli(["wigner-diff", "--out", str(out), "--preset", "fig1",
-                        "--set", f"grid_extent={extent!r}", "--set", "grid_points=2"]) == code
-    err = capsys.readouterr().err
-    assert f"grid_extent must be at most {largest!r}, got {past!r}" in err
-    assert (tmp_path / repr(largest) / "delta_w.csv").exists()
-    assert not (tmp_path / repr(past)).exists()
+                        "--set", "grid_extent=20", "--set", f"grid_points={points}"]) == 0
+        with open(out / "delta_w.json") as fh:
+            grid = json.load(fh)
+        u = (np.array(grid["re_axis"])[None, :] + 1j * np.array(grid["im_axis"])[:, None]
+             - dec.beta).ravel()
+        values = np.array(grid["values_row_major"])
+        far = np.abs(u) > MAX_ABS_Z
+        assert far.any() and not far.all()
+        assert np.all(values[far] == 0.0)
+        assert np.array_equal(values[~far], _wigner_terms([op], u[~far])[0])
+    # the 3-point grid's centre, z = 0
+    assert values[4] == -5.36576293361542e-10
 
 
 def test_failed_run_leaves_no_run_config(tmp_path, capsys):

@@ -503,6 +503,22 @@ def test_points_past_the_limit_from_beta_read_zero():
         wigner_difference(coherent_state(0.5, 20), dec.beta, spec)
 
 
+def test_grid_out_of_reach_of_beta_is_refused_before_any_evaluation(monkeypatch):
+    # a grid whose nearest point lies just inside MAX_ABS_Z from beta keeps a
+    # positive reference peak; one past it, or a NaN beta, is refused by that
+    # distance before the kernel is called
+    spec = small_grid(n=5)
+    diff = wigner_difference(fock_state(0, 2), complex(3.0 + 18.8, 0.0), spec)
+    assert diff.ref_peak > 0.0 and diff.max_abs == 0.0
+    calls = []
+    monkeypatch.setattr(wigner, "_wigner_terms", lambda ops, zs: calls.append(zs))
+    for beta in (complex(3.0 + MAX_ABS_Z + 1e-9, 0.0), -30.0j, complex(math.nan, 0.0)):
+        with pytest.raises(ValueError, match=rf"lies \S+ from it, past the Wigner evaluation "
+                                             rf"limit {MAX_ABS_Z:.4g}"):
+            wigner_difference(fock_state(0, 2), beta, spec)
+    assert calls == []
+
+
 def test_nan_state_or_point_is_refused():
     nan_state = FockVector(2, [math.nan, 0.0, 0.0])
     zs = np.array([0.0j, 1.0 + 0.0j])
