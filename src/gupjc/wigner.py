@@ -276,7 +276,7 @@ def wigner_difference(
     This is the one place that judges a grid against the Wigner evaluation
     limit MAX_ABS_Z, measured from beta.  A grid whose nearest point lies
     past it is refused, by that distance, before any evaluation: there the
-    reference peak underflows and the map holds nothing.  Where only some
+    reference peak underflows, and every value would be 0 or refused.  Where only some
     |z - beta| pass the limit, the kernel refuses to evaluate them.  For a
     displaced state on at most three levels the difference is 0 there: each
     of its terms is e^{-2|z - beta|^2} times a polynomial of degree at most

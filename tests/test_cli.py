@@ -454,7 +454,7 @@ def test_wigner_diff_past_underflow_limit_exits_cleanly(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_grid_extent_past_the_kernel_limit_reads_zero_there(tmp_path, capsys):
+def test_grid_extent_past_the_kernel_limit_reads_zero_there(tmp_path):
     # the kernel refuses a point past its limit by name; a grid whose corners
     # lie past it from beta is served, and reads exactly 0 at those corners
     largest = 13.30785875462563
