@@ -51,6 +51,7 @@ from .dynamics import (
     atomic_inversion,
     exact_rabi_shift,
     rabi_shift,
+    require_first_order,
 )
 from .errors import GupJcError
 from .fock import coherent_state, evolve_on_grid, laguerre
@@ -332,13 +333,20 @@ def _alpha(params: dict) -> complex:
 
 
 def _dispersive_inputs(params: dict) -> DispersiveConfig:
+    """The dispersive inputs of ``params``, refused by name when chi != 0:
+    H_eff holds no Kerr term, and the free field's 4 omega chi would then
+    outweigh the GUP term 2 mu phi that it keeps."""
     p = GupParams.from_gamma(params["gamma"], params["delta"], params["epsilon"])
-    return DispersiveConfig(
-        mu=params["mu"],
-        phi=derive_coefficients(p, params["omega"]).phi,
-        alpha=_alpha(params),
-        t=params["t"],
-    )
+    c = derive_coefficients(p, params["omega"])
+    if c.chi != 0.0:
+        raise ValueError(
+            f"chi = {c.chi:.3g} at delta = {p.delta:g}, epsilon = {p.epsilon:g}: the free "
+            f"field's Kerr term 4*omega*chi = {4.0 * c.omega * c.chi:.3g} rad/s, which the "
+            f"dispersive H_eff drops, against the GUP term 2*mu*phi = "
+            f"{2.0 * params['mu'] * c.phi:.3g} rad/s that it keeps; the dispersive commands "
+            "take only models with delta^2 = epsilon, where chi = 0"
+        )
+    return DispersiveConfig(mu=params["mu"], phi=c.phi, alpha=_alpha(params), t=params["t"])
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +360,8 @@ def cmd_rabi(params: dict, out_dir: Path, seed: int, stages: dict,
     cfg = InteractionConfig(omega=omega, omega0=omega0, coupling=params["coupling"])
     p = GupParams.from_gamma(params["gamma"], params["delta"], params["epsilon"])
     c = derive_coefficients(p, omega)
+    # the table's largest n or the series' n, whichever is larger
+    require_first_order(max(int(params["n"]), int(params["n_table_max"])), cfg, c)
 
     ns = range(int(params["n_table_max"]) + 1)
     exact = exact_rabi_shift(np.array(ns), cfg, c).tolist()

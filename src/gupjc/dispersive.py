@@ -6,8 +6,8 @@ Hamiltonian
     H_eff/hbar = mu * (sigma3*(N - 2*N^2*phi) + |e><e|*(1 - 2*phi - 4*N*phi))
 
 with mu = coupling^2/detuning.  The Hamiltonian is diagonal in the Fock
-basis, so a coherent state only acquires number-dependent phases.  It is
-held as its two diagonals, one per atomic level.  Expanding
+basis, so a coherent state only acquires number-dependent phases, from the
+levels of ``dispersive_levels``, the one place they are written.  Expanding
 those phases to first order in phi turns the evolved state into a
 superposition of the rotated coherent state with its one- and two-photon-
 added companions, which is the experimentally interesting signature: photon
@@ -25,6 +25,11 @@ excited level; both checks below use these forms and build no operator.
 The Dyson consistency check compares the effective evolution with the exact
 rotating-wave evolution, which is propagated block by block on the pairs
 {|e,n>, |g,n+1>} of ``gup.rwa_block``.
+
+H_eff holds no term in chi.  The field's own free term in
+``gup.build_rwa_hamiltonian`` carries the Kerr term -4 omega chi (n^2 + n),
+and chi vanishes only where delta^2 = epsilon, as at the paper's
+delta = epsilon = 1.  So the dispersive commands refuse every other model.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from .gup import GupCoefficients, InteractionConfig, _rwa_coupling_element, rwa_
 # required ratio |detuning| / (coupling * sqrt(ncut))
 DISPERSIVE_RATIO_MIN = 10.0
 
-# 2*phi*mu*t*<n^2> must stay below this for the first-order expansion
+# 2*phi*mu*t*<n^2> must stay below this for the first-order expansion of the
+# dispersive phases, and |(n+1)*phi| for that of the Rabi frequency
 LINEAR_EXPANSION_LIMIT = 0.1
 
 
@@ -115,13 +121,25 @@ class DysonCheck:
     dropped_term_mag: float
 
 
-def _effective_diagonals(mu: float, phi: float, ncut: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ground, excited) diagonal entries of H_eff/hbar: -mu*(n - 2n^2 phi)
-    on |g,n> and mu*(n - 2n^2 phi + 1 - 2phi - 4n phi) on |e,n>."""
-    n = np.arange(ncut + 1, dtype=float)
-    g = -mu * (n - 2.0 * n**2 * phi)
-    e = mu * (n - 2.0 * n**2 * phi + 1.0 - 2.0 * phi - 4.0 * n * phi)
-    return g, e
+def _level_offset(initial_atom: str) -> int:
+    """o of m = n + o on the atom's level: 0 in g, 1 in e."""
+    if initial_atom not in ("g", "e"):
+        raise ValueError("initial_atom must be 'g' or 'e'")
+    return 0 if initial_atom == "g" else 1
+
+
+def dispersive_levels(mu, phi, n, initial_atom: str):
+    """(rate, gup) parts of H_eff/hbar on |atom, n>, rad/s: -+mu m and
+    +-2 phi mu m^2, upper sign in g (m = n), lower in e (m = n + 1).
+
+    They are returned apart, so that the GUP part, 2e-9 rad at m = 1 over
+    fig1's t, is not rounded at the rate part's scale, 1e8 rad.  Both are
+    linear in ``mu``, so the levels at mu*t are the phases.  ``n`` may be an array.
+    """
+    o = _level_offset(initial_atom)
+    sign = 1.0 - 2.0 * o
+    m = n + o
+    return -sign * mu * m, sign * 2.0 * phi * mu * m * m
 
 
 def _require_dispersive(cfg: InteractionConfig, ncut: int) -> None:
@@ -150,12 +168,13 @@ def commutator_check(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> f
     if ncut < 3:
         raise ValueError("ncut must be at least 3")
     _require_dispersive(cfg, ncut)
-    g, e = _effective_diagonals(cfg.mu, c.phi, ncut)
     f = _rwa_coupling_element(np.arange(ncut - 1), c)
     f2 = f * f
     scale = cfg.coupling**2 / cfg.detuning
-    ground = -np.concatenate([[0.0], f2[:-1]]) * scale - g[: ncut - 1]
-    excited = f2 * scale - e[: ncut - 1]
+    n = np.arange(ncut - 1.0)
+    g, e = (np.add(*dispersive_levels(cfg.mu, c.phi, n, atom)) for atom in "ge")
+    ground = -np.concatenate([[0.0], f2[:-1]]) * scale - g
+    excited = f2 * scale - e
     return float(max(np.max(np.abs(ground)), np.max(np.abs(excited))))
 
 
@@ -165,23 +184,17 @@ def evolve_dispersive_series(
     """Exact dispersive evolution of |atom> |alpha> at each of ``times`` in
     place of ``d.t``: per-level phases, no expansion.
 
-    H_eff is diagonal, so the atom stays in ``initial_atom``, and its levels
-    -mu n (1 - 2 phi n) on |g,n> and mu m (1 - 2 phi m) on |e,n>, m = n + 1,
-    give the phases e^{+-i mu t m} e^{-+2i phi mu t m^2} (upper sign g, m = n).
-    The two are rounded apart, so the GUP phase (2e-9 rad at m = 1 at fig1)
-    is not rounded at the scale of mu t m (1e8 rad).  Each row is the field
+    H_eff is diagonal, so the atom stays in ``initial_atom``, and each level
+    of ``dispersive_levels`` gives its phase e^{-i rate t} e^{-i gup t}.  The
+    two are rounded apart, so the GUP phase (2e-9 rad at m = 1 at fig1) is not
+    rounded at the scale of the rate phase (1e8 rad).  Each row is the field
     amplitudes of that level up to the cutoff ``ncut``, shape
     (len(times), ncut+1).  |alpha> is built once for the whole series, and
     each row has the bits of a call at its time alone.
     """
-    if initial_atom not in ("g", "e"):
-        raise ValueError("initial_atom must be 'g' or 'e'")
-    coh = coherent_state(d.alpha, ncut)
-    sign = 1.0 if initial_atom == "g" else -1.0
-    m = np.arange(ncut + 1, dtype=float) + (0.0 if initial_atom == "g" else 1.0)
-    mu_t = d.mu * np.asarray(times, dtype=float)[:, None]
-    return (coh.amps * np.exp(1j * (sign * mu_t * m))
-            * np.exp(-1j * (sign * 2.0 * d.phi * mu_t * m * m)))
+    rate_t, gup_t = dispersive_levels(d.mu * np.asarray(times, dtype=float)[:, None], d.phi,
+                                      np.arange(ncut + 1.0), initial_atom)
+    return coherent_state(d.alpha, ncut).amps * np.exp(-1j * rate_t) * np.exp(-1j * gup_t)
 
 
 def photon_added_decomposition(
@@ -189,13 +202,11 @@ def photon_added_decomposition(
 ) -> PhotonAddedDecomposition:
     """First-order decomposition of the dispersively evolved coherent state.
 
-    Ground start:
-        (1/N) * (|coh(b)> - i*2*alpha*phi*mu*t*(e^{i mu t} k1 |coh(b),1>
-                 + e^{2 i mu t} alpha k2 |coh(b),2>)),  b = alpha e^{i mu t}
-    Excited start:
-        (1/N) * (e^{-i mu t}(1 + i 2 phi mu t)|coh(b)> + i 2 phi mu alpha t *
-                 (3 k1 e^{-2 i mu t}|coh(b),1> + alpha k2 e^{-3 i mu t}|coh(b),2>)),
-        b = alpha e^{-i mu t}
+    With m = n + o (o = 0 in g, 1 in e), the level at m = 1 gives rot =
+    e^{-i rate t}, so b = alpha rot, and kappa t = gup t.  As
+    (n + o)^2 |b> = (b^2 a^dag^2 + (1 + 2o) b a^dag + o^2) |b>, the first
+    order of e^{-i kappa t m^2} is rot^o (1/N) ((1 - i kappa t o^2) |coh(b)>
+    - i kappa t ((1 + 2o) b k1 |coh(b),1> + b^2 k2 |coh(b),2>)),
 
     with k_m = sqrt(L_m(-|alpha|^2) m!).  The normalization N is the norm of
     the raw superposition in the frame displaced by b, where it lies on |0>,
@@ -211,20 +222,16 @@ def photon_added_decomposition(
     a2 = abs(alpha) ** 2
     k1 = math.sqrt(laguerre(1, -a2) * 1.0)
     k2 = math.sqrt(laguerre(2, -a2) * 2.0)
-    rot = np.exp(1j * d.mu * d.t)
-    s = 2.0 * d.phi * d.mu * d.t
-    if initial_atom == "g":
-        u_base = 1.0 + 0.0j
-        u1 = -1j * s * alpha * rot * k1
-        u2 = -1j * s * alpha**2 * rot**2 * k2
-        beta = alpha * rot
-    elif initial_atom == "e":
-        u_base = np.conj(rot) * (1.0 + 1j * s)
-        u1 = 1j * s * alpha * 3.0 * k1 * np.conj(rot) ** 2
-        u2 = 1j * s * alpha**2 * k2 * np.conj(rot) ** 3
-        beta = alpha * np.conj(rot)
-    else:
-        raise ValueError("initial_atom must be 'g' or 'e'")
+    o = _level_offset(initial_atom)
+    # the level at m = 1: the rate part per m and the GUP part per m^2
+    rate, gup = dispersive_levels(d.mu, d.phi, 1 - o, initial_atom)
+    rot = np.exp(-1j * rate * d.t)
+    kt = gup * d.t
+    shift = rot**o
+    u_base = shift * (1.0 - 1j * kt * o * o)
+    u1 = shift * (-1j * kt * (1 + 2 * o) * alpha * rot * k1)
+    u2 = shift * (-1j * kt * alpha**2 * rot**2 * k2)
+    beta = alpha * rot
     # D(beta)^dag a^dag^m |beta> = (a^dag + beta*)^m |0>
     b = np.conj(beta)
 
@@ -297,19 +304,14 @@ def dyson_consistency_check(
     excited start gives 0.
     """
     _require_dispersive(cfg, ncut)
-    coh = coherent_state(alpha, ncut)
-    zeros = np.zeros(ncut + 1, dtype=complex)
-    if initial_atom == "g":
-        psi0 = np.concatenate([coh.amps, zeros])
-    elif initial_atom == "e":
-        psi0 = np.concatenate([zeros, coh.amps])
-    else:
-        raise ValueError("initial_atom must be 'g' or 'e'")
+    coh = coherent_state(alpha, ncut).amps
+    level = _level_offset(initial_atom) * (ncut + 1) + np.arange(ncut + 1)
+    psi0 = np.zeros(2 * (ncut + 1), dtype=complex)
+    psi0[level] = coh
 
     psi_ip = interaction_picture_propagate(cfg, c, ncut, t, psi0)
-    g, e = _effective_diagonals(cfg.mu, c.phi, ncut)
-    psi_eff = np.exp(-1j * np.concatenate([g, e]) * t) * psi0
-    fidelity = abs(np.vdot(psi_ip, psi_eff)) ** 2
+    energy = np.add(*dispersive_levels(cfg.mu, c.phi, np.arange(ncut + 1.0), initial_atom))
+    fidelity = abs(np.vdot(psi_ip[level], np.exp(-1j * energy * t) * coh)) ** 2
 
     a_psi = _rwa_coupling_element(np.arange(ncut), c) * psi0[1 : ncut + 1]
     dropped = cfg.coupling * float(np.linalg.norm(a_psi)) / abs(cfg.detuning)

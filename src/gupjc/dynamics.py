@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dispersive import LINEAR_EXPANSION_LIMIT
+from .errors import LinearityError
 from .fock import evolve_on_grid
 from .gup import GupCoefficients, InteractionConfig, rwa_block, rwa_block_entries
 
@@ -78,6 +80,37 @@ def amplitude_angular_frequency(n: int, cfg: InteractionConfig, c: GupCoefficien
     return cfg.coupling * math.sqrt(n + 1) * (1.0 - (n + 1) * c.phi)
 
 
+def chi_channel_term(n: int, cfg: InteractionConfig, c: GupCoefficients) -> float:
+    """4 sqrt(n+1) chi omega / coupling, the chi channel's first-order weight
+    in C_e: the detuning 8 (n+1) chi omega of ``rwa_block(n)`` against its
+    coupling."""
+    return 4.0 * math.sqrt(n + 1) * c.chi * cfg.omega / cfg.coupling
+
+
+def require_first_order(n: int, cfg: InteractionConfig, c: GupCoefficients) -> None:
+    """Refuse by name a model whose first-order forms fail at photon number
+    ``n``: |(n+1) phi| of at least ``LINEAR_EXPANSION_LIMIT``, where the
+    Rabi frequency's factor 1 - (n+1) phi is no longer close to 1, or a
+    chi-channel term above ``CHI_TERM_WARN_THRESHOLD``, where the closed-form
+    shift misses the block's own detuning.  Both grow with n, so a check at
+    the largest n in use covers every smaller one.
+    """
+    m_phi = (n + 1) * c.phi
+    if abs(m_phi) >= LINEAR_EXPANSION_LIMIT:
+        raise LinearityError(
+            f"(n+1)*phi = {m_phi:.3g} at n = {n} is not below {LINEAR_EXPANSION_LIMIT:g}; "
+            "the first-order Rabi frequency coupling*sqrt(n+1)*(1 - (n+1)*phi) is invalid"
+        )
+    chi_term = chi_channel_term(n, cfg, c)
+    if abs(chi_term) > CHI_TERM_WARN_THRESHOLD:
+        raise LinearityError(
+            f"chi-channel term 4*sqrt(n+1)*chi*omega/coupling = {chi_term:.3g} at n = {n} "
+            f"exceeds {CHI_TERM_WARN_THRESHOLD:g}: chi = {c.chi:.3g} detunes the block by "
+            f"8*(n+1)*chi*omega = {8.0 * (n + 1) * c.chi * cfg.omega:.3g} rad/s against a "
+            f"coupling of {cfg.coupling:.3g} rad/s; chi = 0 where delta^2 = epsilon"
+        )
+
+
 def analytic_amplitudes(
     n: int, cfg: InteractionConfig, c: GupCoefficients, t: float | np.ndarray
 ) -> tuple:
@@ -88,7 +121,7 @@ def analytic_amplitudes(
     the chi-channel term 4*sqrt(n+1)*chi*omega/coupling exceeds 0.1, since
     the first-order expansion is then unreliable.
     """
-    chi_term = 4.0 * math.sqrt(n + 1) * c.chi * cfg.omega / cfg.coupling
+    chi_term = chi_channel_term(n, cfg, c)
     if abs(chi_term) > CHI_TERM_WARN_THRESHOLD:
         warnings.warn(
             f"chi-channel term 4*sqrt(n+1)*chi*omega/coupling = {chi_term:.3g} "

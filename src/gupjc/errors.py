@@ -18,7 +18,7 @@ class DispersiveRegimeError(GupJcError):
 
 
 class LinearityError(GupJcError):
-    """The first-order Taylor expansion of the dispersive phases is invalid."""
+    """A first-order expansion, of the dispersive phases or of the Rabi frequency, is invalid."""
 
 
 class SingularDenominatorError(GupJcError):

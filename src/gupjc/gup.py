@@ -35,6 +35,10 @@ class GupParams:
     ``gamma`` is the SI-valued strength gamma0 / (sqrt(M_Planck) * c); delta
     and epsilon weight the linear and quadratic momentum corrections.  The
     common quadratic-only model corresponds to delta = 0, epsilon = 1/4.
+    chi is 0 only where delta^2 = epsilon, as at the paper's
+    delta = epsilon = 1; the quadratic-only model has chi != 0, so the free
+    field carries a Kerr term 4 omega chi that the dispersive H_eff drops,
+    and the dispersive commands refuse it.
     """
 
     gamma0: float

@@ -234,14 +234,11 @@ def _edit(monkeypatch, module, name, old, new):
 # one plausible bug per row, as an edit of one function's source, and the
 # checks that a verify run fails with it in place
 MUTATIONS = {
-    # the rotated amplitude mirrored: the displaced frame no longer follows
-    # the exact state
-    "conjugated beta, atom in g": (
+    # the rotated amplitude mirrored, in both atoms: the displaced frame no
+    # longer follows the exact state
+    "conjugated beta": (
         dispersive, "photon_added_decomposition", "beta = alpha * rot",
         "beta = np.conj(alpha * rot)", {"photon-added-overlap", "photon-added-projection"}),
-    "conjugated beta, atom in e": (
-        dispersive, "photon_added_decomposition", "beta = alpha * np.conj(rot)",
-        "beta = np.conj(alpha * np.conj(rot))", {"photon-added-projection"}),
     # |beta> in place of the two-photon-added state: the first-order field
     # misses a term of order s, and the overlap defect turns quadratic in s
     "two-photon-added state as |0> in the displaced frame": (
@@ -252,15 +249,17 @@ MUTATIONS = {
     # the exact state's phases are off by 1.4e-7 rad at fig1
     "GUP phase and rate phase formed as one": (
         dispersive, "evolve_dispersive_series",
-        """    return (coh.amps * np.exp(1j * (sign * mu_t * m))
-            * np.exp(-1j * (sign * 2.0 * d.phi * mu_t * m * m)))""",
-        """    diag = _effective_diagonals(d.mu, d.phi, ncut)[0 if initial_atom == "g" else 1]
-    return coh.amps * np.exp(-1j * diag * np.asarray(times, dtype=float)[:, None])""",
+        "np.exp(-1j * rate_t) * np.exp(-1j * gup_t)", "np.exp(-1j * (rate_t + gup_t))",
         {"photon-added-projection"}),
     # 2s in place of s in the one-photon term
     "doubled one-photon term": (
-        dispersive, "photon_added_decomposition", "u1 = -1j * s * alpha * rot * k1",
-        "u1 = -2j * s * alpha * rot * k1", {"photon-added-overlap", "photon-added-projection"}),
+        dispersive, "photon_added_decomposition", "u1 = shift * (-1j * kt",
+        "u1 = shift * (-2j * kt", {"photon-added-overlap", "photon-added-projection"}),
+    # m = n on the excited level as on the ground one: the levels, the
+    # rotation and the GUP phase of an excited start all lose their offset
+    "offset dropped in e": (
+        dispersive, "dispersive_levels", "m = n + o", "m = n",
+        {"commutator-scaling", "photon-added-projection"}),
     # the recurrence stops one step short: L_{m-1} in place of L_m for m >= 2
     "off-by-one Laguerre recurrence": (
         fock, "laguerre", "for k in range(1, m):", "for k in range(1, m - 1):",

@@ -441,6 +441,44 @@ def test_bad_grid_rejected_before_any_output(tmp_path, capsys, command, setting,
     assert not out.exists() or not any(out.iterdir())
 
 
+QUADRATIC_ONLY = ["--set", "delta=0.0", "--set", "epsilon=0.25"]
+
+
+@pytest.mark.parametrize("args, causes", [
+    # chi != 0: H_eff drops the free field's Kerr term, 5e9 times the GUP term
+    (["dispersive", "--preset", "fig1", *QUADRATIC_ONLY],
+     ["chi = -1.32e-14", "Kerr term 4*omega*chi = -52.7 rad/s",
+      "2*mu*phi = -1.05e-08 rad/s", "delta^2 = epsilon"]),
+    (["wigner-diff", "--preset", "fig1", *QUADRATIC_ONLY],
+     ["chi = -1.32e-14", "Kerr term 4*omega*chi = -52.7 rad/s", "delta^2 = epsilon"]),
+    # the Rabi frequency's first-order factor 1 - (n+1) phi, at the table's
+    # largest n and at the series' n
+    (["rabi", "--set", "gamma=1e12"],
+     ["LinearityError", "(n+1)*phi = 1.16e+07 at n = 10", "first-order Rabi frequency"]),
+    (["rabi", "--set", "n=800", "--set", "gamma=1.1e7"],
+     ["LinearityError", "(n+1)*phi = 0.102 at n = 800"]),
+    # the block's chi detuning against a coupling of 1 rad/s
+    (["rabi", *QUADRATIC_ONLY],
+     ["LinearityError", "chi-channel term 4*sqrt(n+1)*chi*omega/coupling = -1.75e+04",
+      "8*(n+1)*chi*omega = -1.16e+05 rad/s", "delta^2 = epsilon"]),
+])
+def test_a_model_the_command_would_misreport_is_refused_before_any_output(
+        tmp_path, capsys, args, causes):
+    out = tmp_path / "refused"
+    assert run_cli([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert all(cause in err for cause in causes), err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_dispersive_commands_run_every_model_with_chi_zero(tmp_path):
+    # delta^2 = epsilon away from the paper's delta = epsilon = 1
+    for command in ("dispersive", "wigner-diff"):
+        assert run_cli([command, "--preset", "fig1", "--set", "delta=0.5", "--set",
+                        "epsilon=0.25", "--set", "fidelity_points=2" if command == "dispersive"
+                        else "grid_points=11", "--out", str(tmp_path / command)]) == 0
+
+
 def test_wigner_diff_past_underflow_limit_exits_cleanly(tmp_path, capsys):
     # every point of this grid lies past MAX_ABS_Z from beta: no map and no
     # reference peak is left to write

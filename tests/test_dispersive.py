@@ -5,12 +5,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gupjc.checks import _DYSON_CFG, _DYSON_COEFFS, _DYSON_T
 from gupjc.dispersive import (
     DispersiveConfig,
-    _effective_diagonals,
+    PhotonAddedDecomposition,
     commutator_check,
+    dispersive_levels,
     displaced_projections,
     dyson_consistency_check,
     evolve_dispersive_series,
@@ -21,9 +24,11 @@ from gupjc import dispersive
 from gupjc.errors import DispersiveRegimeError, LinearityError
 from gupjc.fock import (
     SIGMA_PLUS,
+    FockVector,
     coherent_state,
     evolve_on_grid,
     hermiticity_residual,
+    laguerre,
     photon_added_coherent_state,
     tensor_with_atom,
 )
@@ -79,21 +84,61 @@ def test_taylor_time_bounds_at_stated_scales():
 
 def test_effective_hamiltonian_standard_limit():
     mu = _dispersive_cfg().mu
-    ground, excited = _effective_diagonals(mu, 0.0, 6)
-    n = np.arange(7)
-    assert np.allclose(ground, -mu * n)
-    assert np.allclose(excited, mu * (n + 1))
+    n = np.arange(7.0)
+    for atom, level in (("g", -mu * n), ("e", mu * (n + 1))):
+        rate, gup = dispersive_levels(mu, 0.0, n, atom)
+        assert np.array_equal(rate, level) and not gup.any()
+    with pytest.raises(ValueError, match="initial_atom"):
+        dispersive_levels(mu, 0.0, n, "x")
+
+
+def _relative_gap(value, exact):
+    """|value - exact| / |exact| for an mpmath ``exact``; 0 when both are 0."""
+    gap = abs(mpmath.mpf(float(value)) - exact)
+    return float(gap / abs(exact)) if exact else float(gap)
+
+
+_FIG1_PHI = bench_config()[1].phi
+
+# (mu, phi): fig1's, a large phi, and a model below resonance
+LEVEL_MODELS = ((1e5, _FIG1_PHI), (2e-3, 1e-4), (-3.7e4, 2.3e-7))
 
 
 def test_effective_hamiltonian_eigenvalues_with_gup():
-    mu = _dispersive_cfg().mu
-    phi = 1e-4
-    ground, excited = _effective_diagonals(mu, phi, 8)
-    for n in (0, 3, 7):
-        assert ground[n] == pytest.approx(-mu * (n - 2 * n**2 * phi), rel=1e-12)
-        assert excited[n] == pytest.approx(
-            mu * (n - 2 * n**2 * phi + 1 - 2 * phi - 4 * n * phi), rel=1e-12
-        )
+    # each part of each level against a 50-digit evaluation of -+mu m and
+    # +-2 phi mu m^2, upper sign in g with m = n, lower in e with m = n + 1
+    n = np.arange(41.0)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for mu, phi in LEVEL_MODELS:
+            for atom, sign, offset in (("g", 1, 0), ("e", -1, 1)):
+                rate, gup = dispersive_levels(mu, phi, n, atom)
+                for k in range(41):
+                    m = mpmath.mpf(k + offset)
+                    worst = max(worst,
+                                _relative_gap(rate[k], -sign * mpmath.mpf(mu) * m),
+                                _relative_gap(gup[k], sign * 2 * mpmath.mpf(phi)
+                                              * mpmath.mpf(mu) * m * m))
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("atom, sign, offset", [("g", 1, 0), ("e", -1, 1)])
+def test_split_gup_phase_matches_a_50_digit_evaluation(atom, sign, offset):
+    # the series forms each phase as a part of the level at mu*t.  The GUP
+    # phase, 2e-9 m^2 rad at fig1, holds to rounding of its own size, where a
+    # phase rounded with the rate phase, 1e8 m rad, would keep 8 digits
+    _, d = bench_config()
+    n = np.arange(NCUT + 1.0)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for t in (d.t, 37.5, 3.3e3):
+            mu_t = mpmath.mpf(d.mu) * mpmath.mpf(t)
+            rate_t, gup_t = dispersive_levels(d.mu * t, d.phi, n, atom)
+            for k in range(NCUT + 1):
+                m = mpmath.mpf(k + offset)
+                worst = max(worst, _relative_gap(rate_t[k], -sign * mu_t * m),
+                            _relative_gap(gup_t[k], sign * 2 * mpmath.mpf(d.phi) * mu_t * m * m))
+    assert worst <= 1e-15
 
 
 def test_effective_hamiltonian_regime_guard():
@@ -114,7 +159,9 @@ def dressed_operator(c, ncut):
 
 def effective_hamiltonian(cfg, c, ncut):
     """H_eff/hbar as a dense 2(ncut+1)^2 diagonal matrix, ground block first."""
-    return np.diag(np.concatenate(_effective_diagonals(cfg.mu, c.phi, ncut))).astype(complex)
+    n = np.arange(ncut + 1.0)
+    levels = [np.add(*dispersive_levels(cfg.mu, c.phi, n, atom)) for atom in "ge"]
+    return np.diag(np.concatenate(levels)).astype(complex)
 
 
 def test_commutator_exact_without_gup():
@@ -269,6 +316,75 @@ def test_decomposition_normalization_approaches_one():
     assert norms[0] > norms[1] > norms[2]
     assert norms[0] / norms[1] == pytest.approx(100.0, rel=0.05)
     assert norms[2] < 1e-6
+
+
+def two_branch_decomposition(d, initial_atom):
+    """The first-order field as written before its one formula: a branch per
+    atom, each with its levels expanded by hand."""
+    alpha = complex(d.alpha)
+    a2 = abs(alpha) ** 2
+    k1 = math.sqrt(laguerre(1, -a2) * 1.0)
+    k2 = math.sqrt(laguerre(2, -a2) * 2.0)
+    rot = np.exp(1j * d.mu * d.t)
+    s = 2.0 * d.phi * d.mu * d.t
+    if initial_atom == "g":
+        u_base = 1.0 + 0.0j
+        u1 = -1j * s * alpha * rot * k1
+        u2 = -1j * s * alpha**2 * rot**2 * k2
+        beta = alpha * rot
+    else:
+        u_base = np.conj(rot) * (1.0 + 1j * s)
+        u1 = 1j * s * alpha * 3.0 * k1 * np.conj(rot) ** 2
+        u2 = 1j * s * alpha**2 * k2 * np.conj(rot) ** 3
+        beta = alpha * np.conj(rot)
+    b = np.conj(beta)
+
+    def in_displaced_frame(c0, c1, c2):
+        return (np.array([c0, 0.0, 0.0]) + c1 * np.array([b, 1.0, 0.0]) / k1
+                + c2 * np.array([b * b, 2.0 * b, math.sqrt(2.0)]) / k2)
+
+    norm = float(np.linalg.norm(in_displaced_frame(u_base, u1, u2)))
+    base_amp, pacs1_amp, pacs2_amp = complex(u_base) / norm, complex(u1) / norm, complex(u2) / norm
+    displaced = FockVector(2, in_displaced_frame(base_amp, pacs1_amp, pacs2_amp))
+    return PhotonAddedDecomposition(base_amp, pacs1_amp, pacs2_amp, norm, complex(beta), displaced)
+
+
+def _decomposition_numbers(dec):
+    return [dec.base_amp, dec.pacs1_amp, dec.pacs2_amp, dec.normalization, dec.beta,
+            *dec.displaced.amps]
+
+
+def _zero_or_within(low, high):
+    """0, or a float of either sign whose magnitude lies in [low, high]: the
+    amplitudes then stay clear of subnormals, where no relative bound holds."""
+    magnitude = st.floats(low, high)
+    return st.just(0.0) | magnitude | magnitude.map(lambda x: -x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha_abs=_zero_or_within(1e-3, 3.0).map(abs),
+    alpha_arg=st.floats(-math.pi, math.pi),
+    mu_t=_zero_or_within(1e-3, 1e8),
+    phi=_zero_or_within(1e-18, 1e-12),
+    atom=st.sampled_from(["g", "e"]),
+)
+# fig1, and the gamma = 2000 map of the replay tests, in both atoms
+@example(alpha_abs=1.0, alpha_arg=0.0, mu_t=1e8, phi=_FIG1_PHI, atom="g")
+@example(alpha_abs=1.0, alpha_arg=0.0, mu_t=1e8, phi=_FIG1_PHI, atom="e")
+@example(alpha_abs=1.0, alpha_arg=0.0, mu_t=1e8, phi=4.0 * _FIG1_PHI, atom="g")
+def test_one_formula_decomposition_matches_the_two_branch_oracle(alpha_abs, alpha_arg, mu_t,
+                                                                  phi, atom):
+    # the operand order of the one formula is the g branch's, so in g it
+    # keeps the bits; in e it regroups the products and holds to rounding
+    d = DispersiveConfig(mu=mu_t / 1e3, phi=phi, alpha=cmath.rect(alpha_abs, alpha_arg), t=1e3)
+    assume(d.valid_linear)
+    new = _decomposition_numbers(photon_added_decomposition(d, atom))
+    old = _decomposition_numbers(two_branch_decomposition(d, atom))
+    if atom == "g":
+        assert np.array_equal(np.array(new).view(np.uint64), np.array(old).view(np.uint64))
+    for value, oracle in zip(new, old):
+        assert abs(value - oracle) <= 1e-15 * abs(oracle), (value, oracle)
 
 
 def test_decomposition_rejects_long_times():
