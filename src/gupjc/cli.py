@@ -334,13 +334,16 @@ def _alpha(params: dict) -> complex:
 
 def _dispersive_inputs(params: dict) -> DispersiveConfig:
     """The dispersive inputs of ``params``, refused by name when chi != 0:
-    H_eff holds no Kerr term, and the free field's 4 omega chi would then
-    outweigh the GUP term 2 mu phi that it keeps."""
+    H_eff holds no Kerr term, so it would drop the free field's 4 omega chi.
+    For delta = 0, epsilon = 1/4 at fig1 that term is 5e9 times the GUP term
+    2 mu phi that H_eff keeps."""
     p = GupParams.from_gamma(params["gamma"], params["delta"], params["epsilon"])
     c = derive_coefficients(p, params["omega"])
-    if c.chi != 0.0:
+    # delta^2 is rounded, so a model with delta^2 = epsilon in decimals, such as
+    # delta = 0.1 and epsilon = 0.01, can leave chi at 2 ulp of epsilon
+    if abs(p.delta * p.delta - p.epsilon) > 2.0 * math.ulp(p.epsilon):
         raise ValueError(
-            f"chi = {c.chi:.3g} at delta = {p.delta:g}, epsilon = {p.epsilon:g}: the free "
+            f"chi = {c.chi:.3g} at delta = {p.delta!r}, epsilon = {p.epsilon!r}: the free "
             f"field's Kerr term 4*omega*chi = {4.0 * c.omega * c.chi:.3g} rad/s, which the "
             f"dispersive H_eff drops, against the GUP term 2*mu*phi = "
             f"{2.0 * params['mu'] * c.phi:.3g} rad/s that it keeps; the dispersive commands "

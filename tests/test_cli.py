@@ -451,6 +451,10 @@ QUADRATIC_ONLY = ["--set", "delta=0.0", "--set", "epsilon=0.25"]
       "2*mu*phi = -1.05e-08 rad/s", "delta^2 = epsilon"]),
     (["wigner-diff", "--preset", "fig1", *QUADRATIC_ONLY],
      ["chi = -1.32e-14", "Kerr term 4*omega*chi = -52.7 rad/s", "delta^2 = epsilon"]),
+    # past the rounding of delta*delta by a relative 1e-12
+    (["wigner-diff", "--preset", "fig1", "--set", "delta=0.1", "--set",
+      "epsilon=0.01000000000001"],
+     ["chi = -5.27e-28 at delta = 0.1, epsilon = 0.01000000000001", "delta^2 = epsilon"]),
     # the Rabi frequency's first-order factor 1 - (n+1) phi, at the table's
     # largest n and at the series' n
     (["rabi", "--set", "gamma=1e12"],
@@ -471,12 +475,17 @@ def test_a_model_the_command_would_misreport_is_refused_before_any_output(
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_dispersive_commands_run_every_model_with_chi_zero(tmp_path):
-    # delta^2 = epsilon away from the paper's delta = epsilon = 1
-    for command in ("dispersive", "wigner-diff"):
-        assert run_cli([command, "--preset", "fig1", "--set", "delta=0.5", "--set",
-                        "epsilon=0.25", "--set", "fidelity_points=2" if command == "dispersive"
-                        else "grid_points=11", "--out", str(tmp_path / command)]) == 0
+@pytest.mark.parametrize("delta, epsilon", [(0.5, 0.25), (0.1, 0.01), (0.7, 0.49)])
+@pytest.mark.parametrize("command, small", [("dispersive", "fidelity_points=2"),
+                                            ("wigner-diff", "grid_points=11")])
+def test_dispersive_commands_run_every_model_with_chi_zero(tmp_path, command, small, delta,
+                                                          epsilon):
+    # delta^2 = epsilon away from the paper's delta = epsilon = 1; at 0.1 and
+    # 0.7 the rounded delta*delta misses epsilon by one ulp, which leaves chi
+    # at 9.1e-32 and -2.9e-30
+    out = tmp_path / command
+    assert run_cli([command, "--preset", "fig1", "--set", f"delta={delta}", "--set",
+                    f"epsilon={epsilon}", "--set", small, "--out", str(out)]) == 0
 
 
 def test_wigner_diff_past_underflow_limit_exits_cleanly(tmp_path, capsys):

@@ -125,8 +125,8 @@ def test_effective_hamiltonian_eigenvalues_with_gup():
 @pytest.mark.parametrize("atom, sign, offset", [("g", 1, 0), ("e", -1, 1)])
 def test_split_gup_phase_matches_a_50_digit_evaluation(atom, sign, offset):
     # the series forms each phase as a part of the level at mu*t.  The GUP
-    # phase, 2e-9 m^2 rad at fig1, holds to rounding of its own size, where a
-    # phase rounded with the rate phase, 1e8 m rad, would keep 8 digits
+    # phase, 2e-9 m^2 rad at fig1, holds to rounding of its own size; rounded
+    # with the rate phase, 1e8 m rad, whose ulp is about 1.5e-8 m rad, it would not
     _, d = bench_config()
     n = np.arange(NCUT + 1.0)
     worst = 0.0
@@ -369,7 +369,7 @@ def _zero_or_within(low, high):
     phi=_zero_or_within(1e-18, 1e-12),
     atom=st.sampled_from(["g", "e"]),
 )
-# fig1, and the gamma = 2000 map of the replay tests, in both atoms
+# fig1 in both atoms, and in g the phi of the gamma = 2000 map, 4 times fig1's
 @example(alpha_abs=1.0, alpha_arg=0.0, mu_t=1e8, phi=_FIG1_PHI, atom="g")
 @example(alpha_abs=1.0, alpha_arg=0.0, mu_t=1e8, phi=_FIG1_PHI, atom="e")
 @example(alpha_abs=1.0, alpha_arg=0.0, mu_t=1e8, phi=4.0 * _FIG1_PHI, atom="g")
