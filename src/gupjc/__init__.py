@@ -46,9 +46,9 @@ from .gup import (
 )
 from .dynamics import (
     RabiSolution,
-    amplitude_angular_frequency,
     analytic_amplitudes,
     atomic_inversion,
+    evolve_rwa_blocks,
     exact_rabi_shift,
     rabi_shift,
     validate_against_numeric,

@@ -47,15 +47,15 @@ from .dispersive import (
     photon_added_decomposition,
 )
 from .dynamics import (
-    amplitude_angular_frequency,
     atomic_inversion,
     exact_rabi_shift,
     rabi_shift,
     require_first_order,
+    require_resonance,
 )
 from .errors import GupJcError
 from .fock import coherent_state, evolve_on_grid, laguerre
-from .gup import GupParams, InteractionConfig, derive_coefficients, rwa_block
+from .gup import GupParams, InteractionConfig, derive_coefficients, rwa_block, rwa_block_entries
 from .rwa_validity import ZetaMapSpec, zeta_map
 from .wigner import GridSpec, wigner_difference, wigner_precision_ratio, write_grid
 
@@ -365,6 +365,7 @@ def cmd_rabi(params: dict, out_dir: Path, seed: int, stages: dict,
     c = derive_coefficients(p, omega)
     # the table's largest n or the series' n, whichever is larger
     require_first_order(max(int(params["n"]), int(params["n_table_max"])), cfg, c)
+    require_resonance(cfg)
 
     ns = range(int(params["n_table_max"]) + 1)
     exact = exact_rabi_shift(np.array(ns), cfg, c).tolist()
@@ -377,7 +378,7 @@ def cmd_rabi(params: dict, out_dir: Path, seed: int, stages: dict,
               table_rows)
 
     n = int(params["n"])
-    w_half = amplitude_angular_frequency(n, cfg, c)
+    w_half = rwa_block_entries(n, cfg, c)[1]
     t_max = params["periods"] * 2.0 * math.pi / (2.0 * w_half)
     t_grid = np.linspace(0.0, t_max, int(params["points"]))
     states = evolve_on_grid(rwa_block(n, cfg, c), t_grid, np.array([1.0, 0.0]))

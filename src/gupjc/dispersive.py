@@ -23,8 +23,8 @@ to |e,n> with weight f_n = sqrt(n+1) (1 - (n+1) phi), the element
 excited level; both checks below use these forms and build no operator.
 
 The Dyson consistency check compares the effective evolution with the exact
-rotating-wave evolution, which is propagated block by block on the pairs
-{|e,n>, |g,n+1>} of ``gup.rwa_block``.
+rotating-wave evolution, which ``dynamics.evolve_rwa_blocks`` propagates on
+the pairs {|e,n>, |g,n+1>} of ``gup.rwa_block``, all in one stack.
 
 H_eff holds no term in chi.  The field's own free term in
 ``gup.build_rwa_hamiltonian`` carries the Kerr term -4 omega chi (n^2 + n),
@@ -39,16 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import evolve_rwa_blocks
 from .errors import DispersiveRegimeError, LinearityError
-from .fock import FockVector, coherent_state, evolve_on_grid, laguerre
-from .gup import GupCoefficients, InteractionConfig, _rwa_coupling_element, rwa_block
+from .fock import FockVector, coherent_state, laguerre
+from .gup import LINEAR_EXPANSION_LIMIT, GupCoefficients, InteractionConfig, _rwa_coupling_element
 
 # required ratio |detuning| / (coupling * sqrt(ncut))
 DISPERSIVE_RATIO_MIN = 10.0
-
-# 2*phi*mu*t*<n^2> must stay below this for the first-order expansion of the
-# dispersive phases, and |(n+1)*phi| for that of the Rabi frequency
-LINEAR_EXPANSION_LIMIT = 0.1
 
 
 @dataclass(frozen=True)
@@ -272,18 +269,15 @@ def interaction_picture_propagate(
 
     H0 is the atomic term plus the GUP-corrected field diagonal and HI the
     rotating-wave coupling.  Both preserve each pair {|e,n>, |g,n+1>}, so the
-    propagator acts on the amplitudes at [ncut+1+n, n+1] as exp(-i B t) for
-    B = ``rwa_block(n)``, followed by the free phases e^{+-i d t} of its
-    diagonal.  |g,0> and the top level |e,ncut> are uncoupled and unchanged.
+    propagator acts on the amplitudes at [ncut+1+n, n+1] as
+    ``evolve_rwa_blocks`` does on the block of n.  |g,0> and the top level
+    |e,ncut> are uncoupled and unchanged.
     """
     dim = ncut + 1
     psi = np.array(psi0, dtype=complex)
-    blocks = np.reshape([rwa_block(n, cfg, c) for n in range(ncut)], (ncut, 2, 2))
     excited, ground = dim + np.arange(ncut), np.arange(1, dim)
     pairs = np.stack([psi[excited], psi[ground]], axis=1)
-    free = np.exp(1j * t * np.diagonal(blocks, axis1=1, axis2=2))
-    evolved = free * evolve_on_grid(blocks, [t], pairs)[:, 0]
-    psi[excited], psi[ground] = evolved[:, 0], evolved[:, 1]
+    psi[excited], psi[ground] = evolve_rwa_blocks(np.arange(ncut), cfg, c, [t], pairs)[:, 0].T
     return psi
 
 

@@ -19,24 +19,25 @@ defect is linear in phi and in chi*omega/coupling.  Exact evolution therefore
 deviates from them at first order in those parameters even though the
 oscillation frequency itself is accurate to second order; the numeric
 validator reports both views.  That exact evolution runs on the 2x2 block
-``gup.rwa_block`` alone, so it costs the same at any n and never forms an
-optical-scale energy.
+``gup.rwa_block`` alone, in ``evolve_rwa_blocks``, so it costs the same at
+any n and never forms an optical-scale energy.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dispersive import LINEAR_EXPANSION_LIMIT
 from .errors import LinearityError
 from .fock import evolve_on_grid
-from .gup import GupCoefficients, InteractionConfig, rwa_block, rwa_block_entries
+from .gup import (LINEAR_EXPANSION_LIMIT, GupCoefficients, InteractionConfig, rwa_block,
+                  rwa_block_entries)
 
-# "around resonance" for the numeric validator
+# "around resonance": the largest |detuning| / coupling that ``rabi`` and the
+# numeric validator take
 RESONANCE_TOL_FRACTION = 1e-3
 
 # beyond this the printed first-order expansion is leaving its validity range
@@ -73,11 +74,6 @@ class NumericValidation:
     exact_half_frequency: float
     max_norm_defect: float
     max_numeric_norm_defect: float
-
-
-def amplitude_angular_frequency(n: int, cfg: InteractionConfig, c: GupCoefficients) -> float:
-    """Half Rabi frequency coupling*sqrt(n+1)*(1 - (n+1)*phi), rad/s."""
-    return cfg.coupling * math.sqrt(n + 1) * (1.0 - (n + 1) * c.phi)
 
 
 def chi_channel_term(n: int, cfg: InteractionConfig, c: GupCoefficients) -> float:
@@ -129,7 +125,7 @@ def analytic_amplitudes(
             RuntimeWarning,
             stacklevel=2,
         )
-    w = amplitude_angular_frequency(n, cfg, c)
+    w = rwa_block_entries(n, cfg, c)[1]
     phi_factor = 1.0 - 2.0 * (n + 1) * c.phi
     c_e = np.cos(w * t) * (phi_factor - chi_term) + 0.0j
     c_g = -1j * np.sin(w * t) * phi_factor
@@ -144,7 +140,7 @@ def atomic_inversion(
 
     It differs from |C_e|^2 - |C_g|^2 of the first-order amplitudes at O(phi).
     """
-    return np.cos(2.0 * amplitude_angular_frequency(n, cfg, c) * t)
+    return np.cos(2.0 * rwa_block_entries(n, cfg, c)[1] * t)
 
 
 def rabi_shift(n: int, cfg: InteractionConfig, c: GupCoefficients) -> RabiSolution:
@@ -160,27 +156,56 @@ def rabi_shift(n: int, cfg: InteractionConfig, c: GupCoefficients) -> RabiSoluti
 
 
 def exact_rabi_shift(n, cfg: InteractionConfig, c: GupCoefficients):
-    """Exact shift 2 (g0 - hypot(d, g)) of the inversion frequency of
-    ``rwa_block(n)`` from its no-GUP resonant value 2 g0, rad/s.
+    """Exact shift 2 (hypot(d0, g0) - hypot(d, g)) of the inversion frequency
+    of ``rwa_block(n)`` from that of the no-GUP block at the same detuning,
+    [[d0, g0], [g0, -d0]], rad/s.
 
-    Here g0 = coupling*sqrt(m), g = g0 (1 - m phi) and m = n + 1, with d from
-    the block.  Formed naively, g0 - hypot(d, g) subtracts two numbers of
-    order g0 and loses the leading digits of the small shift; the stable form
+    Here g0 = coupling*sqrt(m), g = g0 (1 - m phi), m = n + 1 and
+    d0 = detuning/2, with d from the block.  Formed naively, the difference
+    subtracts two numbers of order g0 and loses the leading digits of the
+    small shift; the stable form
 
-        2 (g0^2 (2 m phi - m^2 phi^2) - d^2) / (g0 + hypot(d, g))
+        2 (g0^2 (2 m phi - m^2 phi^2) - (d - d0)(d + d0))
+          / (hypot(d0, g0) + hypot(d, g))
 
-    subtracts nothing of order g0^2 when m phi and d / g0 are small, and is
-    accurate to rounding.  ``n`` may be an integer or an integer array; a
-    positive coupling is required.
+    subtracts nothing of order g0^2 when m phi and (d - d0) / g0 are small,
+    and is accurate to rounding.  d - d0 = 4 m chi omega is the block's d on
+    resonance; taken from there, it is not rounded at the scale of the
+    detuning, and d is that plus d0, which are the block's bits.  On
+    resonance d0 = 0 and the shift is taken from 2 g0.  ``n`` may be an
+    integer or an integer array; a positive coupling is required.
     """
     if cfg.coupling <= 0:
         raise ValueError("the exact Rabi shift requires a positive coupling")
     n = np.asarray(n, dtype=float)
-    d, g = rwa_block_entries(n, cfg, c)
+    d0 = 0.5 * cfg.detuning
+    d_res, g = rwa_block_entries(n, replace(cfg, omega0=cfg.omega), c)
+    d = d_res + d0
     m = n + 1.0
     g0 = cfg.coupling * np.sqrt(m)
     m_phi = m * c.phi
-    return 2.0 * (g0 * g0 * (2.0 * m_phi - m_phi * m_phi) - d * d) / (g0 + np.hypot(d, g))
+    return (2.0 * (g0 * g0 * (2.0 * m_phi - m_phi * m_phi) - d_res * (d + d0))
+            / (np.hypot(d0, g0) + np.hypot(d, g)))
+
+
+def require_resonance(cfg: InteractionConfig) -> None:
+    """Refuse a detuning beyond ``RESONANCE_TOL_FRACTION`` * coupling, where
+    the resonant closed forms no longer describe the block."""
+    if not abs(cfg.detuning) <= RESONANCE_TOL_FRACTION * cfg.coupling:
+        raise ValueError(
+            f"|detuning| = |omega0 - omega| = {abs(cfg.detuning):.3g} rad/s exceeds the "
+            f"resonance tolerance {RESONANCE_TOL_FRACTION:g} * coupling at a coupling of "
+            f"{cfg.coupling:.3g} rad/s; the resonant closed forms do not describe the block"
+        )
+
+
+def evolve_rwa_blocks(n, cfg: InteractionConfig, c: GupCoefficients, times, pairs) -> np.ndarray:
+    """Interaction-picture (C_e, C_g), shape (..., len(times), 2), of ``pairs``
+    (..., 2) on the blocks ``rwa_block(n)``: exp(-i B t) on ``evolve_on_grid``'s
+    stacked path, then the free phases e^{+-i d t} of the diagonals removed."""
+    blocks, t = rwa_block(n, cfg, c), np.asarray(times, dtype=float)
+    free = np.exp(1j * t[:, None] * np.diagonal(blocks, axis1=-2, axis2=-1)[..., None, :])
+    return free * evolve_on_grid(blocks, t, pairs)
 
 
 def validate_against_numeric(
@@ -192,10 +217,9 @@ def validate_against_numeric(
     """Exact evolution of |e,n> under the rotating-wave Hamiltonian vs the
     first-order amplitudes, over a time grid.
 
-    The evolution runs on the block {|e,n>, |g,n+1>} of ``rwa_block``, and the
-    amplitudes are compared in the interaction picture, where the block's own
-    diagonal phases e^{+-i d t} are removed.  Requires near-resonance,
-    |detuning| <= 1e-3 * coupling.
+    The evolution runs on the block {|e,n>, |g,n+1>} through
+    ``evolve_rwa_blocks``, so the amplitudes are compared in the interaction
+    picture.  Requires near-resonance, as ``require_resonance`` refuses.
 
     What to expect: the raw amplitude error is dominated by the norm defect
     of the first-order pair, hence linear in phi; in the chi channel it also
@@ -206,16 +230,10 @@ def validate_against_numeric(
     """
     if cfg.coupling <= 0:
         raise ValueError("validation requires a positive coupling")
-    if abs(cfg.detuning) > RESONANCE_TOL_FRACTION * cfg.coupling:
-        raise ValueError(
-            f"|detuning| = {abs(cfg.detuning):.3g} exceeds the resonance tolerance "
-            f"{RESONANCE_TOL_FRACTION:g} * coupling"
-        )
+    require_resonance(cfg)
 
-    block = rwa_block(n, cfg, c)
     t = np.asarray(t_grid, dtype=float)
-    states = evolve_on_grid(block, t, np.array([1.0, 0.0]))
-    c_e_num, c_g_num = (np.exp(1j * np.outer(t, np.diag(block))) * states).T
+    c_e_num, c_g_num = evolve_rwa_blocks(n, cfg, c, t, np.array([1.0, 0.0])).T
 
     c_e_an, c_g_an = analytic_amplitudes(n, cfg, c, t)
 
@@ -237,7 +255,7 @@ def validate_against_numeric(
         max_amp_err=max_amp_err,
         max_inv_err=max_inv_err,
         max_amp_err_normalized=max_amp_err_normalized,
-        exact_half_frequency=math.hypot(block[0, 0], block[0, 1]),
+        exact_half_frequency=math.hypot(*rwa_block_entries(n, cfg, c)),
         max_norm_defect=max_norm_defect,
         max_numeric_norm_defect=float(
             np.max(np.abs(np.abs(c_e_num) ** 2 + np.abs(c_g_num) ** 2 - 1.0))

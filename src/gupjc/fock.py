@@ -173,7 +173,8 @@ def evolve_on_grid(h_over_hbar: np.ndarray, t_grid, state: np.ndarray) -> np.nda
     pair at once and returns shape (B, len(t_grid), dim).  Phase accuracy
     degrades as eps * ||H/hbar|| * t, so callers working at optical
     frequencies should first remove the optical-scale energies, as
-    ``gup.rwa_block`` does.
+    ``gup.rwa_block`` does; ``dynamics.evolve_rwa_blocks`` evolves a stack of
+    those blocks on the stacked path.
     """
     h = np.asarray(h_over_hbar, dtype=complex)
     residual = hermiticity_residual(h)

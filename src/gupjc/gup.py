@@ -27,6 +27,10 @@ import numpy as np
 from .constants import GAMMA_SI_DIVISOR, HBAR
 from .fock import SIGMA_3, SIGMA_PLUS, build_annihilation, tensor_with_atom
 
+# 2*phi*mu*t*<n^2> must stay below this for the first-order expansion of the
+# dispersive phases, and |(n+1)*phi| for that of the Rabi frequency
+LINEAR_EXPANSION_LIMIT = 0.1
+
 
 @dataclass(frozen=True)
 class GupParams:
@@ -169,17 +173,17 @@ def rwa_block_entries(n, cfg: InteractionConfig, c: GupCoefficients):
     return d, g
 
 
-def rwa_block(n: int, cfg: InteractionConfig, c: GupCoefficients) -> np.ndarray:
+def rwa_block(n, cfg: InteractionConfig, c: GupCoefficients) -> np.ndarray:
     """Rotating-wave Hamiltonian on {|e,n>, |g,n+1>} minus its mean energy (rad/s).
 
     Returns [[d, g], [g, -d]] with g = coupling*sqrt(n+1)*(1 - (n+1)*phi) and
-    d = (detuning + 8*(n+1)*chi*omega)/2.  The rotating-wave model is a direct
-    sum of these blocks plus the uncoupled |g,0>; the dropped mean is constant
-    on each block, so it only adds a global phase there and no optical-scale
-    energy is ever formed.
+    d = (detuning + 8*(n+1)*chi*omega)/2, of shape (..., 2, 2) for an integer
+    array ``n``.  The rotating-wave model is a direct sum of these blocks plus
+    the uncoupled |g,0>; the dropped mean is constant on each block, so it
+    only adds a global phase there and no optical-scale energy is ever formed.
     """
-    d, g = rwa_block_entries(n, cfg, c)
-    return np.array([[d, g], [g, -d]])
+    d, g = np.broadcast_arrays(*rwa_block_entries(n, cfg, c))
+    return np.stack([d, g, g, -d], axis=-1).reshape(d.shape + (2, 2))
 
 
 def build_rwa_hamiltonian(cfg: InteractionConfig, c: GupCoefficients, ncut: int) -> np.ndarray:

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from gupjc import checks, cli, dispersive, fock, gup, wigner
+from gupjc import checks, cli, dispersive, dynamics, fock, gup, wigner
 from gupjc.checks import (
     _DYSON_CFG,
     _DYSON_COEFFS,
@@ -24,6 +24,7 @@ from gupjc.checks import (
     coefficient_identity,
 )
 from gupjc.dispersive import interaction_picture_propagate
+from gupjc.dynamics import evolve_rwa_blocks
 from gupjc.errors import NonHermitianError
 from gupjc.fock import (
     coherent_state,
@@ -90,8 +91,8 @@ def eigh_apply(h, t, psi):
 def _propagator_cases():
     """(H/hbar, t, psi) as the checks evolve them."""
     psi0 = np.concatenate([coherent_state(1.0, 18).amps, np.zeros(19, dtype=complex)])
-    for n in range(18):
-        yield rwa_block(n, _DYSON_CFG, _DYSON_COEFFS), _DYSON_T, psi0[[19 + n, n + 1]]
+    for n, block in enumerate(rwa_block(np.arange(18), _DYSON_CFG, _DYSON_COEFFS)):
+        yield block, _DYSON_T, psi0[[19 + n, n + 1]]
     yield build_rwa_hamiltonian(_DYSON_CFG, _DYSON_COEFFS, 18), _DYSON_T, psi0
     # perturbation-scaling: |e,2> under the free terms plus the full interaction
     c = GupCoefficients(phi=1e-3, chi=0.0, beta=-5e-4, omega=50.0, xi_mag=2e-3)
@@ -111,7 +112,7 @@ def test_one_time_evolution_equals_the_replaced_propagator_bitwise():
 
 def test_stacked_evolution_equals_the_per_block_calls_bitwise():
     psi0 = np.concatenate([coherent_state(1.0, 18).amps, np.zeros(19, dtype=complex)])
-    blocks = np.array([rwa_block(n, _DYSON_CFG, _DYSON_COEFFS) for n in range(18)])
+    blocks = rwa_block(np.arange(18), _DYSON_CFG, _DYSON_COEFFS)
     pairs = np.stack([psi0[19:37], psi0[1:19]], axis=1)
     ts = [0.0, _DYSON_T, 3.7 * _DYSON_T]
     stacked = evolve_on_grid(blocks, ts, pairs)
@@ -121,6 +122,9 @@ def test_stacked_evolution_equals_the_per_block_calls_bitwise():
 
 
 def test_block_propagation_equals_the_per_block_loop_bitwise():
+    # the loop that built one block, evolved it and removed its free phases,
+    # against evolve_rwa_blocks' one stack, alone and inside
+    # interaction_picture_propagate
     psi0 = np.concatenate([coherent_state(1.0, 18).amps, np.zeros(19, dtype=complex)])
     psi = psi0.copy()
     for n in range(18):
@@ -128,12 +132,15 @@ def test_block_propagation_equals_the_per_block_loop_bitwise():
         idx = [19 + n, n + 1]
         psi[idx] = np.exp(1j * _DYSON_T * np.diag(block)) * evolve_on_grid(
             block, [_DYSON_T], psi[idx])[0]
+    pairs = np.stack([psi0[19:37], psi0[1:19]], axis=1)
+    stacked = evolve_rwa_blocks(np.arange(18), _DYSON_CFG, _DYSON_COEFFS, [_DYSON_T], pairs)
+    assert np.array_equal(stacked[:, 0], np.stack([psi[19:37], psi[1:19]], axis=1))
     blocks = interaction_picture_propagate(_DYSON_CFG, _DYSON_COEFFS, 18, _DYSON_T, psi0)
     assert np.array_equal(blocks, psi)
 
 
 def test_stacked_evolution_refuses_a_non_hermitian_block():
-    blocks = np.array([rwa_block(n, _DYSON_CFG, _DYSON_COEFFS) for n in range(3)])
+    blocks = rwa_block(np.arange(3), _DYSON_CFG, _DYSON_COEFFS)
     blocks[1, 0, 1] += 1e-9
     with pytest.raises(NonHermitianError):
         evolve_on_grid(blocks, [_DYSON_T], np.ones((3, 2)))
@@ -270,10 +277,11 @@ MUTATIONS = {
         wigner, "_density", "np.multiply.outer(psi.amps, np.conj(psi.amps))",
         "np.multiply.outer(psi.amps, psi.amps)", {"wigner-pointwise"}),
     # sqrt(n+1) (1 + (n+1) phi) in every band and block: the commutator's
-    # residual against H_eff turns linear in phi, a slope of 1, not 2
+    # residual against H_eff turns linear in phi, a slope of 1, not 2, and the
+    # Rabi shift read from the blocks' eigenvalues flips its sign
     "flipped phi in the coupling element": (
         gup, "_rwa_coupling_element", "(1.0 - m * c.phi)", "(1.0 + m * c.phi)",
-        {"commutator-scaling"}),
+        {"commutator-scaling", "rabi-shift-closed-form"}),
     # f_{n+1} in place of f_n: the commutator misses H_eff by about mu on
     # every row, whatever phi, a slope of 0
     "band read one level up": (
@@ -284,6 +292,12 @@ MUTATIONS = {
     "diagonals above the main one counted once": (
         wigner, "_wigner_terms", "        if k:\n            at_re *= 2.0\n", "",
         {"wigner-pointwise"}),
+    # e^{-+i d t} in place of e^{+-i d t}: the interaction picture turns by
+    # twice the blocks' free phases, which the Dyson and the dense
+    # lab-frame evolutions both see
+    "block free phases with the wrong sign": (
+        dynamics, "evolve_rwa_blocks", "np.exp(1j * t", "np.exp(-1j * t",
+        {"dyson-fidelity", "block-propagator"}),
     # 2 (3 delta^2 - 2 epsilon): phi doubled, and with it the Rabi shift and
     # the quadratic channel of the validity ratios
     "doubled quadratic weight": (

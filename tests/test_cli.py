@@ -81,6 +81,17 @@ def test_rabi_without_gup_has_zero_shift_column(tmp_path):
     assert all(float(r["delta_omega"]) == 0.0 for r in rows)
 
 
+def test_rabi_runs_a_detuning_inside_the_resonance_tolerance(tmp_path):
+    # 5e-4 rad/s against a coupling of 1 rad/s: the exact shift is taken from
+    # the no-GUP block at the same detuning, so it meets the closed form
+    out = tmp_path / "detuned"
+    assert run_cli(["rabi", "--out", str(out), "--set", "omega=1000.0", "--set",
+                    "omega0=1000.0005", *RABI_FAST]) == 0
+    for row in read_rows(out / "rabi_table.csv"):
+        assert float(row["delta_omega_exact"]) == pytest.approx(float(row["delta_omega"]),
+                                                               rel=1e-6)
+
+
 def test_rabi_replay_is_byte_identical(tmp_path):
     first = tmp_path / "a"
     assert run_cli(["rabi", "--out", str(first), *RABI_FAST]) == 0
@@ -465,6 +476,11 @@ QUADRATIC_ONLY = ["--set", "delta=0.0", "--set", "epsilon=0.25"]
     (["rabi", *QUADRATIC_ONLY],
      ["LinearityError", "chi-channel term 4*sqrt(n+1)*chi*omega/coupling = -1.75e+04",
       "8*(n+1)*chi*omega = -1.16e+05 rad/s", "delta^2 = epsilon"]),
+    # omega0 two ulps above omega = 1e16: a detuning of 4 rad/s against a
+    # coupling of 1 rad/s, which the resonant closed forms do not describe
+    (["rabi", "--set", "omega0=1.0000000000000004e16"],
+     ["|detuning| = |omega0 - omega| = 4 rad/s", "resonance tolerance 0.001 * coupling",
+      "coupling of 1 rad/s"]),
 ])
 def test_a_model_the_command_would_misreport_is_refused_before_any_output(
         tmp_path, capsys, args, causes):

@@ -8,19 +8,22 @@ from hypothesis import strategies as st
 
 from gupjc.dynamics import (
     NumericValidation,
-    amplitude_angular_frequency,
     analytic_amplitudes,
     atomic_inversion,
+    evolve_rwa_blocks,
     exact_rabi_shift,
     rabi_shift,
     validate_against_numeric,
 )
+from gupjc.fock import evolve_on_grid
 from gupjc.gup import (
     GupCoefficients,
     GupParams,
     InteractionConfig,
+    build_rwa_hamiltonian,
     derive_coefficients,
     rwa_block,
+    rwa_block_entries,
 )
 
 
@@ -41,8 +44,14 @@ def _chi_only(chi, omega=10.0):
     return GupCoefficients(phi=0.0, chi=chi, beta=4.0 * chi, omega=omega)
 
 
+def _half_frequency(n, cfg, c):
+    """The half Rabi frequency coupling*sqrt(n+1)*(1 - (n+1)*phi), the
+    block's g."""
+    return rwa_block_entries(n, cfg, c)[1]
+
+
 def _grid(n, cfg, c, periods=10.0, points=400):
-    w = amplitude_angular_frequency(n, cfg, c)
+    w = _half_frequency(n, cfg, c)
     return np.linspace(0.0, periods * 2.0 * math.pi / (2.0 * w), points)
 
 
@@ -77,7 +86,7 @@ def test_amplitudes_phi_factor():
     n = 1
     c_e, c_g = analytic_amplitudes(n, cfg, c, 0.0)
     assert c_e == pytest.approx(1.0 - 2.0 * (n + 1) * phi, abs=1e-15)
-    w = amplitude_angular_frequency(n, cfg, c)
+    w = _half_frequency(n, cfg, c)
     assert w == pytest.approx(math.sqrt(2.0) * (1.0 - 2 * phi), rel=1e-14)
 
 
@@ -85,7 +94,7 @@ def test_inversion_trivial_points():
     cfg = _resonant()
     c = _phi_only(1e-4)
     assert atomic_inversion(2, cfg, c, 0.0) == 1.0
-    w = amplitude_angular_frequency(2, cfg, c)
+    w = _half_frequency(2, cfg, c)
     assert atomic_inversion(2, cfg, c, math.pi / (2.0 * w)) == pytest.approx(-1.0, abs=1e-12)
     # elementwise over an array of times
     ts = np.array([0.0, math.pi / (2.0 * w)])
@@ -134,16 +143,23 @@ def test_rabi_shift_linear_in_coupling():
     assert s2.delta_omega == pytest.approx(2.0 * s1.delta_omega, rel=1e-14)
 
 
-def _mp_exact_shift(n, cfg, c):
-    """2 (g0 - hypot(d, g)) of rwa_block(n), in 50-digit arithmetic from the
+def _mp_shift_parts(n, cfg, c):
+    """The exact shift 2 (hypot(d0, g0) - hypot(d, g)) of rwa_block(n),
+    d0 = detuning/2, as its phi part 2 (hypot(d0, g0) - hypot(d0, g)) and its
+    chi part 2 (hypot(d0, g) - hypot(d, g)), in 50-digit arithmetic from the
     double inputs."""
     with mpmath.workdps(50):
         m = mpmath.mpf(n + 1)
         g0 = mpmath.mpf(cfg.coupling) * mpmath.sqrt(m)
         g = g0 * (1 - m * mpmath.mpf(c.phi))
-        d = (mpmath.mpf(cfg.omega0) - mpmath.mpf(cfg.omega)
-             + 8 * m * mpmath.mpf(c.chi) * mpmath.mpf(cfg.omega)) / 2
-        return 2 * (g0 - mpmath.sqrt(d * d + g * g))
+        d0 = (mpmath.mpf(cfg.omega0) - mpmath.mpf(cfg.omega)) / 2
+        d = d0 + 4 * m * mpmath.mpf(c.chi) * mpmath.mpf(cfg.omega)
+        return (2 * (mpmath.hypot(d0, g0) - mpmath.hypot(d0, g)),
+                2 * (mpmath.hypot(d0, g) - mpmath.hypot(d, g)))
+
+
+def _mp_exact_shift(n, cfg, c):
+    return sum(_mp_shift_parts(n, cfg, c))
 
 
 # gamma (SI) from 10 to 1e4 at the rabi defaults omega = 1e16 rad/s and
@@ -160,6 +176,28 @@ def test_exact_rabi_shift_matches_mpmath_oracle(gamma, epsilon):
         oracle = _mp_exact_shift(k, cfg, c)
         assert abs(float((mpmath.mpf(shift) - oracle) / oracle)) < 1e-15
         assert shift == exact_rabi_shift(k, cfg, c)
+
+
+# omega = 1e3 rad/s, where 2.5e-4 rad/s of d0 and the chi term of d meet:
+# the rabi defaults' model (chi = 0), delta = 0.9 and epsilon = 0.8 at the same
+# gamma (chi = 5e-28: 8 (n+1) chi omega is below an ulp of d0 at either
+# nonzero detuning), and a model whose chi term d resolves
+@pytest.mark.parametrize("model", [
+    derive_coefficients(GupParams.from_gamma(1e3, 1.0, 1.0), 1e3),
+    derive_coefficients(GupParams.from_gamma(1e3, 0.9, 0.8), 1e3),
+    GupCoefficients(phi=1e-9, chi=1e-9, beta=3.5e-9, omega=1e3),
+], ids=["no-chi", "gup-chi", "resolved-chi"])
+@pytest.mark.parametrize("omega0", [1e3, 1000.0005, 1000.25])
+def test_detuned_exact_rabi_shift_matches_mpmath_oracle(model, omega0):
+    # the shift is taken from the no-GUP block at the same detuning, so a
+    # detuning alone moves nothing; the phi and chi parts can cancel, and the
+    # shift then keeps its accuracy relative to the larger of them
+    cfg = InteractionConfig(omega=1e3, omega0=omega0, coupling=1.0)
+    n = np.arange(11)
+    for k, shift in zip(n.tolist(), exact_rabi_shift(n, cfg, model).tolist()):
+        phi_part, chi_part = _mp_shift_parts(k, cfg, model)
+        scale = abs(phi_part) + abs(chi_part)
+        assert abs(float((mpmath.mpf(shift) - phi_part - chi_part) / scale)) < 1e-15
 
 
 @settings(max_examples=200, deadline=None)
@@ -189,6 +227,10 @@ def test_exact_rabi_shift_equals_the_closed_form_without_chi():
         assert exact_rabi_shift(n, cfg, c) == pytest.approx(rabi_shift(n, cfg, c).delta_omega,
                                                             rel=1e-14)
     assert exact_rabi_shift(3, cfg, _no_gup(omega=1e6)) == 0.0
+    # a detuning alone moves nothing: the shift is taken from the no-GUP block
+    # at the same detuning (taken from 2 g0, it would read -6.25e-8 rad/s here)
+    detuned = InteractionConfig(omega=1e3, omega0=1000.0005, coupling=1.0)
+    assert exact_rabi_shift(0, detuned, _no_gup(omega=1e3)) == 0.0
     with pytest.raises(ValueError, match="coupling"):
         exact_rabi_shift(1, _resonant(coupling=0.0), c)
 
@@ -224,7 +266,7 @@ def test_phi_channel_norm_defect_linear_and_shape_exact():
         raw.append(rep.max_amp_err)
         defects.append(rep.max_norm_defect)
         assert rep.max_amp_err_normalized < 1e-9
-        w = amplitude_angular_frequency(n, cfg, c)
+        w = _half_frequency(n, cfg, c)
         assert abs(rep.exact_half_frequency - w) / w < 1e-9
     slope = np.polyfit(np.log([1e-4, 5e-5, 2.5e-5]), np.log(raw), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.05)
@@ -241,7 +283,7 @@ def test_chi_channel_frequency_quadratic():
     for chi in chis:
         c = _chi_only(chi)
         rep = validate_against_numeric(n, cfg, c, _grid(n, cfg, c, points=800))
-        w = amplitude_angular_frequency(n, cfg, c)
+        w = _half_frequency(n, cfg, c)
         rels.append(abs(rep.exact_half_frequency - w) / w)
     assert rels[0] / rels[1] == pytest.approx(4.0, rel=0.05)
 
@@ -292,3 +334,44 @@ def test_evolved_pair_stays_normalized(n, detuning, phi, chi, t_max):
     c = GupCoefficients(phi=phi, chi=chi, beta=4.0 * chi - phi / 2.0, omega=10.0)
     rep = validate_against_numeric(n, cfg, c, np.linspace(0.0, t_max, 64))
     assert rep.max_numeric_norm_defect < 1e-12
+
+
+def test_stacked_block_evolution_equals_per_block_calls_bitwise():
+    cfg = InteractionConfig(omega=10.0, omega0=10.0003, coupling=1.3)
+    c = GupCoefficients(phi=2e-4, chi=-3e-5, beta=(-2.4e-4 - 2e-4) / 2.0, omega=10.0)
+    n = np.arange(12).reshape(3, 4)
+    pairs = np.random.default_rng(7).normal(size=(3, 4, 2)) + 0j
+    times = [0.0, 0.4, 7.1]
+    stacked = evolve_rwa_blocks(n, cfg, c, times, pairs)
+    assert stacked.shape == (3, 4, 3, 2)
+    for k, pair, evolved in zip(n.ravel().tolist(), pairs.reshape(-1, 2),
+                                stacked.reshape(-1, 3, 2)):
+        assert np.array_equal(evolved, evolve_rwa_blocks(k, cfg, c, times, pair))
+    # no time elapsed: the pairs as given, up to the eigenvectors' rounding
+    assert np.max(np.abs(stacked[..., 0, :] - pairs)) < 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    detuning=st.floats(-0.5, 0.5),
+    phi=st.floats(0.0, 1e-3),
+    chi=st.floats(-1e-3, 1e-3),
+    t=st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_evolution_matches_dense_lab_frame_evolution(detuning, phi, chi, t, seed):
+    # exp(i H0 t) exp(-i H t) psi0 on the dense rotating-wave Hamiltonian, with
+    # H0 its diagonal, at chi != 0 and off resonance; the dense H holds the
+    # field energies omega n, so omega stays small for its phases to resolve
+    ncut = 6
+    cfg = InteractionConfig(omega=10.0, omega0=10.0 + detuning, coupling=1.0)
+    c = GupCoefficients(phi=phi, chi=chi, beta=(8.0 * chi - phi) / 2.0, omega=cfg.omega)
+    rng = np.random.default_rng(seed)
+    psi0 = rng.normal(size=2 * (ncut + 1)) + 1j * rng.normal(size=2 * (ncut + 1))
+    psi0 /= np.linalg.norm(psi0)
+    h = build_rwa_hamiltonian(cfg, c, ncut)
+    dense = np.exp(1j * t * np.diag(h).real) * evolve_on_grid(h, [t], psi0)[0]
+    excited, ground = ncut + 1 + np.arange(ncut), np.arange(1, ncut + 1)
+    pairs = np.stack([psi0[excited], psi0[ground]], axis=1)
+    blocks = evolve_rwa_blocks(np.arange(ncut), cfg, c, [t], pairs)[:, 0]
+    assert np.max(np.abs(blocks - np.stack([dense[excited], dense[ground]], axis=1))) < 1e-11

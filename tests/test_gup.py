@@ -197,6 +197,10 @@ def test_rwa_block_matches_dense_subblock():
         sub = h[np.ix_(idx, idx)]
         centered = sub - np.eye(2) * np.trace(sub) / 2.0
         assert np.allclose(rwa_block(n, cfg, c), centered, rtol=0.0, atol=1e-9 * cfg.omega)
+    # an array of n gives the stack of those blocks, bit for bit
+    stacked = rwa_block(np.arange(ncut).reshape(2, 3), cfg, c)
+    assert stacked.shape == (2, 3, 2, 2)
+    assert np.array_equal(stacked.reshape(-1, 2, 2), [rwa_block(n, cfg, c) for n in range(ncut)])
 
 
 def test_rwa_diagonal_field_energy():
