@@ -171,7 +171,7 @@ def exact_rabi_shift(n, cfg: InteractionConfig, c: GupCoefficients):
     subtracts nothing of order g0^2 when m phi and (d - d0) / g0 are small,
     and is accurate to rounding.  d - d0 = 4 m chi omega is the block's d on
     resonance; taken from there, it is not rounded at the scale of the
-    detuning, and d is that plus d0, which are the block's bits.  On
+    detuning, and adding d0 to it gives the block's d bit for bit.  On
     resonance d0 = 0 and the shift is taken from 2 g0.  ``n`` may be an
     integer or an integer array; a positive coupling is required.
     """

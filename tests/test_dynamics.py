@@ -178,10 +178,11 @@ def test_exact_rabi_shift_matches_mpmath_oracle(gamma, epsilon):
         assert shift == exact_rabi_shift(k, cfg, c)
 
 
-# omega = 1e3 rad/s, where 2.5e-4 rad/s of d0 and the chi term of d meet:
-# the rabi defaults' model (chi = 0), delta = 0.9 and epsilon = 0.8 at the same
-# gamma (chi = 5e-28: 8 (n+1) chi omega is below an ulp of d0 at either
-# nonzero detuning), and a model whose chi term d resolves
+# omega = 1e3 rad/s and detunings of 0, 5e-4 and 0.25 rad/s, in three
+# models: the rabi defaults' (chi = 0); delta = 0.9 and epsilon = 0.8 at the
+# same gamma, whose chi = 5e-28 puts 8 (n+1) chi omega below an ulp of d0 at
+# either nonzero detuning; and one whose chi term, up to 8.8e-5 rad/s,
+# resolves in d
 @pytest.mark.parametrize("model", [
     derive_coefficients(GupParams.from_gamma(1e3, 1.0, 1.0), 1e3),
     derive_coefficients(GupParams.from_gamma(1e3, 0.9, 0.8), 1e3),
